@@ -246,8 +246,9 @@ def chernoff_bound(
 ) -> BoundResult:
     """min over s of q(s), by coarse grid plus golden-section refinement.
 
-    The 33-point grid contains s = 1/2 exactly, so the result can never
-    exceed the Bhattacharyya bound. The refinement narrows s to 1e-10.
+    The 33-point grid contains s = 1/2 exactly (its midpoint is set to 0.5,
+    since linspace lands one ulp below), so the result can never exceed the
+    Bhattacharyya bound. The refinement narrows s to 1e-10.
     """
     a = _as_state(state_a)
     b = _as_state(state_b)
@@ -258,6 +259,7 @@ def chernoff_bound(
         return power_overlap(a, b, s, decomposition_a=da, decomposition_b=db).log_value
 
     grid = np.linspace(1e-6, 1.0 - 1e-6, 33)
+    grid[len(grid) // 2] = 0.5
     values = [logq(s) for s in grid]
     k = int(np.argmin(values))
     lo = grid[max(k - 1, 0)]

@@ -630,19 +630,19 @@ def cmd_oracle_check(args) -> int:
     budget = oracle_tail_budget(
         scenario.n_signal, scenario.n_background, scenario.reflectivity, args.cutoff
     )["budget"]
+    oracle_values = oracle_overlap(
+        scenario.n_signal,
+        scenario.n_background,
+        scenario.reflectivity,
+        s_values,
+        args.cutoff,
+    )
     rows = []
     flagged = 0
-    for s in s_values:
+    for s, oracle in zip(s_values, oracle_values):
         gaussian = power_overlap(absent, present, s).value
-        oracle = oracle_overlap(
-            scenario.n_signal,
-            scenario.n_background,
-            scenario.reflectivity,
-            s,
-            args.cutoff,
-        )
         gap = abs(gaussian - oracle) / max(abs(gaussian), 1e-300)
-        flag = gap > 10.0 * budget
+        flag = bool(gap > 10.0 * budget)
         flagged += int(flag)
         rows.append(
             {

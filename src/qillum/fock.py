@@ -1,10 +1,28 @@
 """Truncated number-basis oracle for the Gaussian machinery.
 
-Everything here works with dense matrices in a photon-number cutoff, so it is
-slow and memory-hungry but makes no Gaussian assumptions. Its job is to
-cross-check the covariance-based overlap engine on small systems: build the
-same two hypothesis states by explicit beamsplitter action, take matrix
-powers by diagonalization, and compare.
+The oracle builds the two hypothesis states of the two-mode detection pair
+(return, idler) in a photon-number cutoff by explicit beamsplitter action,
+makes no Gaussian assumption, and cross-checks the covariance-based overlap
+engine with them.
+
+It works on the blocks that two conservation laws give, not on dense
+matrices:
+
+- The beamsplitter generator a+ b - a b+ conserves the total photon number N
+  of (signal, background). The unitary is therefore a stack of 2 cutoff + 1
+  sector blocks, one per N, each the exponential of a tridiagonal generator
+  of size at most cutoff + 1. Sectors with N > cutoff are truncated exactly
+  as the dense truncated operator truncates them.
+- The two-mode squeezed probe pairs equal signal and idler photon numbers,
+  and the thermal background is diagonal in the number basis. The
+  target-present state is therefore block-diagonal in k = r - i (return minus
+  idler photons): 2 cutoff + 1 blocks of size cutoff + 1 - |k|, each V V^T
+  over the traced background branches. The target-absent state is diagonal.
+
+q(s) = Tr[absent^s present^(1-s)] then needs only one eigendecomposition
+per present block, done once for a whole grid of s values. Dense matrices
+are assembled only on request (`target_present_fock`), for the Helstrom
+probability, the quadrature covariance and tests.
 
 Truncation error is tracked through analytic tail weights of the inputs
 (geometric in the thermal and two-mode squeezed distributions), never by
@@ -15,6 +33,8 @@ callers get a budget number to compare gaps against.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,19 +163,99 @@ def target_absent_fock(n_signal: float, n_background: float, cutoff: int) -> Foc
     return FockOperator(2, cutoff, m)
 
 
-def _beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
-    """exp(theta (a+ b - a b+)) on the (signal, background) pair.
+def _sector_beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
+    """exp(theta (a+ b - a b+)) on (signal, background), one block per total N.
+
+    Shape (2 cutoff + 1, cutoff + 1, cutoff + 1). Entry [N, x, y] is
+    <n', N - n'| U |n, N - n> with n' = lo + x, n = lo + y and
+    lo = max(0, N - cutoff) the smallest signal number of sector N. Rows and
+    columns past the sector's size are zero padding in the generator, so the
+    padding exponentiates to an identity that no block entry mixes with.
 
     theta = arccos(sqrt(kappa)) sends the signal into the output with
     amplitude sqrt(kappa) and the background with sqrt(1 - kappa).
     """
+    total = np.arange(2 * cutoff + 1)[:, None]
+    n = np.maximum(0, total - cutoff) + np.arange(cutoff)[None, :]
+    # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)), where n+1 is still in the sector.
+    inside = n + 1 <= np.minimum(total, cutoff)
+    coupling = np.sqrt(np.where(inside, (n + 1) * (total - n), 0))
+    gen = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
+    j = np.arange(cutoff)
+    gen[:, j + 1, j] = coupling
+    gen[:, j, j + 1] = -coupling
+    return expm(math.acos(math.sqrt(reflectivity)) * gen)
+
+
+def _block_layout(cutoff: int):
+    """Where each r - i block sits in the number basis.
+
+    Block index K = k + cutoff holds k = r - i; its local row p is idler
+    number i = max(0, -k) + p and return number r = i + k. Returns k with
+    shape (2 cutoff + 1, 1), and the idler numbers and a validity mask (p
+    below the block size cutoff + 1 - |k|), both (2 cutoff + 1, cutoff + 1).
+    Invalid idler numbers are set to 0 so they index safely.
+    """
+    k = np.arange(-cutoff, cutoff + 1)[:, None]
+    p = np.arange(cutoff + 1)[None, :]
+    valid = p < cutoff + 1 - np.abs(k)
+    idler = np.where(valid, np.maximum(0, -k) + p, 0)
+    return k, idler, valid
+
+
+def _absent_blocks(n_signal: float, n_background: float, cutoff: int) -> np.ndarray:
+    """Diagonal of the target-absent state in the r - i block layout, zero padded."""
+    k, idler, valid = _block_layout(cutoff)
+    ret = thermal_weights(n_background, cutoff)
+    idl = thermal_weights(n_signal, cutoff)
+    return np.where(valid, ret[np.where(valid, idler + k, 0)] * idl[idler], 0.0)
+
+
+def _present_blocks(
+    n_signal: float, n_background: float, reflectivity: float, cutoff: int
+) -> np.ndarray:
+    """Target-present state as its r - i blocks, zero padded to (2c+1, c+1, c+1).
+
+    Block k is V V^T. Row i of V (return r = i + k) and column b (the traced
+    background output, fed by background input m = k + b) hold the branch
+    amplitude amp[i] sqrt(w[m]) <r, b| U |i, m>, read from sector N = i + m.
+    """
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
+    _check_dimension(2, cutoff)
     d = cutoff + 1
-    n = np.arange(1, d)
-    low = np.zeros((d, d))
-    low[n - 1, n] = np.sqrt(n)  # annihilation
-    theta = math.acos(math.sqrt(reflectivity))
-    gen = np.kron(low.T, low) - np.kron(low, low.T)
-    return expm(theta * gen)
+    blocks = np.zeros((2 * cutoff + 1, d, d))
+    if reflectivity == 0.0:
+        diag = np.arange(d)
+        blocks[:, diag, diag] = _absent_blocks(n_signal, n_background, cutoff)
+        return blocks
+    amp = tmsv_amplitudes(n_signal, cutoff)
+    if reflectivity == 1.0:  # the signal returns intact; the background drops out
+        blocks[cutoff] = np.outer(amp, amp)
+        return blocks
+    k, idler, valid = _block_layout(cutoff)
+    w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
+    u = _sector_beamsplitter(reflectivity, cutoff)
+    mask = valid[:, :, None] & valid[:, None, :]
+    i = np.where(mask, idler[:, :, None], 0)
+    m = np.where(mask, idler[:, None, :] + k[:, :, None], 0)
+    r = np.where(mask, i + k[:, :, None], 0)
+    lo = np.maximum(0, i + m - cutoff)
+    branches = np.where(mask, amp[i] * np.sqrt(w[m]) * u[i + m, r - lo, i - lo], 0.0)
+    return branches @ branches.transpose(0, 2, 1)
+
+
+def _scatter_blocks(blocks: np.ndarray, cutoff: int) -> np.ndarray:
+    """Dense (return, idler) matrix from padded r - i blocks."""
+    d = cutoff + 1
+    k, idler, valid = _block_layout(cutoff)
+    flat = (idler + k) * d + idler
+    mask = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(flat[:, :, None], blocks.shape)
+    cols = np.broadcast_to(flat[:, None, :], blocks.shape)
+    dense = np.zeros((d * d, d * d))
+    dense[rows[mask], cols[mask]] = blocks[mask]
+    return dense
 
 
 def target_present_fock(
@@ -166,38 +266,14 @@ def target_present_fock(
     The background is taken thermal with n_background / (1 - reflectivity)
     photons before the beamsplitter, so the return mode ends up with variance
     2 kappa n_signal + 2 n_background + 1 like the Gaussian builder. The
-    mixture over background number states is processed as one stacked matrix
-    product. Mode order of the result is (return, idler).
+    state is built as its r - i blocks and scattered into the dense matrix.
+    Mode order of the result is (return, idler).
 
     reflectivity 1 keeps the signal intact (the background drops out), and
     reflectivity 0 reduces to the product state.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    _check_dimension(2, cutoff)
-    if reflectivity == 0.0:
-        return target_absent_fock(n_signal, n_background, cutoff)
-    d = cutoff + 1
-    amp = tmsv_amplitudes(n_signal, cutoff)
-    psi = np.zeros((d, d))
-    np.fill_diagonal(psi, amp)
-    if reflectivity == 1.0:
-        vec = psi.reshape(d * d)
-        return FockOperator(2, cutoff, np.outer(vec, vec))
-
-    u = _beamsplitter(reflectivity, cutoff)
-    w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
-    # Columns of stacked: one purification branch per (background m, idler i);
-    # axes (signal, background) x (m, i).
-    stacked = np.zeros((d, d, d, d))
-    r = np.arange(d)
-    stacked[:, r, r, :] = psi[:, None, :] * np.sqrt(w)[None, :, None]
-    mixed = u @ stacked.reshape(d * d, d * d)
-    # Regroup rows to (return, idler), columns to traced-out (background, m).
-    regrouped = (
-        mixed.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-    )
-    return FockOperator(2, cutoff, regrouped @ regrouped.T)
+    blocks = _present_blocks(n_signal, n_background, reflectivity, cutoff)
+    return FockOperator(2, cutoff, _scatter_blocks(blocks, cutoff))
 
 
 def _eigen_clean(m: np.ndarray):
@@ -206,6 +282,25 @@ def _eigen_clean(m: np.ndarray):
     if float(vals[0]) < -1e-10 * scale:
         raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None), vecs
+
+
+def _block_spectra(blocks: np.ndarray, cutoff: int):
+    """Eigenvalues and squared eigenvector entries of each r - i block.
+
+    Each block is checked for symmetry and diagonalized at its own size;
+    results are zero padded like the blocks.
+    """
+    vals = np.zeros(blocks.shape[:2])
+    vecs_sq = np.zeros_like(blocks)
+    for index, padded in enumerate(blocks):
+        size = cutoff + 1 - abs(index - cutoff)
+        block = padded[:size, :size]
+        if np.max(np.abs(block - block.T)) > HERMITICITY_TOL:
+            raise ValueError(f"block r - i = {index - cutoff} is not symmetric")
+        v, u = _eigen_clean(block)
+        vals[index, :size] = v
+        vecs_sq[index, :size, :size] = u**2
+    return vals, vecs_sq
 
 
 def trace_power(op, p: float) -> float:
@@ -245,7 +340,7 @@ def oracle_tail_budget(
     Sums the analytic tail weights of every input distribution (the
     beamsplitter conserves total photon number, so output leakage is bounded
     by input leakage) and floors the result at 64 eps times the matrix
-    dimension to cover plain rounding.
+    dimension to cover plain rounding. Every value is a Python float.
     """
     dim = (cutoff + 1) ** 2
     absent = thermal_tail(n_background, cutoff) + thermal_tail(n_signal, cutoff)
@@ -254,7 +349,7 @@ def oracle_tail_budget(
         present += thermal_tail(n_background / (1.0 - reflectivity), cutoff)
     elif reflectivity == 0.0:
         present = absent
-    floor = 64.0 * np.finfo(float).eps * dim
+    floor = 64.0 * sys.float_info.epsilon * dim
     return {
         "absent_tail": absent,
         "present_tail": present,
@@ -267,21 +362,36 @@ def oracle_overlap(
     n_signal: float,
     n_background: float,
     reflectivity: float,
-    s: float,
+    s: float | Sequence[float],
     cutoff: int,
-) -> float:
+) -> float | list[float]:
     """q(s) for the two-mode detection pair, straight from truncated matrices.
+
+    s is one value or a sequence of values; a scalar gives a float and a
+    sequence a list of floats, one per value. The states are built and
+    diagonalized once for the whole sequence, and each q(s) is computed the
+    same way whatever the sequence holds.
 
     Refuses to answer when the analytic tail budget exceeds 1e-8: a result
     would look precise while silently missing that much weight.
     """
+    s_values = np.atleast_1d(np.asarray(s, dtype=float))
+    if s_values.ndim != 1 or not np.all((s_values > 0.0) & (s_values < 1.0)):
+        raise ValueError("s must lie strictly inside (0, 1)")
     budget = oracle_tail_budget(n_signal, n_background, reflectivity, cutoff)
     tails = max(budget["absent_tail"], budget["present_tail"])
     if tails > TAIL_LIMIT:
         raise TailBudgetError(tails)
-    absent = target_absent_fock(n_signal, n_background, cutoff)
-    present = target_present_fock(n_signal, n_background, reflectivity, cutoff)
-    return trace_power_product(absent, present, s)
+    absent = _absent_blocks(n_signal, n_background, cutoff)
+    vals, vecs_sq = _block_spectra(
+        _present_blocks(n_signal, n_background, reflectivity, cutoff), cutoff
+    )
+    # Tr[a^s b^(1-s)] with a diagonal: sum over blocks of a^s . |U|^2 . lambda^(1-s).
+    q = [
+        float(np.sum(np.einsum("kp,kpj->kj", absent**x, vecs_sq) * vals ** (1.0 - x)))
+        for x in s_values
+    ]
+    return q[0] if np.ndim(s) == 0 else q
 
 
 def quadrature_covariance(op) -> np.ndarray:

@@ -124,6 +124,19 @@ def test_chernoff_never_exceeds_bhattacharyya():
         assert 0.0 < qc.s_used < 1.0
 
 
+def test_chernoff_grid_holds_exact_half():
+    # A dim-signal, bright-background scenario where the golden search lands
+    # above q(1/2); only an exact s = 1/2 grid point keeps Chernoff <= Bhattacharyya.
+    scn = IlluminationScenario(
+        n_signal=0.00223449, n_background=647496.0, reflectivity=0.000164132,
+        copies=139095916,
+    )
+    for model in ("two-mode", "three-mode", "coherent"):
+        qc = illumination_chernoff(scn, model)
+        qb = illumination_bhattacharyya(scn, model)
+        assert qc.value <= qb.value, model
+
+
 def test_chernoff_finds_asymmetric_optimum():
     # unequal purities push the optimal s away from 1/2
     a = CovarianceMatrix(np.diag([1.2, 1.2]))

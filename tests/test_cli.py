@@ -234,6 +234,20 @@ def test_oracle_check_table(capsys):
     assert lines[4] == "flagged: 0"
 
 
+def test_oracle_check_json_flags_are_bools(capsys):
+    # at cutoff 20 the rounding floor sets the tail budget
+    code, out, _ = run(
+        capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--kappa", "0.1",
+        "--cutoff", "20", "--s-grid", "0.3,0.6", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [row["s"] for row in report["rows"]] == [0.3, 0.6]
+    for row in report["rows"]:
+        assert isinstance(row["flagged"], bool)
+    assert report["diagnostics"]["flagged"] == 0
+
+
 def test_oracle_check_blind_target(capsys):
     code, out, _ = run(
         capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--kappa", "0",

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from qillum import fock
 from qillum import (
     CovarianceMatrix,
     DimensionCapError,
@@ -26,6 +28,29 @@ from qillum import (
     two_mode_target_present_cov,
 )
 from qillum.fock import thermal_weights, tmsv_amplitudes
+
+
+def _dense_beamsplitter(reflectivity, cutoff):
+    """Reference: exp(theta (a+ b - a b+)) as one dense (cutoff+1)^2 matrix."""
+    d = cutoff + 1
+    n = np.arange(1, d)
+    low = np.zeros((d, d))
+    low[n - 1, n] = np.sqrt(n)
+    theta = math.acos(math.sqrt(reflectivity))
+    return expm(theta * (np.kron(low.T, low) - np.kron(low, low.T)))
+
+
+def _dense_present(n_signal, n_background, reflectivity, cutoff):
+    """Reference target-present state from the dense beamsplitter, 0 < kappa < 1."""
+    d = cutoff + 1
+    psi = np.diag(tmsv_amplitudes(n_signal, cutoff))
+    w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
+    stacked = np.zeros((d, d, d, d))
+    r = np.arange(d)
+    stacked[:, r, r, :] = psi[:, None, :] * np.sqrt(w)[None, :, None]
+    mixed = _dense_beamsplitter(reflectivity, cutoff) @ stacked.reshape(d * d, d * d)
+    regrouped = mixed.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    return regrouped @ regrouped.T
 
 
 def test_thermal_weights_geometric():
@@ -144,6 +169,7 @@ def test_present_state_edge_reflectivities():
 def test_oracle_tail_budget_structure():
     budget = oracle_tail_budget(0.1, 0.3, 0.1, 20)
     assert set(budget) == {"absent_tail", "present_tail", "rounding_floor", "budget"}
+    assert all(type(v) is float for v in budget.values())
     assert budget["budget"] >= budget["rounding_floor"] > 0
     assert budget["budget"] == max(
         budget["absent_tail"], budget["present_tail"], budget["rounding_floor"]
@@ -190,3 +216,59 @@ def test_quadrature_covariance_of_product_state():
     op = target_absent_fock(0.2, 0.5, 25)
     cov = quadrature_covariance(op)
     assert np.max(np.abs(cov - np.diag([2.0, 2.0, 1.4, 1.4]))) < 1e-10
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.9])
+@pytest.mark.parametrize("cutoff", [2, 5, 10])
+def test_sector_construction_matches_dense_reference(cutoff, kappa):
+    ns, nb = 0.15, 0.4
+    blocked = target_present_fock(ns, nb, kappa, cutoff).matrix
+    assert np.max(np.abs(blocked - _dense_present(ns, nb, kappa, cutoff))) < 1e-13
+    # entries coupling different return-minus-idler numbers are exactly zero
+    d = cutoff + 1
+    r, i = np.divmod(np.arange(d * d), d)
+    k = r - i
+    assert np.all(blocked[k[:, None] != k[None, :]] == 0.0)
+    # one build for a grid of s gives the per-scalar values exactly; photon
+    # numbers at half the largest whose thermal tail passes at this cutoff
+    ratio = fock.TAIL_LIMIT ** (1.0 / (cutoff + 1))
+    ns = 0.5 * ratio / (1.0 - ratio)
+    nb = ns * (1.0 - kappa)
+    grid = [0.1, 0.5, 0.85]
+    many = oracle_overlap(ns, nb, kappa, grid, cutoff)
+    assert many == [oracle_overlap(ns, nb, kappa, s, cutoff) for s in grid]
+    assert all(isinstance(q, float) for q in many)
+
+
+def test_oracle_overlap_sequence_validation():
+    assert oracle_overlap(0.1, 0.3, 0.1, (), 20) == []
+    with pytest.raises(ValueError):
+        oracle_overlap(0.1, 0.3, 0.1, [0.5, 1.0], 20)
+    with pytest.raises(DimensionCapError):
+        oracle_overlap(0.1, 0.3, 0.1, [0.5], 64)
+
+
+def test_oracle_refuses_negative_block_eigenvalue(monkeypatch):
+    build = fock._present_blocks
+
+    def corrupted(n_signal, n_background, reflectivity, cutoff):
+        blocks = build(n_signal, n_background, reflectivity, cutoff)
+        blocks[0, 0, 0] = -1e-6  # the one-entry block r - i = -cutoff
+        return blocks
+
+    monkeypatch.setattr(fock, "_present_blocks", corrupted)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        oracle_overlap(0.1, 0.3, 0.1, 0.5, 20)
+
+
+def test_oracle_refuses_asymmetric_block(monkeypatch):
+    build = fock._present_blocks
+
+    def corrupted(n_signal, n_background, reflectivity, cutoff):
+        blocks = build(n_signal, n_background, reflectivity, cutoff)
+        blocks[cutoff, 0, 1] += 1e-9
+        return blocks
+
+    monkeypatch.setattr(fock, "_present_blocks", corrupted)
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle_overlap(0.1, 0.3, 0.1, [0.5], 20)
