@@ -373,11 +373,18 @@ def oracle_overlap(
     same way whatever the sequence holds.
 
     Refuses to answer when the analytic tail budget exceeds 1e-8: a result
-    would look precise while silently missing that much weight.
+    would look precise while silently missing that much weight. Refuses
+    reflectivity 1 too: the background input n_background / (1 - kappa) is
+    then not finite, so no Fock state matches the Gaussian present state.
     """
     s_values = np.atleast_1d(np.asarray(s, dtype=float))
     if s_values.ndim != 1 or not np.all((s_values > 0.0) & (s_values < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
+    if reflectivity == 1.0:
+        raise ValueError(
+            "reflectivity kappa = 1 leaves no finite thermal input "
+            "n_background / (1 - kappa); the oracle needs kappa < 1"
+        )
     budget = oracle_tail_budget(n_signal, n_background, reflectivity, cutoff)
     tails = max(budget["absent_tail"], budget["present_tail"])
     if tails > TAIL_LIMIT:

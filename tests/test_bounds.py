@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cov
+from qillum import bounds
 from qillum import (
     CovarianceMatrix,
     GaussianState,
@@ -26,6 +27,7 @@ from qillum import (
     ratio_sweep,
     target_absent_williamson,
     target_present_factorization,
+    williamson_decompose,
 )
 
 
@@ -241,3 +243,265 @@ def test_unknown_model_rejected():
     scn = IlluminationScenario(n_signal=0.1, n_background=1.0, reflectivity=0.1)
     with pytest.raises(ValueError):
         illumination_states(scn, "four-mode")
+
+
+# --- reference implementations: the scalar engine and the golden-section
+# search that the batched engine and the zoom search replaced ---
+
+
+def _reference_check(x: float) -> float:
+    if x < 1.0 - 1e-9:
+        raise ValueError(f"symplectic eigenvalue {x:.12g} below one")
+    return max(x, 1.0)
+
+
+def _reference_log_power_trace(x: float, p: float) -> float:
+    x = _reference_check(x)
+    if p == 1.0 or x == 1.0:
+        return 0.0
+    lp = p * (math.log(x) + math.log1p(1.0 / x))
+    delta = p * (math.log1p(-1.0 / x) - math.log1p(1.0 / x))
+    return p * math.log(2.0) - lp - math.log(-math.expm1(delta))
+
+
+def _reference_power_variance(x: float, p: float) -> float:
+    x = _reference_check(x)
+    if p == 1.0:
+        return x
+    if x == 1.0:
+        return 1.0
+    delta = p * (math.log1p(-1.0 / x) - math.log1p(1.0 / x))
+    return (1.0 + math.exp(delta)) / -math.expm1(delta)
+
+
+def _reference_overlap(a, b, s, da, db):
+    """One q(s) the scalar way: per-mode math calls and scipy's cho_factor."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    def powered(dec, p):
+        lam = np.repeat([_reference_power_variance(nu, p) for nu in dec.nu], 2)
+        return (dec.symplectic * lam) @ dec.symplectic.T
+
+    prefactor_log = a.n * math.log(2.0)
+    prefactor_log += sum(_reference_log_power_trace(nu, s) for nu in da.nu)
+    prefactor_log += sum(_reference_log_power_trace(nu, 1.0 - s) for nu in db.nu)
+    cf = cho_factor(powered(da, s) + powered(db, 1.0 - s), lower=True)
+    det_term_log = -float(np.sum(np.log(np.diag(cf[0]))))
+    d = b.mean - a.mean
+    displacement_log = -0.5 * float(d @ cho_solve(cf, d)) if np.any(d) else 0.0
+    return prefactor_log, det_term_log, prefactor_log + det_term_log + displacement_log
+
+
+def _reference_golden(f, lo, hi, tol=1e-10):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _reference_chernoff_log(f) -> float:
+    """The replaced search: 33-point grid, golden section in the bracket, min of both."""
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 33)
+    grid[16] = 0.5
+    values = [f(s) for s in grid]
+    k = int(np.argmin(values))
+    _, log_best = _reference_golden(f, grid[max(k - 1, 0)], grid[min(k + 1, 32)])
+    return min(values[k], log_best)
+
+
+def _model_pairs(scenarios):
+    for scn in scenarios:
+        for model in ("three-mode", "two-mode", "coherent"):
+            absent, present = illumination_states(scn, model)
+            dec_a, dec_b, _ = bounds._scenario_decompositions(scn, model)
+            dec_a = dec_a or williamson_decompose(absent.cov)
+            dec_b = dec_b or williamson_decompose(present.cov)
+            yield model, scn, absent, present, dec_a, dec_b
+
+
+def _box_sample(seed: int, count: int):
+    """Log-uniform scenarios over the box; every third from the bright corner."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(count):
+        corner = j % 3 == 0
+        ns = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 1.0)))
+        nb = math.exp(rng.uniform(math.log(1e3 if corner else 1e-2), math.log(1e8)))
+        kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 0.5)))
+        copies = round(math.exp(rng.uniform(0.0, math.log(1e9))))
+        out.append(
+            IlluminationScenario(
+                n_signal=ns, n_background=nb, reflectivity=kappa, copies=copies
+            )
+        )
+    return out
+
+
+REFERENCE_GRID = [
+    IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
+    for ns in (1e-3, 0.05, 0.5)
+    for nb in (0.01, 1.0, 100.0, 1e5)
+    for kappa in (1e-3, 0.1, 0.5)
+]
+
+
+def test_batched_overlap_entries_equal_scalar_calls():
+    s_values = [*bounds.CHERNOFF_GRID, 0.123456789, 0.5 + 1e-11]
+    for _, _, absent, present, dec_a, dec_b in _model_pairs(_box_sample(7, 6)):
+        many = power_overlap(
+            absent, present, s_values, decomposition_a=dec_a, decomposition_b=dec_b
+        )
+        assert len(many) == len(s_values)
+        for s, ov in zip(s_values, many):
+            one = power_overlap(
+                absent, present, s, decomposition_a=dec_a, decomposition_b=dec_b
+            )
+            assert ov == one  # every field, bit for bit
+
+
+def test_power_overlap_sequence_convention():
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    other = CovarianceMatrix(np.diag([5.0, 5.0]))
+    assert isinstance(power_overlap(cov, other, 0.5), bounds.OverlapResult)
+    assert isinstance(power_overlap(cov, other, np.float64(0.5)), bounds.OverlapResult)
+    many = power_overlap(cov, other, (0.25, 0.5))
+    assert [ov.s for ov in many] == [0.25, 0.5]
+    assert power_overlap(cov, other, ()) == []
+    for bad in ([0.5, 1.0], [0.0], [[0.5]], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            power_overlap(cov, other, bad)
+
+
+def test_power_overlap_keeps_its_refusals(monkeypatch):
+    thermal = CovarianceMatrix(np.diag([3.0, 3.0]))
+    sub_vacuum = bounds.WilliamsonDecomposition(symplectic=np.eye(2), nu=[0.5])
+    with pytest.raises(ValueError, match="symplectic eigenvalue 0.5 below one"):
+        power_overlap(thermal, thermal, [0.3, 0.5], decomposition_b=sub_vacuum)
+
+    def indefinite(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(bounds.np.linalg, "cholesky", indefinite)
+    with pytest.raises(ValueError, match="combined covariance is not positive definite"):
+        power_overlap(thermal, thermal, [0.3, 0.5])
+
+
+def test_batched_engine_matches_scalar_reference():
+    # Where the default three-mode correlation leaves the present state
+    # unphysical, both engines must refuse with the same message.
+    s_values = [1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6]
+    compared = 0
+    for model, scn, absent, present, dec_a, dec_b in _model_pairs(REFERENCE_GRID):
+        try:
+            many = power_overlap(
+                absent, present, s_values, decomposition_a=dec_a, decomposition_b=dec_b
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ref_exc:
+                _reference_overlap(absent, present, 0.5, dec_a, dec_b)
+            assert str(ref_exc.value) == str(exc)
+            continue
+        compared += 1
+        for s, ov in zip(s_values, many):
+            prefactor_log, det_term_log, log_q = _reference_overlap(
+                absent, present, s, dec_a, dec_b
+            )
+            scale = 1.0 + abs(prefactor_log) + abs(det_term_log)
+            assert abs(ov.log_value - log_q) <= 1e-14 * scale, (model, scn, s)
+    assert compared >= 3 * len(REFERENCE_GRID) - 6
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_displaced_overlap_matches_scalar_reference(seed):
+    # Correlated covariances and a displacement in every quadrature exercise
+    # every row of the batched triangular solve.
+    rng = np.random.default_rng(seed)
+    ma, _ = random_cov(2, rng)
+    mb, _ = random_cov(2, rng)
+    a = GaussianState(cov=CovarianceMatrix(ma), mean=rng.normal(size=4))
+    b = GaussianState(cov=CovarianceMatrix(mb), mean=rng.normal(size=4))
+    da, db = williamson_decompose(a.cov), williamson_decompose(b.cov)
+    s_values = [0.1, 0.5, 0.8]
+    for s, ov in zip(s_values, power_overlap(a, b, s_values)):
+        prefactor_log, det_term_log, log_q = _reference_overlap(a, b, s, da, db)
+        displacement_log = log_q - prefactor_log - det_term_log
+        scale = 1.0 + abs(prefactor_log) + abs(det_term_log) + abs(displacement_log)
+        assert ov.displacement_log < 0.0
+        assert abs(ov.log_value - log_q) <= 1e-14 * scale
+
+
+def test_zoom_search_no_worse_than_golden_section():
+    for model, scn, absent, present, dec_a, dec_b in _model_pairs(_box_sample(2024, 24)):
+
+        def logq(s):
+            return power_overlap(
+                absent, present, s, decomposition_a=dec_a, decomposition_b=dec_b
+            ).log_value
+
+        reference = _reference_chernoff_log(logq)
+        qc = chernoff_bound(absent, present, decomposition_a=dec_a, decomposition_b=dec_b)
+        scale = 1.0 + abs(qc.diagnostics["prefactor_log"]) + abs(qc.diagnostics["det_term_log"])
+        assert qc.diagnostics["log_overlap"] <= reference + 1e-15 * scale, (model, scn)
+        assert qc.diagnostics["zoom_rounds"] <= 7
+        assert qc.diagnostics["bracket_width"] <= 1e-10
+
+
+def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
+    for model, scn, absent, present, dec_a, dec_b in _model_pairs(_box_sample(99, 9)):
+        qc = illumination_chernoff(scn, model)
+        qb = illumination_bhattacharyya(scn, model)
+        assert qc.bhattacharyya.s_used == 0.5
+        assert qc.bhattacharyya.value == qb.value
+        assert qc.bhattacharyya.diagnostics["log_overlap"] == qb.diagnostics["log_overlap"]
+        assert qc.value <= qb.value
+        assert qc.diagnostics["log_overlap"] <= qb.diagnostics["log_overlap"]
+
+
+def test_chernoff_engine_calls(monkeypatch):
+    calls = []
+    original = bounds.power_overlap
+
+    def counting(*args, **kwargs):
+        calls.append(np.ndim(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "power_overlap", counting)
+    scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
+    illumination_chernoff(scn, "three-mode")
+    assert 1 < len(calls) <= 8
+    assert all(ndim == 1 for ndim in calls)
+
+
+
+def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
+    # A synthetic engine whose grid call puts a rounding-level dip at s = 1/2
+    # that later calls do not reproduce, as a separate evaluation can: the
+    # search must still return the dip, so Chernoff <= Bhattacharyya.
+    evaluated = []
+
+    def fake(state_a, state_b, s, **_):
+        first = not evaluated
+        out = []
+        for x in np.atleast_1d(s).tolist():
+            log_q = (x - 0.5) ** 2 - 1e-3 - (1e-9 if first and x == 0.5 else 0.0)
+            evaluated.append(log_q)
+            out.append(bounds.OverlapResult(math.exp(log_q), log_q, 0.0, log_q, 0.0, x))
+        return out
+
+    monkeypatch.setattr(bounds, "power_overlap", fake)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov, 10)
+    assert qc.diagnostics["log_overlap"] == min(evaluated)
+    assert qc.s_used == 0.5
+    assert qc.value <= qc.bhattacharyya.value

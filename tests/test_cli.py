@@ -1,9 +1,11 @@
 import json
+import math
+import random
 import re
 
 import pytest
 
-from qillum import __version__
+from qillum import IlluminationScenario, __version__, illumination_bhattacharyya
 from qillum.cli import main
 
 FLOAT12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -47,6 +49,59 @@ def test_bounds_text_fields(capsys):
     qc = float(fields["chernoff_bound"])
     assert 0.0 < qc <= qb < 0.5
     assert FLOAT12.match(fields["bhattacharyya_bound"])
+
+
+def test_bounds_analytic_domain_only_for_three_mode(capsys):
+    for model, text, flag in (
+        ("three-mode", "closed-form", True),
+        ("two-mode", "n/a", None),
+        ("coherent", "n/a", None),
+    ):
+        code, out, _ = run(capsys, "bounds", "--model", model)
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert fields["analytic_domain"] == text
+        code, out, _ = run(capsys, "bounds", "--model", model, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["rows"][0]["analytic_domain_ok"] is flag
+        assert report["diagnostics"]["analytic_fallbacks"] == 0
+
+
+def test_bounds_printed_chernoff_never_exceeds_bhattacharyya(capsys):
+    # Log-uniform draws over the box, every second one from the dim-signal,
+    # bright-background corner where the two bounds agree to many digits.
+    rng = random.Random(4)
+
+    def draw(lo, hi):
+        return f"{math.exp(rng.uniform(math.log(lo), math.log(hi))):.6g}"
+
+    for j in range(16):
+        corner = j % 2 == 0
+        argv = [
+            "bounds",
+            "--ns", draw(1e-4, 1e-2 if corner else 1.0),
+            "--nb", draw(1e3 if corner else 1e-2, 1e8),
+            "--kappa", draw(1e-4, 1e-2 if corner else 0.5),
+            "--copies", str(round(float(draw(1.0, 1e9)))),
+        ]
+        for model in ("three-mode", "two-mode", "coherent"):
+            code, out, err = run(capsys, *argv, "--model", model)
+            if code != 0:  # an unphysical three-mode draw is refused, not printed
+                assert model == "three-mode" and "below one" in err
+                continue
+            fields = dict(line.split(": ", 1) for line in out.splitlines())
+            assert float(fields["chernoff_bound"]) <= float(fields["bhattacharyya_bound"])
+            code, out, _ = run(capsys, *argv, "--model", model, "--format", "json")
+            row = json.loads(out)["rows"][0]
+            assert row["chernoff_bound"] <= row["bhattacharyya_bound"]
+            assert row["exponent_per_copy_qc"] >= row["exponent_per_copy_qb"]
+            # the printed Bhattacharyya bound is the library's, bit for bit
+            scn = IlluminationScenario(
+                n_signal=float(argv[2]), n_background=float(argv[4]),
+                reflectivity=float(argv[6]), copies=int(argv[8]),
+            )
+            assert row["bhattacharyya_bound"] == illumination_bhattacharyya(scn, model).value
 
 
 def test_bounds_blind_target_is_coin_toss(capsys):
@@ -257,6 +312,19 @@ def test_oracle_check_blind_target(capsys):
     cells = out.splitlines()[1].split()
     assert float(cells[1]) == pytest.approx(1.0, abs=1e-9)
     assert float(cells[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_oracle_check_refuses_reflectivity_one(capsys):
+    # n_b / (1 - kappa) has no finite thermal input at kappa = 1, so the
+    # oracle cannot build the state the Gaussian side describes.
+    code, out, err = run(
+        capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--kappa", "1",
+        "--cutoff", "20", "--s-grid", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "kappa" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_oracle_check_cap_exit_4(capsys):

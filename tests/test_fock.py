@@ -248,6 +248,12 @@ def test_oracle_overlap_sequence_validation():
         oracle_overlap(0.1, 0.3, 0.1, [0.5], 64)
 
 
+def test_oracle_refuses_reflectivity_one():
+    for s in (0.5, [0.25, 0.5]):
+        with pytest.raises(ValueError, match="kappa"):
+            oracle_overlap(0.1, 0.3, 1.0, s, 20)
+
+
 def test_oracle_refuses_negative_block_eigenvalue(monkeypatch):
     build = fock._present_blocks
 
