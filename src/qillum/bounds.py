@@ -27,13 +27,11 @@ import numpy as np
 from .states import (
     AnalyticDomainError,
     IlluminationScenario,
+    illumination_states,
     max_three_mode_correlation,
-    target_absent_cov,
     target_absent_williamson,
     target_present_cov,
     target_present_factorization,
-    two_mode_target_absent_cov,
-    two_mode_target_present_cov,
 )
 from .symplectic import (
     CovarianceMatrix,
@@ -43,8 +41,6 @@ from .symplectic import (
 )
 
 EIGENVALUE_SNAP = 1e-9
-
-MODELS = ("three-mode", "two-mode", "coherent")
 
 # chernoff_bound's search: a grid holding s = 1/2 exactly, then zoom rounds of
 # ZOOM_POINTS interior points until the bracket is narrower than S_TOL. Each
@@ -388,13 +384,6 @@ def compare_exponents(n_signal: float) -> ExponentComparison:
     )
 
 
-def ratio_sweep(grid) -> list[ExponentComparison]:
-    values = [float(v) for v in grid]
-    if any(v <= 0 for v in values):
-        raise ValueError("sweep grid must be strictly positive")
-    return [compare_exponents(v) for v in values]
-
-
 @dataclass
 class CrossoverResult:
     n_signal: float
@@ -434,31 +423,6 @@ def find_crossover(lo: float = 0.05, hi: float = 1.0) -> CrossoverResult:
     return CrossoverResult(n_signal=ns, residual=residual)
 
 
-def illumination_states(
-    scenario: IlluminationScenario, model: str = "three-mode"
-) -> tuple[GaussianState, GaussianState]:
-    """Target-absent and target-present states for the requested probe model."""
-    if model == "three-mode":
-        return (
-            GaussianState(cov=target_absent_cov(scenario)),
-            GaussianState(cov=target_present_cov(scenario)),
-        )
-    if model == "two-mode":
-        return (
-            GaussianState(cov=two_mode_target_absent_cov(scenario)),
-            GaussianState(cov=two_mode_target_present_cov(scenario)),
-        )
-    if model == "coherent":
-        b = scenario.background_variance
-        amp = 2.0 * math.sqrt(scenario.reflectivity * scenario.n_signal)
-        cov = CovarianceMatrix(np.diag([b, b]).astype(float))
-        return (
-            GaussianState(cov=cov),
-            GaussianState(cov=cov, mean=np.array([amp, 0.0])),
-        )
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-
-
 def _scenario_decompositions(scenario: IlluminationScenario, model: str):
     """Closed-form Williamson data where available. Returns (dec_a, dec_b, ok).
 
@@ -485,7 +449,9 @@ def _illumination_bound(scenario: IlluminationScenario, model: str, bound) -> Bo
         decomposition_a=dec_a,
         decomposition_b=dec_b,
     )
-    result.diagnostics["analytic_domain_ok"] = ok
+    for part in (result, result.bhattacharyya):
+        if part is not None:
+            part.diagnostics["analytic_domain_ok"] = ok
     return result
 
 
@@ -500,8 +466,3 @@ def illumination_chernoff(
 ) -> BoundResult:
     """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same states."""
     return _illumination_bound(scenario, model, chernoff_bound)
-
-
-def coherent_bhattacharyya(scenario: IlluminationScenario) -> BoundResult:
-    """Bhattacharyya bound for the classical coherent-probe benchmark."""
-    return illumination_bhattacharyya(scenario, model="coherent")

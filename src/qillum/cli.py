@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +26,12 @@ from .bounds import (
     find_crossover,
     illumination_bhattacharyya,
     illumination_chernoff,
-    illumination_states,
     power_overlap,
 )
 from .fock import DimensionCapError, TailBudgetError, oracle_overlap, oracle_tail_budget
 from .states import (
     IlluminationScenario,
+    illumination_states,
     max_three_mode_correlation,
     separability_threshold,
     target_absent_cov,
@@ -52,6 +51,8 @@ DEFAULTS = {
 MODEL_TOKENS = ("two-mode", "three-mode", "coherent")
 PARAM_TOKENS = ("nS", "nB", "kappa", "M")
 EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
+# The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
+EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
 # bounds' analytic_domain line, keyed by the analytic_domain_ok diagnostic.
 ANALYTIC_DOMAIN = {True: "closed-form", False: "numeric fallback", None: "n/a"}
@@ -155,19 +156,6 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         raise CliError(2, str(exc)) from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QI_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise CliError(2, f"QI_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise CliError(2, "QI_THREADS must be at least 1")
-    return count
-
-
 def _check_format(fmt: str, allowed: tuple, command: str) -> str:
     if fmt is None:
         return allowed[0]
@@ -253,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qillum",
         description="Gaussian quantum illumination bounds and diagnostics.",
         epilog="Environment: QI_NS, QI_NB, QI_KAPPA, QI_COPIES, QI_C, QI_MODEL "
-        "override defaults; QI_THREADS caps sweep workers; QI_SEED is reserved "
-        "(everything is deterministic).",
+        "override defaults.",
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -328,13 +315,7 @@ def cmd_bounds(args) -> int:
     qc = illumination_chernoff(scenario, model)
     qb = qc.bhattacharyya
     asymptotic = _asymptotic_exponent(resolved, model, scenario.n_signal)
-
-    if model == "three-mode":
-        correlation = scenario.three_mode_correlation()
-    elif model == "two-mode":
-        correlation = scenario.two_mode_correlation()
-    else:
-        correlation = None
+    correlation = scenario.probe_correlation(model)
 
     row = {
         "model": model,
@@ -399,21 +380,19 @@ def _sweep_row(resolved: dict, spec: SweepSpec, value: float) -> dict:
         "gamma3": error_exponent_three_mode(scenario.n_signal),
     }
     row["ratio"] = row["gamma3"] / row["gamma2"] if row["gamma2"] > 0 else math.nan
-    fallbacks = 0
+    results = {}
+    if "chernoff3" in spec.extras:
+        results["chernoff3"] = illumination_chernoff(scenario, "three-mode")
+        # Same states, one evaluation: qb3 is the Chernoff grid's s = 1/2 entry.
+        results["qb3"] = results["chernoff3"].bhattacharyya
     for extra in spec.extras:
-        if extra == "qb2":
-            row[extra] = illumination_bhattacharyya(scenario, "two-mode").value
-        elif extra == "qb3":
-            result = illumination_bhattacharyya(scenario, "three-mode")
-            row[extra] = result.value
-            fallbacks += 0 if result.diagnostics["analytic_domain_ok"] else 1
-        elif extra == "qb_coherent":
-            row[extra] = illumination_bhattacharyya(scenario, "coherent").value
-        else:
-            result = illumination_chernoff(scenario, "three-mode")
-            row[extra] = result.value
-            fallbacks += 0 if result.diagnostics["analytic_domain_ok"] else 1
-    row["analytic_fallbacks"] = fallbacks
+        if extra not in results:
+            results[extra] = illumination_bhattacharyya(scenario, EXTRA_MODELS[extra])
+        row[extra] = results[extra].value
+    # One count per three-mode column that fell back to the numeric decomposition.
+    row["analytic_fallbacks"] = sum(
+        results[extra].diagnostics["analytic_domain_ok"] is False for extra in spec.extras
+    )
     return row
 
 
@@ -520,12 +499,7 @@ def cmd_sweep(args) -> int:
         spacing=args.spacing,
         extras=extras,
     )
-    grid = spec.grid()
-    if spec.extras:
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(resolved, spec, float(v)), grid))
-    else:
-        rows = [_sweep_row(resolved, spec, float(v)) for v in grid]
+    rows = [_sweep_row(resolved, spec, float(v)) for v in spec.grid()]
 
     diagnostics = {
         "rows": len(rows),
@@ -574,7 +548,7 @@ def cmd_state_info(args) -> int:
     fmt = _check_format(args.fmt, ("text", "json"), "state-info")
     scenario = _scenario(resolved)
     if args.state == "initial3":
-        cov = three_mode_cov(scenario.n_signal, scenario.three_mode_correlation())
+        cov = three_mode_cov(scenario.n_signal, scenario.probe_correlation("three-mode"))
     elif args.state == "rho":
         cov = target_absent_cov(scenario)
     else:

@@ -1,11 +1,12 @@
 """State builders for Gaussian target detection with an entangled probe.
 
-Two probe families are covered: the two-mode squeezed vacuum (signal + one
-idler) and its symmetric three-mode sibling (signal + two idlers, every pair
-sharing the same correlation amplitude). The detection scenario mixes the
-signal with a bright thermal background on a beamsplitter of reflectivity
-kappa, so the two hypotheses are "return mode is pure background" (target
-absent) and "return mode carries an attenuated signal" (target present).
+Three probes are covered: the two-mode squeezed vacuum (signal + one idler),
+its symmetric three-mode sibling (signal + two idlers, every pair sharing the
+same correlation amplitude) and a coherent state of the same signal energy.
+Both hypotheses come from one thermal-loss channel on the signal mode: a
+beamsplitter of reflectivity kappa mixes it with bright thermal background,
+so "target present" is the probe sent through the channel and "target absent"
+is the same channel at kappa = 0, where the return mode is pure background.
 
 Variance conventions follow the symplectic module: a mean photon number n
 gives diagonal variance 2n + 1.
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (
-    CovarianceMatrix,
-    WilliamsonDecomposition,
-    williamson_decompose,
-)
+from .symplectic import CovarianceMatrix, GaussianState, WilliamsonDecomposition
 
 CORRELATION_SLACK = 1e-12
+MODELS = ("three-mode", "two-mode", "coherent")
+# Idlers kept at home by each entangled probe.
+IDLERS = {"three-mode": 2, "two-mode": 1}
 
 
 class AnalyticDomainError(ValueError):
@@ -46,7 +46,7 @@ class IlluminationScenario:
     correlation None means "use the maximal correlation of the chosen probe":
     the cubic-root amplitude for the three-mode probe (det V = 1, see
     three_mode_cov for why that probe is not a quantum state), 2*sqrt(nS(nS+1))
-    for the two-mode probe.
+    for the two-mode probe. The coherent probe has no correlation.
     """
 
     n_signal: float
@@ -78,24 +78,24 @@ class IlluminationScenario:
     def return_variance(self) -> float:
         return 2.0 * self.reflectivity * self.n_signal + self.background_variance
 
-    def three_mode_correlation(self) -> float:
-        cmax = max_three_mode_correlation(self.n_signal)
-        if self.correlation is None:
-            return cmax
-        if self.correlation > cmax + CORRELATION_SLACK:
-            raise ValueError(
-                f"correlation {self.correlation:.12g} exceeds the three-mode "
-                f"maximum {cmax:.12g}"
-            )
-        return self.correlation
+    def probe_correlation(self, model: str) -> float | None:
+        """Correlation amplitude of the model's probe; None for the coherent probe.
 
-    def two_mode_correlation(self) -> float:
-        cmax = tmsv_correlation(self.n_signal)
+        An explicit correlation is checked against the model's maximum.
+        """
+        if model == "coherent":
+            return None
+        if model == "three-mode":
+            cmax = max_three_mode_correlation(self.n_signal)
+        elif model == "two-mode":
+            cmax = tmsv_correlation(self.n_signal)
+        else:
+            raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
         if self.correlation is None:
             return cmax
         if self.correlation > cmax + CORRELATION_SLACK:
             raise ValueError(
-                f"correlation {self.correlation:.12g} exceeds the two-mode "
+                f"correlation {self.correlation:.12g} exceeds the {model} "
                 f"maximum {cmax:.12g}"
             )
         return self.correlation
@@ -108,14 +108,24 @@ def tmsv_correlation(n_signal: float) -> float:
     return 2.0 * math.sqrt(n_signal * (1.0 + n_signal))
 
 
+def symmetric_excess(n_signal: float, correlation: float, modes: int) -> np.ndarray:
+    """Excess covariance V - I of a symmetric probe of the given mode count.
+
+    2 nS on the diagonal, +c between the x quadratures and -c between the p
+    quadratures of every pair of modes: the two-mode squeezed vacuum for two
+    modes, the three-mode probe for three.
+    """
+    m = np.zeros((2 * modes, 2 * modes))
+    m[0::2, 0::2] = correlation
+    m[1::2, 1::2] = -correlation
+    np.fill_diagonal(m, 2.0 * n_signal)
+    return m
+
+
 def tmsv_cov(n_signal: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum covariance; symplectic spectrum is {1, 1}."""
-    s = 2.0 * n_signal + 1.0
-    c = tmsv_correlation(n_signal)
-    m = np.diag([s, s, s, s])
-    m[0, 2] = m[2, 0] = c
-    m[1, 3] = m[3, 1] = -c
-    return CovarianceMatrix(m)
+    excess = symmetric_excess(n_signal, tmsv_correlation(n_signal), 2)
+    return CovarianceMatrix(excess + np.eye(4))
 
 
 def _cubic_residual(x: float, t: float) -> float:
@@ -213,71 +223,93 @@ def three_mode_cov(n_signal: float, correlation: float) -> CovarianceMatrix:
             f"correlation {correlation:.12g} exceeds the three-mode maximum "
             f"{cmax:.12g} at n_signal={n_signal:g}"
         )
-    s = 2.0 * n_signal + 1.0
-    m = np.diag([s] * 6).astype(float)
-    for j in range(3):
-        for k in range(3):
-            if j != k:
-                m[2 * j, 2 * k] = correlation
-                m[2 * j + 1, 2 * k + 1] = -correlation
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(symmetric_excess(n_signal, correlation, 3) + np.eye(6))
+
+
+@dataclass
+class Probe:
+    """A probe before the channel, in photon-number form.
+
+    excess is the covariance minus the vacuum, V - I. coherent_photons is the
+    mean photon number of a real displacement of mode 0, the signal mode.
+    """
+
+    excess: np.ndarray
+    coherent_photons: float = 0.0
+
+
+def illumination_probe(scenario: IlluminationScenario, model: str) -> Probe:
+    """The model's probe at the scenario's signal energy and correlation."""
+    correlation = scenario.probe_correlation(model)
+    if correlation is None:
+        # A coherent state has vacuum noise; its photons are in the displacement.
+        return Probe(excess=np.zeros((2, 2)), coherent_photons=scenario.n_signal)
+    modes = 1 + IDLERS[model]
+    return Probe(excess=symmetric_excess(scenario.n_signal, correlation, modes))
+
+
+def illuminate(
+    probe: Probe, scenario: IlluminationScenario, reflectivity: float
+) -> GaussianState:
+    """The probe after its mode 0 crossed the scenario's thermal-loss channel.
+
+    A beamsplitter of reflectivity kappa mixes the signal with thermal light
+    chosen so that the return mode carries n_background photons besides the
+    signal's. In excess form N = V - I this is: the return rows and columns of
+    N scale by sqrt(kappa), the return diagonal becomes kappa N_00 plus the
+    background variance (which holds the return vacuum), the displacement's
+    photon number scales by kappa, and the vacuum is added back elsewhere.
+    Nothing divides by 1 - kappa, so kappa = 1 is exact, and kappa = 0 gives
+    the target-absent state. The excess form keeps every entry equal, bit for
+    bit, to the covariances written out entry by entry.
+    """
+    root = math.sqrt(reflectivity)
+    excess = probe.excess.copy()
+    excess[:2] *= root
+    excess[:, :2] *= root
+    cov = excess + np.eye(len(excess))
+    cov[0, 0] = cov[1, 1] = reflectivity * probe.excess[0, 0] + scenario.background_variance
+    mean = np.zeros(len(excess))
+    mean[0] = 2.0 * math.sqrt(reflectivity * probe.coherent_photons)
+    return GaussianState(cov=CovarianceMatrix(cov), mean=mean)
+
+
+def illumination_states(
+    scenario: IlluminationScenario, model: str = "three-mode"
+) -> tuple[GaussianState, GaussianState]:
+    """Target-absent and target-present states for the requested probe model."""
+    probe = illumination_probe(scenario, model)
+    absent = illuminate(probe, scenario, 0.0)
+    return absent, illuminate(probe, scenario, scenario.reflectivity)
+
+
+def _hypothesis_cov(
+    scenario: IlluminationScenario, model: str, reflectivity: float
+) -> CovarianceMatrix:
+    return illuminate(illumination_probe(scenario, model), scenario, reflectivity).cov
 
 
 def target_absent_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
-    """Hypothesis "no target": thermal return, untouched idler pair.
+    """Three-mode "no target": thermal return, untouched idler pair.
 
     Mode order (return, idler1, idler2). Independent of the reflectivity.
     """
-    s = scenario.signal_variance
-    b = scenario.background_variance
-    c = scenario.three_mode_correlation()
-    m = np.zeros((6, 6))
-    m[0, 0] = m[1, 1] = b
-    for j in (1, 2):
-        m[2 * j, 2 * j] = m[2 * j + 1, 2 * j + 1] = s
-    m[2, 4] = m[4, 2] = c
-    m[3, 5] = m[5, 3] = -c
-    return CovarianceMatrix(m)
+    return _hypothesis_cov(scenario, "three-mode", 0.0)
 
 
 def target_present_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
-    """Hypothesis "target": return carries sqrt(kappa)-attenuated signal correlations."""
-    s = scenario.signal_variance
-    a = scenario.return_variance
-    c = scenario.three_mode_correlation()
-    sk = math.sqrt(scenario.reflectivity) * c
-    m = np.zeros((6, 6))
-    m[0, 0] = m[1, 1] = a
-    for j in (1, 2):
-        m[2 * j, 2 * j] = m[2 * j + 1, 2 * j + 1] = s
-        m[0, 2 * j] = m[2 * j, 0] = sk
-        m[1, 2 * j + 1] = m[2 * j + 1, 1] = -sk
-    m[2, 4] = m[4, 2] = c
-    m[3, 5] = m[5, 3] = -c
-    return CovarianceMatrix(m)
+    """Three-mode "target": the return carries sqrt(kappa)-attenuated signal correlations."""
+    return _hypothesis_cov(scenario, "three-mode", scenario.reflectivity)
 
 
 def two_mode_target_absent_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
     """Two-mode analog of target_absent_cov: thermal return, thermal idler."""
-    b = scenario.background_variance
-    s = scenario.signal_variance
-    scenario.two_mode_correlation()  # validates the amplitude even though it drops out
-    return CovarianceMatrix(np.diag([b, b, s, s]).astype(float))
+    return _hypothesis_cov(scenario, "two-mode", 0.0)
 
 
 def two_mode_target_present_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
-    a = scenario.return_variance
-    s = scenario.signal_variance
-    sk = math.sqrt(scenario.reflectivity) * scenario.two_mode_correlation()
-    m = np.array(
-        [
-            [a, 0.0, sk, 0.0],
-            [0.0, a, 0.0, -sk],
-            [sk, 0.0, s, 0.0],
-            [0.0, -sk, 0.0, s],
-        ]
-    )
-    return CovarianceMatrix(m)
+    """Two-mode analog of target_present_cov."""
+    return _hypothesis_cov(scenario, "two-mode", scenario.reflectivity)
 
 
 def _block_sorted(symplectic: np.ndarray, nus: np.ndarray) -> WilliamsonDecomposition:
@@ -301,7 +333,7 @@ def target_absent_williamson(scenario: IlluminationScenario) -> WilliamsonDecomp
     """
     s = scenario.signal_variance
     b = scenario.background_variance
-    c = scenario.three_mode_correlation()
+    c = scenario.probe_correlation("three-mode")
     if c >= s:
         raise AnalyticDomainError("(S - c)/(S + c)", (s - c) / (s + c))
     z = ((s - c) / (s + c)) ** 0.25
@@ -423,7 +455,7 @@ def target_present_factorization(
     s = scenario.signal_variance
     a = scenario.return_variance
     kap = scenario.reflectivity
-    c = scenario.three_mode_correlation()
+    c = scenario.probe_correlation("three-mode")
 
     if c >= s:
         raise AnalyticDomainError("(S - c)/(S + c)", (s - c) / (s + c))
@@ -501,13 +533,3 @@ def target_present_factorization(
         correlation=c,
         reflectivity=kap,
     )
-
-
-def target_present_williamson(
-    scenario: IlluminationScenario,
-) -> WilliamsonDecomposition:
-    """Analytic decomposition when in domain, numeric otherwise."""
-    try:
-        return target_present_factorization(scenario).williamson()
-    except AnalyticDomainError:
-        return williamson_decompose(target_present_cov(scenario))

@@ -164,7 +164,7 @@ def test_criterion_08_absent_state_negativity():
     for ns, expected in ((0.2, 0.36492207949367494), (0.3, 0.2502488961422743)):
         scn = IlluminationScenario(n_signal=ns, n_background=5.0, reflectivity=0.01)
         cov = target_absent_cov(scn)
-        c = scn.three_mode_correlation()
+        c = scn.probe_correlation("three-mode")
         s = scn.signal_variance
         return_side = log_negativity(cov, Bipartition(n_modes=3, transposed=(0,)))
         idler_side = log_negativity(cov, Bipartition(n_modes=3, transposed=(1,)))
@@ -211,7 +211,7 @@ def test_criterion_08_present_state_negativity():
         scn = IlluminationScenario(n_signal=ns, n_background=5.0, reflectivity=0.01)
         cov = target_present_cov(scn)
         assert is_physical(cov)
-        gap = scn.signal_variance - scn.three_mode_correlation()
+        gap = scn.signal_variance - scn.probe_correlation("three-mode")
         floor = max(0.0, -math.log2(gap))
         for j in (1, 2):
             idler_side = log_negativity(cov, cuts[j])

@@ -13,7 +13,6 @@ from qillum import (
     IlluminationScenario,
     bhattacharyya_bound,
     chernoff_bound,
-    coherent_bhattacharyya,
     compare_exponents,
     error_exponent_three_mode,
     error_exponent_two_mode,
@@ -24,7 +23,6 @@ from qillum import (
     power_overlap,
     power_trace,
     power_variance,
-    ratio_sweep,
     target_absent_williamson,
     target_present_factorization,
     williamson_decompose,
@@ -196,12 +194,11 @@ def test_exponent_small_signal_limits():
     )
 
 
-def test_ratio_sweep_validation_and_shape():
-    rows = ratio_sweep([0.01, 0.1, 1.0])
+def test_compare_exponents_across_the_crossover():
+    rows = [compare_exponents(ns) for ns in (0.01, 0.1, 1.0)]
     assert [row.n_signal for row in rows] == [0.01, 0.1, 1.0]
     assert rows[0].ratio > 1.0 > rows[2].ratio
-    with pytest.raises(ValueError):
-        ratio_sweep([0.1, 0.0])
+    assert math.isnan(compare_exponents(0.0).ratio)
 
 
 def test_compare_exponents_consistency():
@@ -233,7 +230,7 @@ def test_measured_exponent_approaches_coefficient():
 
 def test_coherent_benchmark_exponent():
     scn = IlluminationScenario(n_signal=0.01, n_background=100.0, reflectivity=0.01)
-    result = coherent_bhattacharyya(scn)
+    result = illumination_bhattacharyya(scn, "coherent")
     ideal = 0.01 * 0.01 / (4 * 100.0)
     assert result.diagnostics["exponent_per_copy"] == pytest.approx(ideal, rel=5e-3)
     assert result.s_used == 0.5

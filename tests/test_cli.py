@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from qillum import IlluminationScenario, __version__, illumination_bhattacharyya
+from qillum import IlluminationScenario, __version__, bounds, illumination_bhattacharyya
 from qillum.cli import main
 
 FLOAT12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -148,6 +148,33 @@ def test_sweep_extras_canonical_order(capsys):
     assert header == "n_s,gamma2,gamma3,ratio,qb2,chernoff3"
 
 
+def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
+    # qb3 is read off the Chernoff evaluation; each column still counts its
+    # own fallback. The closed form falls back everywhere on this dim grid.
+    built = []
+    original = bounds.illumination_states
+
+    def counting(scenario, model="three-mode"):
+        built.append(model)
+        return original(scenario, model)
+
+    monkeypatch.setattr(bounds, "illumination_states", counting)
+    code, out, _ = run(
+        capsys, "sweep", "--param", "nS", "--start", "0.001", "--stop", "0.1",
+        "--count", "3", "--nb", "0.01", "--kappa", "0.1", "--copies", "1",
+        "--extras", "qb3,chernoff3", "--format", "json",
+    )
+    assert code == 0
+    assert built == ["three-mode"] * 3
+    report = json.loads(out)
+    assert report["diagnostics"]["analytic_fallbacks"] == 6
+    monkeypatch.setattr(bounds, "illumination_states", original)
+    for row in report["rows"]:
+        scn = IlluminationScenario(n_signal=row["n_s"], n_background=0.01, reflectivity=0.1)
+        assert row["qb3"] == illumination_bhattacharyya(scn, "three-mode").value
+        assert row["chernoff3"] <= row["qb3"]
+
+
 def test_sweep_validation_exit_codes(capsys):
     assert run(capsys, "sweep", "--count", "1")[0] == 2
     assert run(capsys, "sweep", "--start", "1.0", "--stop", "0.5")[0] == 2
@@ -231,10 +258,6 @@ def test_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("QI_NS", "many")
     assert run(capsys, "bounds")[0] == 2
     monkeypatch.delenv("QI_NS")
-    monkeypatch.setenv("QI_THREADS", "zero")
-    assert run(capsys, "sweep", "--count", "3", "--extras", "qb2")[0] == 2
-    monkeypatch.setenv("QI_THREADS", "2")
-    assert run(capsys, "sweep", "--count", "3", "--extras", "qb2")[0] == 0
 
 
 def test_state_info_absent_state(capsys):

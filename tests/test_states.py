@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qillum import bounds
 from qillum import (
     AnalyticDomainError,
     IlluminationScenario,
+    illuminate,
+    illumination_probe,
+    illumination_states,
     max_three_mode_correlation,
     separability_threshold,
     target_absent_cov,
     target_absent_williamson,
     target_present_cov,
     target_present_factorization,
-    target_present_williamson,
     three_mode_cov,
     tmsv_correlation,
     tmsv_cov,
@@ -62,11 +65,11 @@ def test_correlation_bounds_enforced():
     cq3 = max_three_mode_correlation(0.2)
     assert cq3 < cq2
     with pytest.raises(ValueError):
-        scenario(c=cq3 * 1.001).three_mode_correlation()
+        scenario(c=cq3 * 1.001).probe_correlation("three-mode")
     with pytest.raises(ValueError):
-        scenario(c=cq2 * 1.001).two_mode_correlation()
-    assert scenario(c=None).three_mode_correlation() == cq3
-    assert scenario(c=None).two_mode_correlation() == cq2
+        scenario(c=cq2 * 1.001).probe_correlation("two-mode")
+    assert scenario(c=None).probe_correlation("three-mode") == cq3
+    assert scenario(c=None).probe_correlation("two-mode") == cq2
 
 
 def test_tmsv_correlation_formula():
@@ -155,7 +158,7 @@ def test_absent_cov_ignores_reflectivity():
 
 def test_present_cov_layout():
     scn = scenario(ns=0.2, nb=5.0, kappa=0.25)
-    c = scn.three_mode_correlation()
+    c = scn.probe_correlation("three-mode")
     m = target_present_cov(scn).matrix
     assert m[0, 0] == scn.return_variance
     assert m[0, 2] == pytest.approx(0.5 * c)
@@ -212,10 +215,12 @@ def test_present_factorization_out_of_domain():
     scn = IlluminationScenario(n_signal=1.0, n_background=0.1, reflectivity=0.9)
     with pytest.raises(AnalyticDomainError):
         target_present_factorization(scn)
-    # the dispatching helper falls back to the numeric path
-    dec = target_present_williamson(scn)
+    # the bounds fall back to the numeric decomposition, which has no domain
+    dec_a, dec_b, ok = bounds._scenario_decompositions(scn, "three-mode")
+    assert ok is False
     cov = target_present_cov(scn)
-    assert np.max(np.abs(dec.reconstruct() - cov.matrix)) < 1e-9 * np.max(
+    assert np.array_equal(dec_b.symplectic, williamson_decompose(cov).symplectic)
+    assert np.max(np.abs(dec_b.reconstruct() - cov.matrix)) < 1e-9 * np.max(
         np.abs(cov.matrix)
     )
 
@@ -244,3 +249,164 @@ def test_factorization_rejects_tampered_mu():
 def test_tmsv_cov_purity():
     nus = symplectic_eigenvalues(tmsv_cov(0.7))
     assert np.allclose(nus, [1.0, 1.0], atol=1e-12)
+
+
+# --- reference builders: the covariances as they were written out entry by
+# entry before every hypothesis state came from one thermal-loss channel ---
+
+
+def _reference_three_mode(ns: float, c: float) -> np.ndarray:
+    s = 2.0 * ns + 1.0
+    m = np.diag([s] * 6).astype(float)
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                m[2 * j, 2 * k] = c
+                m[2 * j + 1, 2 * k + 1] = -c
+    return m
+
+
+def _reference_tmsv(ns: float) -> np.ndarray:
+    s = 2.0 * ns + 1.0
+    c = tmsv_correlation(ns)
+    m = np.diag([s, s, s, s])
+    m[0, 2] = m[2, 0] = c
+    m[1, 3] = m[3, 1] = -c
+    return m
+
+
+def _reference_absent(scn) -> np.ndarray:
+    s = scn.signal_variance
+    b = scn.background_variance
+    c = max_three_mode_correlation(scn.n_signal)
+    m = np.zeros((6, 6))
+    m[0, 0] = m[1, 1] = b
+    for j in (1, 2):
+        m[2 * j, 2 * j] = m[2 * j + 1, 2 * j + 1] = s
+    m[2, 4] = m[4, 2] = c
+    m[3, 5] = m[5, 3] = -c
+    return m
+
+
+def _reference_present(scn) -> np.ndarray:
+    s = scn.signal_variance
+    a = scn.return_variance
+    c = max_three_mode_correlation(scn.n_signal)
+    sk = math.sqrt(scn.reflectivity) * c
+    m = np.zeros((6, 6))
+    m[0, 0] = m[1, 1] = a
+    for j in (1, 2):
+        m[2 * j, 2 * j] = m[2 * j + 1, 2 * j + 1] = s
+        m[0, 2 * j] = m[2 * j, 0] = sk
+        m[1, 2 * j + 1] = m[2 * j + 1, 1] = -sk
+    m[2, 4] = m[4, 2] = c
+    m[3, 5] = m[5, 3] = -c
+    return m
+
+
+def _reference_two_mode_absent(scn) -> np.ndarray:
+    b = scn.background_variance
+    s = scn.signal_variance
+    return np.diag([b, b, s, s]).astype(float)
+
+
+def _reference_two_mode_present(scn) -> np.ndarray:
+    a = scn.return_variance
+    s = scn.signal_variance
+    sk = math.sqrt(scn.reflectivity) * tmsv_correlation(scn.n_signal)
+    return np.array(
+        [
+            [a, 0.0, sk, 0.0],
+            [0.0, a, 0.0, -sk],
+            [sk, 0.0, s, 0.0],
+            [0.0, -sk, 0.0, s],
+        ]
+    )
+
+
+def _reference_coherent(scn):
+    b = scn.background_variance
+    amp = 2.0 * math.sqrt(scn.reflectivity * scn.n_signal)
+    return np.diag([b, b]).astype(float), np.array([amp, 0.0])
+
+
+def _channel_box(seed: int, count: int):
+    """Log-uniform n_s 1e-4..10, n_b 1e-2..1e8, kappa 1e-4..1, plus kappa = 0 and 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(count):
+        ns = math.exp(rng.uniform(math.log(1e-4), math.log(10.0)))
+        nb = math.exp(rng.uniform(math.log(1e-2), math.log(1e8)))
+        kappa = (0.0, 1.0)[j % 2] if j % 5 == 0 else math.exp(rng.uniform(math.log(1e-4), 0.0))
+        out.append(IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa))
+    return out
+
+
+def test_channel_reproduces_the_written_out_covariances():
+    for scn in _channel_box(seed=2025, count=400):
+        ns = scn.n_signal
+        pairs = [
+            (three_mode_cov(ns, max_three_mode_correlation(ns)).matrix,
+             _reference_three_mode(ns, max_three_mode_correlation(ns))),
+            (tmsv_cov(ns).matrix, _reference_tmsv(ns)),
+            (target_absent_cov(scn).matrix, _reference_absent(scn)),
+            (target_present_cov(scn).matrix, _reference_present(scn)),
+            (two_mode_target_absent_cov(scn).matrix, _reference_two_mode_absent(scn)),
+            (two_mode_target_present_cov(scn).matrix, _reference_two_mode_present(scn)),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got, want), scn
+            # adding the vacuum back turns every exact zero into +0
+            assert not np.signbit(got[got == 0.0]).any(), scn
+        for model in ("three-mode", "two-mode"):
+            for state in illumination_states(scn, model):
+                assert not state.mean.any(), (scn, model)
+        ref_cov, ref_mean = _reference_coherent(scn)
+        absent, present = illumination_states(scn, "coherent")
+        assert np.array_equal(absent.cov.matrix, ref_cov)
+        assert np.array_equal(present.cov.matrix, ref_cov)
+        assert not absent.mean.any()
+        # within 1 ulp is the promise; the photon-number form of the
+        # displacement makes it exact
+        assert np.all(np.abs(present.mean - ref_mean) <= np.spacing(np.abs(ref_mean)))
+        assert np.array_equal(present.mean, ref_mean), scn
+
+
+def test_hypothesis_states_are_one_channel():
+    scn = scenario(ns=0.3, nb=40.0, kappa=0.2)
+    for model in ("three-mode", "two-mode", "coherent"):
+        probe = illumination_probe(scn, model)
+        absent, present = illumination_states(scn, model)
+        assert np.array_equal(absent.cov.matrix, illuminate(probe, scn, 0.0).cov.matrix)
+        assert np.array_equal(present.cov.matrix, illuminate(probe, scn, 0.2).cov.matrix)
+        assert np.array_equal(present.mean, illuminate(probe, scn, 0.2).mean)
+        # the probe itself is untouched by the channel
+        assert np.array_equal(probe.excess, illumination_probe(scn, model).excess)
+    # kappa = 1 sends the whole signal back: return = signal plus background excess
+    full = illuminate(illumination_probe(scn, "three-mode"), scn, 1.0).cov.matrix
+    c = max_three_mode_correlation(0.3)
+    assert full[0, 0] == 2.0 * 0.3 + scn.background_variance
+    assert full[0, 2] == c and full[1, 3] == -c and full[0, 4] == c
+
+
+def test_probe_correlation_per_model():
+    scn = scenario(ns=0.2)
+    assert scn.probe_correlation("three-mode") == max_three_mode_correlation(0.2)
+    assert scn.probe_correlation("two-mode") == tmsv_correlation(0.2)
+    assert scn.probe_correlation("coherent") is None
+    assert scenario(ns=0.2, c=0.3).probe_correlation("three-mode") == 0.3
+    assert scenario(ns=0.2, c=0.3).probe_correlation("coherent") is None
+    cq3 = max_three_mode_correlation(0.2)
+    with pytest.raises(
+        ValueError,
+        match=rf"^correlation 0\.7 exceeds the three-mode maximum {cq3:.12g}$",
+    ):
+        scenario(ns=0.2, c=0.7).probe_correlation("three-mode")
+    cq2 = tmsv_correlation(0.2)
+    with pytest.raises(
+        ValueError,
+        match=rf"^correlation 1\.2 exceeds the two-mode maximum {cq2:.12g}$",
+    ):
+        scenario(ns=0.2, c=1.2).probe_correlation("two-mode")
+    with pytest.raises(ValueError, match="unknown model 'four-mode'"):
+        scn.probe_correlation("four-mode")
