@@ -10,6 +10,7 @@ cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -156,6 +157,12 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         raise CliError(2, str(exc)) from exc
 
 
+def _refuse_correlation(resolved: dict, command: str):
+    """sweep and oracle-check use each model's own correlation, so a set c is refused."""
+    if resolved["c"] is not None:
+        raise CliError(2, f"{command} does not take c (set by {resolved['sources']['c']})")
+
+
 def _check_format(fmt: str, allowed: tuple, command: str) -> str:
     if fmt is None:
         return allowed[0]
@@ -236,7 +243,9 @@ class RunReport:
         return _json_report(self.config, self.rows, self.diagnostics)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once, on the first main call: QI_* values are read in resolve_config.
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Gaussian quantum illumination bounds and diagnostics.",
@@ -372,7 +381,7 @@ def _sweep_row(resolved: dict, spec: SweepSpec, value: float) -> dict:
         overrides["reflectivity"] = value
     else:
         overrides["copies"] = max(1, int(round(value)))
-    scenario = _scenario(resolved, correlation=None, **overrides)
+    scenario = _scenario(resolved, **overrides)
     row = {
         "sweep_value": value,
         "n_s": scenario.n_signal,
@@ -488,6 +497,7 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
 
 def cmd_sweep(args) -> int:
     resolved = resolve_config(args)
+    _refuse_correlation(resolved, "sweep")
     fmt = _check_format(args.fmt, ("csv", "json"), "sweep")
     extras = tuple(e for e in args.extras.split(",") if e)
     extras = tuple("qb_coherent" if e == "qbCoherent" else e for e in extras)
@@ -593,6 +603,7 @@ def cmd_state_info(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     resolved = resolve_config(args)
+    _refuse_correlation(resolved, "oracle-check")
     fmt = _check_format(args.fmt, ("text", "json"), "oracle-check")
     try:
         s_values = [float(tok) for tok in args.s_grid.split(",") if tok]
@@ -600,7 +611,7 @@ def cmd_oracle_check(args) -> int:
         raise CliError(2, f"bad s grid {args.s_grid!r}") from exc
     if not s_values or not all(0.0 < s < 1.0 for s in s_values):
         raise CliError(2, "s grid values must lie strictly inside (0, 1)")
-    scenario = _scenario(resolved, correlation=None, copies=1)
+    scenario = _scenario(resolved, copies=1)
 
     budget = oracle_tail_budget(
         scenario.n_signal, scenario.n_background, scenario.reflectivity, args.cutoff

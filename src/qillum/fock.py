@@ -38,7 +38,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 DIMENSION_CAP = 4096
 HERMITICITY_TOL = 1e-12
@@ -180,11 +179,18 @@ def _sector_beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
     # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)), where n+1 is still in the sector.
     inside = n + 1 <= np.minimum(total, cutoff)
     coupling = np.sqrt(np.where(inside, (n + 1) * (total - n), 0))
-    gen = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
+    # The generator G = a+ b - a b+ is D (-i T) D^-1, T the symmetric tridiagonal of
+    # couplings and D = diag(i^x). From the real eigh T = w lam w^T,
+    # exp(theta G)[x, y] = Re(i^(x - y) (w exp(-i theta lam) w^T)[x, y]).
+    sym = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
     j = np.arange(cutoff)
-    gen[:, j + 1, j] = coupling
-    gen[:, j, j + 1] = -coupling
-    return expm(math.acos(math.sqrt(reflectivity)) * gen)
+    sym[:, j + 1, j] = sym[:, j, j + 1] = coupling
+    lam, w = np.linalg.eigh(sym)
+    phase = math.acos(math.sqrt(reflectivity)) * lam
+    cos = (w * np.cos(phase)[:, None, :]) @ w.swapaxes(1, 2)
+    sin = (w * np.sin(phase)[:, None, :]) @ w.swapaxes(1, 2)
+    x = np.arange(cutoff + 1)
+    return np.choose(np.subtract.outer(x, x) % 4, [cos, sin, -cos, -sin])
 
 
 def _block_layout(cutoff: int):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, schur
 
 SYMMETRY_TOL = 1e-12
 MINOR_TOL = 1e-12
@@ -153,50 +152,33 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 def williamson_decompose(cov) -> WilliamsonDecomposition:
     """Numeric Williamson decomposition with a deterministic phase convention.
 
-    Algorithm: with R = cov^(1/2), the real Schur form of the antisymmetric
-    K = R Omega R consists of 2x2 blocks [[0, b], [-b, 0]] whose b are the
-    symplectic eigenvalues. Columns are swapped so b > 0, blocks are sorted
-    descending, and each block pair is rotated so the (x, x) entry of S is
-    nonnegative and the (x, p) entry vanishes. The rotation keeps S symplectic
-    and makes the output deterministic even for degenerate eigenvalues.
+    Algorithm: with R = cov^(1/2), the Hermitian i R Omega R has eigenvalues
+    +-nu in pairs, nu the symplectic eigenvalues (Serafini, Quantum Continuous
+    Variables, ch. 3). An eigenvector u of +nu gives the real orthonormal pair
+    (sqrt2 Re u, -sqrt2 Im u), on which R Omega R is [[0, nu], [-nu, 0]].
+    Blocks are sorted descending, and each block pair is rotated so the (x, x)
+    entry of S is nonnegative and the (x, p) entry vanishes. The rotation keeps
+    S symplectic and makes the output deterministic even for degenerate
+    eigenvalues.
     """
     m = _as_matrix(cov)
     n = m.shape[0] // 2
-    omega = symplectic_form(n)
 
-    w, v = eigh(m)
+    w, v = np.linalg.eigh(m)
     if w[0] <= 0:
         raise ValueError("covariance matrix is not positive definite")
     root = (v * np.sqrt(w)) @ v.T
-    k = root @ omega @ root
-    t, q = schur(k, output="real")
+    lam, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
 
-    # Schur of an antisymmetric matrix must come back block diagonal.
-    block = np.zeros_like(t)
-    for j in range(n):
-        block[2 * j, 2 * j + 1] = t[2 * j, 2 * j + 1]
-        block[2 * j + 1, 2 * j] = t[2 * j + 1, 2 * j]
-    stray = np.max(np.abs(t - block))
-    if stray > 1e-8 * max(1.0, np.max(np.abs(t))):
-        raise ValueError(
-            f"could not pair the symplectic spectrum (off-block residual {stray:.3e})"
-        )
+    # The spectrum is symmetric about zero: -nu_j must pair with +nu_j.
+    stray = np.max(np.abs(lam[:n] + lam[::-1][:n]))
+    if stray > 1e-8 * max(1.0, np.max(np.abs(lam))):
+        raise ValueError(f"could not pair the symplectic spectrum (residual {stray:.3e})")
 
-    nus = []
-    for j in range(n):
-        b = t[2 * j, 2 * j + 1]
-        if b < 0:
-            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
-            b = -b
-        nus.append(b)
-
-    order = sorted(range(n), key=lambda j: -nus[j])
-    perm = np.zeros((2 * n, 2 * n))
-    for new, old in enumerate(order):
-        perm[2 * old, 2 * new] = 1.0
-        perm[2 * old + 1, 2 * new + 1] = 1.0
-    q = q @ perm
-    nus = np.array([nus[j] for j in order])
+    # eigh sorts ascending, so the +nu half read backwards is the descending sort.
+    nus = lam[n:][::-1]
+    top = u[:, n:][:, ::-1] * np.sqrt(2.0)
+    q = np.stack([top.real, -top.imag], axis=2).reshape(2 * n, 2 * n)
 
     s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2)
 

@@ -1,8 +1,10 @@
 """Shared builders for randomized covariance tests."""
 
+import math
+
 import numpy as np
 
-from qillum import symplectic_form
+from qillum import IlluminationScenario, symplectic_form
 
 
 def rotation_symplectic(n: int, j: int, theta: float) -> np.ndarray:
@@ -55,3 +57,21 @@ def assert_symplectic(s: np.ndarray, tol=1e-9):
     n = s.shape[0] // 2
     omega = symplectic_form(n)
     assert np.max(np.abs(s @ omega @ s.T - omega)) < tol
+
+
+def box_scenarios(seed: int, count: int):
+    """Log-uniform scenarios over the box; every third from the bright corner."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(count):
+        corner = j % 3 == 0
+        ns = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 1.0)))
+        nb = math.exp(rng.uniform(math.log(1e3 if corner else 1e-2), math.log(1e8)))
+        kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 0.5)))
+        copies = round(math.exp(rng.uniform(0.0, math.log(1e9))))
+        out.append(
+            IlluminationScenario(
+                n_signal=ns, n_background=nb, reflectivity=kappa, copies=copies
+            )
+        )
+    return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cov
+from conftest import box_scenarios, random_cov
 from qillum import bounds
 from qillum import (
     CovarianceMatrix,
@@ -326,24 +326,6 @@ def _model_pairs(scenarios):
             yield model, scn, absent, present, dec_a, dec_b
 
 
-def _box_sample(seed: int, count: int):
-    """Log-uniform scenarios over the box; every third from the bright corner."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for j in range(count):
-        corner = j % 3 == 0
-        ns = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 1.0)))
-        nb = math.exp(rng.uniform(math.log(1e3 if corner else 1e-2), math.log(1e8)))
-        kappa = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2 if corner else 0.5)))
-        copies = round(math.exp(rng.uniform(0.0, math.log(1e9))))
-        out.append(
-            IlluminationScenario(
-                n_signal=ns, n_background=nb, reflectivity=kappa, copies=copies
-            )
-        )
-    return out
-
-
 REFERENCE_GRID = [
     IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
     for ns in (1e-3, 0.05, 0.5)
@@ -354,7 +336,7 @@ REFERENCE_GRID = [
 
 def test_batched_overlap_entries_equal_scalar_calls():
     s_values = [*bounds.CHERNOFF_GRID, 0.123456789, 0.5 + 1e-11]
-    for _, _, absent, present, dec_a, dec_b in _model_pairs(_box_sample(7, 6)):
+    for _, _, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(7, 6)):
         many = power_overlap(
             absent, present, s_values, decomposition_a=dec_a, decomposition_b=dec_b
         )
@@ -439,7 +421,7 @@ def test_displaced_overlap_matches_scalar_reference(seed):
 
 
 def test_zoom_search_no_worse_than_golden_section():
-    for model, scn, absent, present, dec_a, dec_b in _model_pairs(_box_sample(2024, 24)):
+    for model, scn, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(2024, 24)):
 
         def logq(s):
             return power_overlap(
@@ -455,7 +437,7 @@ def test_zoom_search_no_worse_than_golden_section():
 
 
 def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
-    for model, scn, absent, present, dec_a, dec_b in _model_pairs(_box_sample(99, 9)):
+    for model, scn, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(99, 9)):
         qc = illumination_chernoff(scn, model)
         qb = illumination_bhattacharyya(scn, model)
         assert qc.bhattacharyya.s_used == 0.5

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qillum
 from qillum import IlluminationScenario, __version__, bounds, illumination_bhattacharyya
 from qillum.cli import main
 
@@ -367,3 +372,55 @@ def test_argparse_errors_keep_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_reused_and_environment_read_per_call(capsys, monkeypatch):
+    outputs = []
+    for ns in ("0.02", "0.3"):
+        monkeypatch.setenv("QI_NS", ns)
+        code, out, _ = run(capsys, "bounds", "--model", "two-mode")
+        assert code == 0 and f"n_signal: {float(ns):.11e}" in out
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"qillum {__version__}\n"
+    assert main(["bounds", "--kappa", "half"]) == 2
+    assert "--kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+def test_commands_without_correlation_refuse_c(command, capsys, monkeypatch):
+    argv = [command, "--count", "2"] if command == "sweep" else [command, "--cutoff", "15"]
+    code, out, err = run(capsys, *argv, "--c", "0.05")
+    assert code == 2 and out == ""
+    assert err == f"error: {command} does not take c (set by flag)\n"
+    monkeypatch.setenv("QI_C", "0.05")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {command} does not take c (set by env)\n"
+
+
+def test_runs_load_no_scipy():
+    """A fresh interpreter runs numeric Williamson and the Fock oracle on numpy alone."""
+    script = """
+import contextlib, io, sys
+import qillum.cli
+assert qillum.cli._build_parser.cache_info().currsize == 0, "parser built at import"
+for argv in (["bounds", "--model", "two-mode"],
+             ["bounds", "--model", "three-mode", "--nb", "1e8"],
+             ["oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "15"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert qillum.cli.main(argv) == 0, argv
+    print(out.getvalue().splitlines()[-1])
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(qillum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "analytic_domain: numeric fallback"
+    assert lines[2] == "flagged: 0"
+    assert lines[-1] == "[]"

@@ -40,6 +40,26 @@ def _dense_beamsplitter(reflectivity, cutoff):
     return expm(theta * (np.kron(low.T, low) - np.kron(low, low.T)))
 
 
+def _sector_generators(cutoff):
+    """a+ b - a b+ on (signal, background) per total photon number N, zero padded."""
+    total = np.arange(2 * cutoff + 1)[:, None]
+    n = np.maximum(0, total - cutoff) + np.arange(cutoff)[None, :]
+    inside = n + 1 <= np.minimum(total, cutoff)
+    coupling = np.sqrt(np.where(inside, (n + 1) * (total - n), 0))
+    gen = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
+    j = np.arange(cutoff)
+    gen[:, j + 1, j] = coupling
+    gen[:, j, j + 1] = -coupling
+    return gen
+
+
+def _stacked_expm_beamsplitter(reflectivity, cutoff):
+    """Reference: the sector generators exponentiated by scipy's stacked expm."""
+    from scipy.linalg import expm
+
+    return expm(math.acos(math.sqrt(reflectivity)) * _sector_generators(cutoff))
+
+
 def _dense_present(n_signal, n_background, reflectivity, cutoff):
     """Reference target-present state from the dense beamsplitter, 0 < kappa < 1."""
     d = cutoff + 1
@@ -238,6 +258,25 @@ def test_sector_construction_matches_dense_reference(cutoff, kappa):
     many = oracle_overlap(ns, nb, kappa, grid, cutoff)
     assert many == [oracle_overlap(ns, nb, kappa, s, cutoff) for s in grid]
     assert all(isinstance(q, float) for q in many)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.9])
+@pytest.mark.parametrize("cutoff", [2, 10, 24])
+def test_sector_beamsplitter_matches_references(cutoff, kappa):
+    u = fock._sector_beamsplitter(kappa, cutoff)
+    assert np.max(np.abs(u - _stacked_expm_beamsplitter(kappa, cutoff))) < 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        theta = mpmath.acos(mpmath.sqrt(kappa))
+        for total, gen in enumerate(_sector_generators(cutoff)):
+            size = min(total, cutoff) - max(0, total - cutoff) + 1
+            g = mpmath.zeros(size)
+            for x in range(size - 1):  # couplings are square roots of integers
+                g[x + 1, x] = mpmath.sqrt(round(gen[x + 1, x] ** 2))
+                g[x, x + 1] = -g[x + 1, x]
+            ref = np.eye(cutoff + 1)
+            ref[:size, :size] = np.array(mpmath.expm(theta * g).tolist(), dtype=float)
+            assert np.max(np.abs(u[total] - ref)) < 1e-13
 
 
 def test_oracle_overlap_sequence_validation():

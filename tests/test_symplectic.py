@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_symplectic, random_cov, random_symplectic
+from conftest import assert_symplectic, box_scenarios, random_cov, random_symplectic
 from qillum import (
     Bipartition,
     CovarianceMatrix,
     GaussianState,
     WilliamsonDecomposition,
+    illumination_states,
     is_physical,
     is_pure,
     log_negativity,
@@ -19,6 +20,7 @@ from qillum import (
     tmsv_cov,
     williamson_decompose,
 )
+from qillum.symplectic import RECONSTRUCTION_TOL
 
 
 def test_symplectic_form_blocks():
@@ -88,6 +90,102 @@ def test_williamson_random_properties(seed, n):
     assert np.allclose(dec.nu, nus, rtol=1e-8, atol=1e-8)
     # determinant is the squared product of the spectrum
     assert np.isclose(np.linalg.det(m), np.prod(dec.nu**2), rtol=1e-7)
+
+
+def _schur_williamson(m: np.ndarray) -> WilliamsonDecomposition:
+    """Reference: the decomposition from scipy's eigh and real Schur form.
+
+    The real Schur form of K = R Omega R, R = m^(1/2), is 2x2 blocks
+    [[0, b], [-b, 0]]; columns are swapped so b > 0, blocks sorted descending
+    and each block rotated by the same phase convention as the library.
+    """
+    from scipy.linalg import eigh, schur
+
+    n = m.shape[0] // 2
+    w, v = eigh(m)
+    root = (v * np.sqrt(w)) @ v.T
+    t, q = schur(root @ symplectic_form(n) @ root, output="real")
+    nus = []
+    for j in range(n):
+        b = t[2 * j, 2 * j + 1]
+        if b < 0:
+            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
+            b = -b
+        nus.append(b)
+    order = sorted(range(n), key=lambda j: -nus[j])
+    cols = [c for j in order for c in (2 * j, 2 * j + 1)]
+    nus = np.array([nus[j] for j in order])
+    s = (root @ q[:, cols]) * np.repeat(1.0 / np.sqrt(nus), 2)
+    for j in range(n):
+        c0, c1 = s[:, 2 * j].copy(), s[:, 2 * j + 1].copy()
+        a, b = s[2 * j, 2 * j], s[2 * j, 2 * j + 1]
+        r = np.hypot(a, b)
+        if r < 1e-12:
+            a, b = s[2 * j + 1, 2 * j], s[2 * j + 1, 2 * j + 1]
+            r = np.hypot(a, b)
+        if r < 1e-12:
+            continue
+        s[:, 2 * j] = (a * c0 + b * c1) / r
+        s[:, 2 * j + 1] = (-b * c0 + a * c1) / r
+    return WilliamsonDecomposition(symplectic=s, nu=nus)
+
+
+def _williamson_cases():
+    for n in (1, 2, 3):
+        for seed in range(20):
+            yield random_cov(n, np.random.default_rng(seed))[0]
+    for scn in box_scenarios(2024, 24):
+        for model in ("three-mode", "two-mode", "coherent"):
+            for state in illumination_states(scn, model):
+                yield state.cov.matrix
+    # Degenerate spectra: the vacuum, and equal thermal modes.
+    for n in (1, 2, 3):
+        yield np.eye(2 * n)
+        yield np.diag(np.repeat([5.0] * n, 2))
+    yield np.diag([3.0, 3.0, 3.0, 3.0, 1.5, 1.5])
+
+
+def test_williamson_matches_schur_reference():
+    anchored = 0
+    for m in _williamson_cases():
+        dec, ref = williamson_decompose(m), _schur_williamson(m)
+        scale = max(1.0, np.max(np.abs(m)))
+        assert np.max(np.abs(dec.nu - ref.nu)) <= 1e-12 * ref.nu[0]
+        omega = symplectic_form(dec.n)
+        assert np.max(np.abs(dec.symplectic @ omega @ dec.symplectic.T - omega)) <= (
+            RECONSTRUCTION_TOL
+        )
+        assert np.max(np.abs(dec.reconstruct() - m)) <= RECONSTRUCTION_TOL * scale
+        # Blocks whose x row anchors the phase must give the same columns. A
+        # degenerate group of eigenvalues, or a block with no weight on its
+        # own mode, is fixed only up to a passive rotation, so there the
+        # group's share S_g diag(nu_g) S_g^T of the covariance is compared.
+        start = 0
+        for j in range(dec.n):
+            if j + 1 < dec.n and ref.nu[j] - ref.nu[j + 1] <= 1e-6 * ref.nu[0]:
+                continue
+            cols = slice(2 * start, 2 * j + 2)
+            if start == j and np.hypot(*ref.symplectic[2 * j, cols]) >= 1e-3:
+                anchored += 1
+                gap = np.max(np.abs(dec.symplectic[:, cols] - ref.symplectic[:, cols]))
+                assert gap <= 1e-9 * max(1.0, np.max(np.abs(ref.symplectic)))
+            share = [(d.symplectic[:, cols] * np.repeat(d.nu[start : j + 1], 2))
+                     @ d.symplectic[:, cols].T for d in (dec, ref)]
+            assert np.max(np.abs(share[0] - share[1])) <= 1e-9 * scale
+            start = j + 1
+    assert anchored >= 300
+
+
+def test_williamson_refuses_unpaired_spectrum(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def shifted(a):
+        lam, u = real_eigh(a)
+        return (lam + 1e-3 if np.iscomplexobj(a) else lam), u
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(ValueError, match="could not pair the symplectic spectrum"):
+        williamson_decompose(np.diag([3.0, 3.0, 2.0, 2.0]))
 
 
 @settings(max_examples=25, deadline=None)
