@@ -24,15 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (
-    AnalyticDomainError,
-    IlluminationScenario,
-    illumination_states,
-    max_three_mode_correlation,
-    target_absent_williamson,
-    target_present_cov,
-    target_present_factorization,
-)
+from .states import IlluminationScenario, illumination_states, max_three_mode_correlation
 from .symplectic import (
     CovarianceMatrix,
     GaussianState,
@@ -255,33 +247,12 @@ def _bound_from_overlap(ov: OverlapResult, copies: int, **extra) -> BoundResult:
     )
 
 
-def bhattacharyya_bound(
-    state_a,
-    state_b,
-    copies: int = 1,
-    *,
-    decomposition_a: WilliamsonDecomposition | None = None,
-    decomposition_b: WilliamsonDecomposition | None = None,
-) -> BoundResult:
+def bhattacharyya_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     """q(1/2)-based bound; always at least as large as the Chernoff bound."""
-    ov = power_overlap(
-        state_a,
-        state_b,
-        0.5,
-        decomposition_a=decomposition_a,
-        decomposition_b=decomposition_b,
-    )
-    return _bound_from_overlap(ov, copies)
+    return _bound_from_overlap(power_overlap(state_a, state_b, 0.5), copies)
 
 
-def chernoff_bound(
-    state_a,
-    state_b,
-    copies: int = 1,
-    *,
-    decomposition_a: WilliamsonDecomposition | None = None,
-    decomposition_b: WilliamsonDecomposition | None = None,
-) -> BoundResult:
+def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     """min over s of q(s), by a batched grid and batched zoom rounds.
 
     log q(s) is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so
@@ -290,14 +261,15 @@ def chernoff_bound(
     spreads 37 points over the two steps around the smallest value so far,
     in one call, until the bracket is narrower than 1e-10 (at most seven
     rounds from the grid). The result is the smallest q over every evaluated point.
+    Both Williamson decompositions are computed once and shared by every call.
 
     The grid contains s = 1/2 exactly, so the result can never exceed the
     Bhattacharyya bound, which the result carries as `bhattacharyya`.
     """
     a = _as_state(state_a)
     b = _as_state(state_b)
-    da = decomposition_a or williamson_decompose(a.cov)
-    db = decomposition_b or williamson_decompose(b.cov)
+    da = williamson_decompose(a.cov)
+    db = williamson_decompose(b.cov)
 
     def evaluate(s_values) -> list[OverlapResult]:
         return power_overlap(a, b, s_values, decomposition_a=da, decomposition_b=db)
@@ -423,46 +395,14 @@ def find_crossover(lo: float = 0.05, hi: float = 1.0) -> CrossoverResult:
     return CrossoverResult(n_signal=ns, residual=residual)
 
 
-def _scenario_decompositions(scenario: IlluminationScenario, model: str):
-    """Closed-form Williamson data where available. Returns (dec_a, dec_b, ok).
-
-    ok is None for the models without a closed-form path, True when the
-    three-mode closed form held and False when it fell back to numerics.
-    """
-    if model != "three-mode":
-        return None, None, None
-    dec_a = target_absent_williamson(scenario)
-    try:
-        dec_b = target_present_factorization(scenario).williamson()
-        return dec_a, dec_b, True
-    except AnalyticDomainError:
-        return dec_a, williamson_decompose(target_present_cov(scenario)), False
-
-
-def _illumination_bound(scenario: IlluminationScenario, model: str, bound) -> BoundResult:
-    absent, present = illumination_states(scenario, model)
-    dec_a, dec_b, ok = _scenario_decompositions(scenario, model)
-    result = bound(
-        absent,
-        present,
-        scenario.copies,
-        decomposition_a=dec_a,
-        decomposition_b=dec_b,
-    )
-    for part in (result, result.bhattacharyya):
-        if part is not None:
-            part.diagnostics["analytic_domain_ok"] = ok
-    return result
-
-
 def illumination_bhattacharyya(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    return _illumination_bound(scenario, model, bhattacharyya_bound)
+    return bhattacharyya_bound(*illumination_states(scenario, model), scenario.copies)
 
 
 def illumination_chernoff(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
     """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same states."""
-    return _illumination_bound(scenario, model, chernoff_bound)
+    return chernoff_bound(*illumination_states(scenario, model), scenario.copies)

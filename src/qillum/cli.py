@@ -55,8 +55,15 @@ EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
-# bounds' analytic_domain line, keyed by the analytic_domain_ok diagnostic.
-ANALYTIC_DOMAIN = {True: "closed-form", False: "numeric fallback", None: "n/a"}
+# Configuration keys a command does not read, each with the one value it runs
+# (None: none). Setting such a key to anything else, by flag, QI_* variable or
+# config file, is refused; oracle-check checks the two-mode pair only.
+UNREAD_KEYS = {
+    "sweep": {"c": None, "model": None},
+    "crossover": dict.fromkeys(("ns", "nb", "kappa", "copies", "c", "model")),
+    "state-info": {"copies": None, "model": None},
+    "oracle-check": {"c": None, "copies": None, "model": "two-mode"},
+}
 
 
 class CliError(Exception):
@@ -120,7 +127,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """Merge defaults, config file, environment, and flags, in rising priority."""
+    """Merge defaults, config file, environment, and flags, in rising priority.
+
+    A key the command does not read (UNREAD_KEYS) exits 2 when it is set.
+    """
     resolved = dict(DEFAULTS)
     sources = {key: "default" for key in DEFAULTS}
     config_path = getattr(args, "config", None)
@@ -138,6 +148,16 @@ def resolve_config(args) -> dict:
         if value is not None:
             resolved[key] = value
             sources[key] = "flag"
+    command = getattr(args, "command", None)
+    for key, runs in UNREAD_KEYS.get(command, {}).items():
+        if sources[key] != "default" and resolved[key] != runs:
+            if runs is None:
+                raise CliError(2, f"{command} does not take {key} (set by {sources[key]})")
+            raise CliError(
+                2, f"{command} runs {key} {runs} only ({resolved[key]} set by {sources[key]})"
+            )
+        if runs is not None:
+            resolved[key] = runs
     resolved["sources"] = sources
     return resolved
 
@@ -155,12 +175,6 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         return IlluminationScenario(**fields)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
-
-
-def _refuse_correlation(resolved: dict, command: str):
-    """sweep and oracle-check use each model's own correlation, so a set c is refused."""
-    if resolved["c"] is not None:
-        raise CliError(2, f"{command} does not take c (set by {resolved['sources']['c']})")
 
 
 def _check_format(fmt: str, allowed: tuple, command: str) -> str:
@@ -339,15 +353,9 @@ def cmd_bounds(args) -> int:
         "exponent_per_copy_qb": qb.diagnostics["exponent_per_copy"],
         "exponent_per_copy_qc": qc.diagnostics["exponent_per_copy"],
         "asymptotic_exponent_per_copy": asymptotic,
-        "analytic_domain_ok": qc.diagnostics["analytic_domain_ok"],
     }
-    report = RunReport(
-        config=_config_echo(resolved),
-        rows=[row],
-        diagnostics={"analytic_fallbacks": int(row["analytic_domain_ok"] is False)},
-    )
     if fmt == "json":
-        _emit(report.to_json(), args.out)
+        _emit(RunReport(config=_config_echo(resolved), rows=[row]).to_json(), args.out)
         return 0
     lines = [
         f"model: {model}",
@@ -365,7 +373,6 @@ def cmd_bounds(args) -> int:
         f"exponent_per_copy_qb: {_fmt(row['exponent_per_copy_qb'])}",
         f"exponent_per_copy_qc: {_fmt(row['exponent_per_copy_qc'])}",
         f"asymptotic_exponent_per_copy: {_fmt(asymptotic)}",
-        f"analytic_domain: {ANALYTIC_DOMAIN[row['analytic_domain_ok']]}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -398,10 +405,6 @@ def _sweep_row(resolved: dict, spec: SweepSpec, value: float) -> dict:
         if extra not in results:
             results[extra] = illumination_bhattacharyya(scenario, EXTRA_MODELS[extra])
         row[extra] = results[extra].value
-    # One count per three-mode column that fell back to the numeric decomposition.
-    row["analytic_fallbacks"] = sum(
-        results[extra].diagnostics["analytic_domain_ok"] is False for extra in spec.extras
-    )
     return row
 
 
@@ -497,7 +500,6 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
 
 def cmd_sweep(args) -> int:
     resolved = resolve_config(args)
-    _refuse_correlation(resolved, "sweep")
     fmt = _check_format(args.fmt, ("csv", "json"), "sweep")
     extras = tuple(e for e in args.extras.split(",") if e)
     extras = tuple("qb_coherent" if e == "qbCoherent" else e for e in extras)
@@ -511,10 +513,7 @@ def cmd_sweep(args) -> int:
     )
     rows = [_sweep_row(resolved, spec, float(v)) for v in spec.grid()]
 
-    diagnostics = {
-        "rows": len(rows),
-        "analytic_fallbacks": sum(row.pop("analytic_fallbacks") for row in rows),
-    }
+    diagnostics = {"rows": len(rows)}
     config = _config_echo(
         resolved,
         param=spec.parameter,
@@ -603,7 +602,6 @@ def cmd_state_info(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     resolved = resolve_config(args)
-    _refuse_correlation(resolved, "oracle-check")
     fmt = _check_format(args.fmt, ("text", "json"), "oracle-check")
     try:
         s_values = [float(tok) for tok in args.s_grid.split(",") if tok]

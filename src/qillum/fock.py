@@ -19,10 +19,11 @@ matrices:
   idler photons): 2 cutoff + 1 blocks of size cutoff + 1 - |k|, each V V^T
   over the traced background branches. The target-absent state is diagonal.
 
-q(s) = Tr[absent^s present^(1-s)] then needs only one eigendecomposition
-per present block, done once for a whole grid of s values. Dense matrices
-are assembled only on request (`target_present_fock`), for the Helstrom
-probability, the quadrature covariance and tests.
+q(s) = Tr[absent^s present^(1-s)] then needs only the singular values and
+left singular vectors of every block's V, from one batched SVD for a whole
+grid of s values. Dense matrices are assembled only on request
+(`target_present_fock`), for the Helstrom probability, the quadrature
+covariance and tests.
 
 Truncation error is tracked through analytic tail weights of the inputs
 (geometric in the thermal and two-mode squeezed distributions), never by
@@ -217,28 +218,31 @@ def _absent_blocks(n_signal: float, n_background: float, cutoff: int) -> np.ndar
     return np.where(valid, ret[np.where(valid, idler + k, 0)] * idl[idler], 0.0)
 
 
-def _present_blocks(
+def _present_branches(
     n_signal: float, n_background: float, reflectivity: float, cutoff: int
 ) -> np.ndarray:
-    """Target-present state as its r - i blocks, zero padded to (2c+1, c+1, c+1).
+    """Branch stack V of the target-present state, zero padded to (2c+1, c+1, c+1).
 
-    Block k is V V^T. Row i of V (return r = i + k) and column b (the traced
-    background output, fed by background input m = k + b) hold the branch
-    amplitude amp[i] sqrt(w[m]) <r, b| U |i, m>, read from sector N = i + m.
+    The r - i block k of the state is V_k V_k^T. Row i of V_k (return
+    r = i + k) and column b (the traced background output, fed by background
+    input m = k + b) hold the branch amplitude amp[i] sqrt(w[m]) <r, b| U |i, m>,
+    read from sector N = i + m. At kappa = 0 each V_k is the square root of the
+    diagonal target-absent block; at kappa = 1 only block k = 0 is nonzero, with
+    the Schmidt amplitudes as its one column.
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
     _check_dimension(2, cutoff)
     d = cutoff + 1
-    blocks = np.zeros((2 * cutoff + 1, d, d))
+    branches = np.zeros((2 * cutoff + 1, d, d))
     if reflectivity == 0.0:
         diag = np.arange(d)
-        blocks[:, diag, diag] = _absent_blocks(n_signal, n_background, cutoff)
-        return blocks
+        branches[:, diag, diag] = np.sqrt(_absent_blocks(n_signal, n_background, cutoff))
+        return branches
     amp = tmsv_amplitudes(n_signal, cutoff)
     if reflectivity == 1.0:  # the signal returns intact; the background drops out
-        blocks[cutoff] = np.outer(amp, amp)
-        return blocks
+        branches[cutoff, :, 0] = amp
+        return branches
     k, idler, valid = _block_layout(cutoff)
     w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
     u = _sector_beamsplitter(reflectivity, cutoff)
@@ -247,8 +251,7 @@ def _present_blocks(
     m = np.where(mask, idler[:, None, :] + k[:, :, None], 0)
     r = np.where(mask, i + k[:, :, None], 0)
     lo = np.maximum(0, i + m - cutoff)
-    branches = np.where(mask, amp[i] * np.sqrt(w[m]) * u[i + m, r - lo, i - lo], 0.0)
-    return branches @ branches.transpose(0, 2, 1)
+    return np.where(mask, amp[i] * np.sqrt(w[m]) * u[i + m, r - lo, i - lo], 0.0)
 
 
 def _scatter_blocks(blocks: np.ndarray, cutoff: int) -> np.ndarray:
@@ -276,9 +279,12 @@ def target_present_fock(
     Mode order of the result is (return, idler).
 
     reflectivity 1 keeps the signal intact (the background drops out), and
-    reflectivity 0 reduces to the product state.
+    reflectivity 0 returns the product state, entry for entry.
     """
-    blocks = _present_blocks(n_signal, n_background, reflectivity, cutoff)
+    if reflectivity == 0.0:
+        return target_absent_fock(n_signal, n_background, cutoff)
+    branches = _present_branches(n_signal, n_background, reflectivity, cutoff)
+    blocks = branches @ branches.transpose(0, 2, 1)
     return FockOperator(2, cutoff, _scatter_blocks(blocks, cutoff))
 
 
@@ -288,25 +294,6 @@ def _eigen_clean(m: np.ndarray):
     if float(vals[0]) < -1e-10 * scale:
         raise ValueError(f"matrix has negative eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None), vecs
-
-
-def _block_spectra(blocks: np.ndarray, cutoff: int):
-    """Eigenvalues and squared eigenvector entries of each r - i block.
-
-    Each block is checked for symmetry and diagonalized at its own size;
-    results are zero padded like the blocks.
-    """
-    vals = np.zeros(blocks.shape[:2])
-    vecs_sq = np.zeros_like(blocks)
-    for index, padded in enumerate(blocks):
-        size = cutoff + 1 - abs(index - cutoff)
-        block = padded[:size, :size]
-        if np.max(np.abs(block - block.T)) > HERMITICITY_TOL:
-            raise ValueError(f"block r - i = {index - cutoff} is not symmetric")
-        v, u = _eigen_clean(block)
-        vals[index, :size] = v
-        vecs_sq[index, :size, :size] = u**2
-    return vals, vecs_sq
 
 
 def trace_power(op, p: float) -> float:
@@ -396,9 +383,14 @@ def oracle_overlap(
     if tails > TAIL_LIMIT:
         raise TailBudgetError(tails)
     absent = _absent_blocks(n_signal, n_background, cutoff)
-    vals, vecs_sq = _block_spectra(
-        _present_blocks(n_signal, n_background, reflectivity, cutoff), cutoff
-    )
+    # Block k is V_k V_k^T, so its eigenvalues are the squared singular values
+    # of V_k and its eigenvectors the left singular vectors: one batched SVD,
+    # nonnegative by construction, and tiny eigenvalues keep their relative
+    # precision, which eigh of V V^T loses. Padded rows of V are zero, so a
+    # singular vector with weight on them has singular value zero and drops out.
+    branches = _present_branches(n_signal, n_background, reflectivity, cutoff)
+    left, sigma, _ = np.linalg.svd(branches)
+    vals, vecs_sq = sigma**2, left**2
     # Tr[a^s b^(1-s)] with a diagonal: sum over blocks of a^s . |U|^2 . lambda^(1-s).
     q = [
         float(np.sum(np.einsum("kp,kpj->kj", absent**x, vecs_sq) * vals ** (1.0 - x)))

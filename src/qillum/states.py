@@ -330,6 +330,10 @@ def target_absent_williamson(scenario: IlluminationScenario) -> WilliamsonDecomp
     The idler pair diagonalizes by a balanced two-mode squeezer built from
     z = ((S-c)/(S+c))^(1/4); the return mode is already thermal. Valid for
     c < S, which every admissible scenario satisfies with room to spare.
+
+    Library API only: no printed number uses it (every bound takes
+    williamson_decompose). Acceptance criterion 7 checks it against the
+    numeric decomposition.
     """
     s = scenario.signal_variance
     b = scenario.background_variance
@@ -361,6 +365,7 @@ class PresentStateFactorization:
     the assembled symplectic matrix. The mu pair identities are checked on
     construction; the products mu2_plus * mu2_minus cancel catastrophically in
     the naive form, so the builder uses conjugate expressions throughout.
+    Library API only; target_present_factorization says where it breaks down.
     """
 
     beta1: float
@@ -451,6 +456,13 @@ def target_present_factorization(
     outside that region the block entries turn complex and an
     AnalyticDomainError names the first offending radicand. The numeric
     decomposition has no such restriction.
+
+    Library API only: no printed number uses it, and acceptance criterion 7
+    checks it against williamson_decompose at n_b <= 200. It breaks down in
+    the bright background: beta_minus^2 = (common - xi) / 2 subtracts two
+    numbers of size A^2, so it carries an absolute error of about eps A^2.
+    At n_s = kappa = 0.01 the per-copy exponent built on it is 194 times too
+    large at n_b = 1e6 and 1.6e8 times at n_b = 1e7.
     """
     s = scenario.signal_variance
     a = scenario.return_variance

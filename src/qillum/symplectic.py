@@ -141,7 +141,13 @@ def _as_matrix(cov) -> np.ndarray:
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
-    """Moduli of the paired eigenvalues of i*Omega*cov, one per pair, descending."""
+    """Moduli of the paired eigenvalues of i*Omega*cov, one per pair, descending.
+
+    The general eigensolver keeps the relative precision of eigenvalues near 1
+    beside a bright mode, which the Hermitian eigensolve of
+    williamson_decompose does not (tests/test_reference.py checks this path
+    against a 50-digit reference).
+    """
     m = _as_matrix(cov)
     n = m.shape[0] // 2
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ m)
@@ -150,16 +156,23 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 
 
 def williamson_decompose(cov) -> WilliamsonDecomposition:
-    """Numeric Williamson decomposition with a deterministic phase convention.
+    """Numeric Williamson decomposition with a phase convention.
 
     Algorithm: with R = cov^(1/2), the Hermitian i R Omega R has eigenvalues
     +-nu in pairs, nu the symplectic eigenvalues (Serafini, Quantum Continuous
     Variables, ch. 3). An eigenvector u of +nu gives the real orthonormal pair
     (sqrt2 Re u, -sqrt2 Im u), on which R Omega R is [[0, nu], [-nu, 0]].
     Blocks are sorted descending, and each block pair is rotated so the (x, x)
-    entry of S is nonnegative and the (x, p) entry vanishes. The rotation keeps
-    S symplectic and makes the output deterministic even for degenerate
-    eigenvalues.
+    entry of S is nonnegative and the (x, p) entry vanishes, which keeps S
+    symplectic. The rotation fixes a block only when the block has weight on
+    its own mode's x or p row. Within a group of degenerate eigenvalues, and
+    for a block with no weight on its own mode, S is fixed only up to a
+    passive rotation and can differ between LAPACK builds; each group's share
+    S diag(nu) S^T, and so q(s), does not depend on that choice.
+
+    The eigensolve is backward stable, so nu carries an absolute error of
+    about eps * max(nu): in a bright state the small eigenvalues lose relative
+    digits that symplectic_eigenvalues keeps.
     """
     m = _as_matrix(cov)
     n = m.shape[0] // 2

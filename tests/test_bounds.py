@@ -320,9 +320,8 @@ def _model_pairs(scenarios):
     for scn in scenarios:
         for model in ("three-mode", "two-mode", "coherent"):
             absent, present = illumination_states(scn, model)
-            dec_a, dec_b, _ = bounds._scenario_decompositions(scn, model)
-            dec_a = dec_a or williamson_decompose(absent.cov)
-            dec_b = dec_b or williamson_decompose(present.cov)
+            dec_a = williamson_decompose(absent.cov)
+            dec_b = williamson_decompose(present.cov)
             yield model, scn, absent, present, dec_a, dec_b
 
 
@@ -429,7 +428,7 @@ def test_zoom_search_no_worse_than_golden_section():
             ).log_value
 
         reference = _reference_chernoff_log(logq)
-        qc = chernoff_bound(absent, present, decomposition_a=dec_a, decomposition_b=dec_b)
+        qc = chernoff_bound(absent, present)
         scale = 1.0 + abs(qc.diagnostics["prefactor_log"]) + abs(qc.diagnostics["det_term_log"])
         assert qc.diagnostics["log_overlap"] <= reference + 1e-15 * scale, (model, scn)
         assert qc.diagnostics["zoom_rounds"] <= 7

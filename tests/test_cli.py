@@ -49,28 +49,24 @@ def test_bounds_text_fields(capsys):
     assert code == 0
     fields = dict(line.split(": ", 1) for line in out.splitlines())
     assert fields["model"] == "three-mode"
-    assert fields["analytic_domain"] == "closed-form"
     qb = float(fields["bhattacharyya_bound"])
     qc = float(fields["chernoff_bound"])
     assert 0.0 < qc <= qb < 0.5
     assert FLOAT12.match(fields["bhattacharyya_bound"])
 
 
-def test_bounds_analytic_domain_only_for_three_mode(capsys):
-    for model, text, flag in (
-        ("three-mode", "closed-form", True),
-        ("two-mode", "n/a", None),
-        ("coherent", "n/a", None),
-    ):
+def test_bounds_reports_no_williamson_path(capsys):
+    # Every model takes the one numeric Williamson decomposition, so there is
+    # no path to report.
+    for model in ("three-mode", "two-mode", "coherent"):
         code, out, _ = run(capsys, "bounds", "--model", model)
-        assert code == 0
-        fields = dict(line.split(": ", 1) for line in out.splitlines())
-        assert fields["analytic_domain"] == text
+        assert code == 0 and "analytic_domain" not in out
+        assert out.splitlines()[-1].startswith("asymptotic_exponent_per_copy: ")
         code, out, _ = run(capsys, "bounds", "--model", model, "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["rows"][0]["analytic_domain_ok"] is flag
-        assert report["diagnostics"]["analytic_fallbacks"] == 0
+        assert "analytic_domain_ok" not in report["rows"][0]
+        assert report["diagnostics"] == {}
 
 
 def test_bounds_printed_chernoff_never_exceeds_bhattacharyya(capsys):
@@ -154,8 +150,7 @@ def test_sweep_extras_canonical_order(capsys):
 
 
 def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
-    # qb3 is read off the Chernoff evaluation; each column still counts its
-    # own fallback. The closed form falls back everywhere on this dim grid.
+    # qb3 is read off the Chernoff evaluation.
     built = []
     original = bounds.illumination_states
 
@@ -172,7 +167,7 @@ def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
     assert code == 0
     assert built == ["three-mode"] * 3
     report = json.loads(out)
-    assert report["diagnostics"]["analytic_fallbacks"] == 6
+    assert report["diagnostics"] == {"rows": 3}
     monkeypatch.setattr(bounds, "illumination_states", original)
     for row in report["rows"]:
         scn = IlluminationScenario(n_signal=row["n_s"], n_background=0.01, reflectivity=0.1)
@@ -400,6 +395,50 @@ def test_commands_without_correlation_refuse_c(command, capsys, monkeypatch):
     assert err == f"error: {command} does not take c (set by env)\n"
 
 
+# c on sweep and oracle-check: test_commands_without_correlation_refuse_c.
+UNREAD_KEYS = [
+    ("sweep", "model", "two-mode"),
+    *(
+        ("crossover", key, value)
+        for key, value in (("ns", "0.1"), ("nb", "5"), ("kappa", "0.2"),
+                           ("copies", "7"), ("c", "0.05"), ("model", "two-mode"))
+    ),
+    ("state-info", "copies", "7"),
+    ("state-info", "model", "two-mode"),
+    ("oracle-check", "copies", "7"),
+]
+
+
+@pytest.mark.parametrize("command,key,value", UNREAD_KEYS)
+def test_commands_refuse_keys_they_do_not_read(command, key, value, tmp_path, capsys,
+                                               monkeypatch):
+    expected = f"error: {command} does not take {key} (set by {{}})\n"
+    assert run(capsys, command, f"--{key}", value) == (2, "", expected.format("flag"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    assert run(capsys, command, "--config", str(cfg)) == (2, "", expected.format("config"))
+    monkeypatch.setenv("QI_" + key.upper(), value)
+    assert run(capsys, command) == (2, "", expected.format("env"))
+
+
+def test_oracle_check_runs_the_two_mode_pair_only(capsys, monkeypatch):
+    argv = ["oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "15", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--model", "three-mode")
+    assert (code, out) == (2, "")
+    assert err == "error: oracle-check runs model two-mode only (three-mode set by flag)\n"
+    code, unset, _ = run(capsys, *argv)
+    assert code == 0
+    config = json.loads(unset)["config"]
+    assert (config["model"], config["sources"]["model"]) == ("two-mode", "default")
+    code, named, _ = run(capsys, *argv, "--model", "two-mode")
+    assert code == 0
+    assert json.loads(named)["rows"] == json.loads(unset)["rows"]
+    monkeypatch.setenv("QI_MODEL", "coherent")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: oracle-check runs model two-mode only (coherent set by env)\n"
+
+
 def test_runs_load_no_scipy():
     """A fresh interpreter runs numeric Williamson and the Fock oracle on numpy alone."""
     script = """
@@ -421,6 +460,6 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[1] == "analytic_domain: numeric fallback"
+    assert lines[1].startswith("asymptotic_exponent_per_copy: ")
     assert lines[2] == "flagged: 0"
     assert lines[-1] == "[]"

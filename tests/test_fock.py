@@ -293,27 +293,14 @@ def test_oracle_refuses_reflectivity_one():
             oracle_overlap(0.1, 0.3, 1.0, s, 20)
 
 
-def test_oracle_refuses_negative_block_eigenvalue(monkeypatch):
-    build = fock._present_blocks
-
-    def corrupted(n_signal, n_background, reflectivity, cutoff):
-        blocks = build(n_signal, n_background, reflectivity, cutoff)
-        blocks[0, 0, 0] = -1e-6  # the one-entry block r - i = -cutoff
-        return blocks
-
-    monkeypatch.setattr(fock, "_present_blocks", corrupted)
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        oracle_overlap(0.1, 0.3, 0.1, 0.5, 20)
-
-
-def test_oracle_refuses_asymmetric_block(monkeypatch):
-    build = fock._present_blocks
-
-    def corrupted(n_signal, n_background, reflectivity, cutoff):
-        blocks = build(n_signal, n_background, reflectivity, cutoff)
-        blocks[cutoff, 0, 1] += 1e-9
-        return blocks
-
-    monkeypatch.setattr(fock, "_present_blocks", corrupted)
-    with pytest.raises(ValueError, match="not symmetric"):
-        oracle_overlap(0.1, 0.3, 0.1, [0.5], 20)
+def test_oracle_keeps_small_eigenvalues_of_near_pure_blocks():
+    # A dim background leaves the present blocks near pure, and s near 1
+    # raises their tiny eigenvalues to the power 1 - s. As squared singular
+    # values of V they stay inside oracle-check's flag line of ten tail
+    # budgets; eigh of V V^T put this draw at 1.1e-10, three times over it.
+    ns, nb, kappa, cutoff, s = 0.149877, 0.00215901, 0.300162, 15, 0.9062
+    scn = IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
+    absent, present = illumination_states(scn, "two-mode")
+    gauss = power_overlap(absent, present, s).value
+    gap = abs(gauss - oracle_overlap(ns, nb, kappa, s, cutoff)) / gauss
+    assert gap <= 10.0 * oracle_tail_budget(ns, nb, kappa, cutoff)["budget"]
