@@ -300,32 +300,39 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     return result
 
 
-def error_exponent_two_mode(n_signal: float) -> float:
+def error_exponent_two_mode(n_signal: float, correlation: float | None = None) -> float:
     """Large-background exponent coefficient of the two-mode squeezed probe.
 
     The per-copy Chernoff exponent approaches kappa * gamma / n_background
     with this gamma; it exceeds the coherent-probe coefficient n_signal / 4
-    by a factor approaching 4 as n_signal -> 0.
+    by a factor approaching 4 as n_signal -> 0. A correlation c below the
+    maximal 2*sqrt(nS(1+nS)) gives c^2 (S - sqrt(S^2 - 1)) / 4, written as
+    c^2 (sqrt(1+nS) - sqrt(nS))^2 / 4 to avoid the cancellation.
     """
     ns = n_signal
     if ns < 0:
         raise ValueError("photon number must be nonnegative")
+    if correlation is not None:
+        return 0.25 * correlation**2 * (math.sqrt(1.0 + ns) - math.sqrt(ns)) ** 2
     if ns == 0:
         return 0.0
     root = math.sqrt(ns * (1.0 + ns))
     return ns * (1.0 + ns) * (1.0 + ns - root) / (1.0 + ns + root)
 
 
-def error_exponent_three_mode(n_signal: float) -> float:
-    """Large-background exponent coefficient of the symmetric three-mode probe
-    at its maximal correlation amplitude."""
+def error_exponent_three_mode(n_signal: float, correlation: float | None = None) -> float:
+    """Large-background exponent coefficient of the symmetric three-mode probe.
+
+    c^2 S (1 - sqrt(nu^2 - 1) / nu) / 2 with nu = sqrt(S^2 - c^2), at the given
+    correlation c or, when None, at the maximal (det V = 1) amplitude.
+    """
     ns = n_signal
     if ns < 0:
         raise ValueError("photon number must be nonnegative")
     if ns == 0:
         return 0.0
     s = 2.0 * ns + 1.0
-    c = max_three_mode_correlation(ns)
+    c = max_three_mode_correlation(ns) if correlation is None else correlation
     nu = math.sqrt(s * s - c * c)
     return 0.5 * c * c * s * (1.0 - math.sqrt(nu * nu - 1.0) / nu)
 

@@ -15,13 +15,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
     coherent_exponent_coefficient,
+    compare_exponents,
     error_exponent_three_mode,
     error_exponent_two_mode,
     find_crossover,
@@ -41,26 +41,29 @@ from .states import (
 )
 from .symplectic import Bipartition, is_physical, is_pure, log_negativity, symplectic_eigenvalues
 
-DEFAULTS = {
-    "ns": 0.01,
-    "nb": 100.0,
-    "kappa": 0.01,
-    "copies": 1000000,
-    "c": None,
-    "model": "three-mode",
+# The six scenario keys, each a --flag, a QI_* variable and a config-file key,
+# echoed in every JSON config: (type or choices, default, help).
+KEYS = {
+    "ns": (float, 0.01, "mean signal photon number"),
+    "nb": (float, 100.0, "mean background photon number"),
+    "kappa": (float, 0.01, "target reflectivity in [0, 1]"),
+    "copies": (int, 1000000, "number of probe copies M"),
+    "c": (float, None, "correlation amplitude (default: the maximal one for the model)"),
+    "model": (("two-mode", "three-mode", "coherent"), "three-mode", None),
 }
-MODEL_TOKENS = ("two-mode", "three-mode", "coherent")
-PARAM_TOKENS = ("nS", "nB", "kappa", "M")
+# The scenario field each sweep parameter sets.
+PARAM_FIELDS = {"nS": "n_signal", "nB": "n_background", "kappa": "reflectivity", "M": "copies"}
 EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
 # Configuration keys a command does not read, each with the one value it runs
 # (None: none). Setting such a key to anything else, by flag, QI_* variable or
-# config file, is refused; oracle-check checks the two-mode pair only.
+# config file, is refused; oracle-check checks the two-mode pair only. The
+# coherent probe has no correlation, so no command takes c with that model.
 UNREAD_KEYS = {
     "sweep": {"c": None, "model": None},
-    "crossover": dict.fromkeys(("ns", "nb", "kappa", "copies", "c", "model")),
+    "crossover": dict.fromkeys(KEYS),
     "state-info": {"copies": None, "model": None},
     "oracle-check": {"c": None, "copies": None, "model": "two-mode"},
 }
@@ -91,18 +94,15 @@ def _emit(text: str, out_path):
 
 
 def _convert(key: str, raw: str):
+    kind = KEYS[key][0]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise CliError(2, f"unknown {key} {raw!r}; expected one of {kind}")
+        return raw
     try:
-        if key in ("ns", "nb", "kappa", "c"):
-            return float(raw)
-        if key == "copies":
-            return int(raw)
+        return kind(raw)
     except ValueError as exc:
         raise CliError(2, f"invalid value for {key}: {raw!r}") from exc
-    if key == "model":
-        if raw not in MODEL_TOKENS:
-            raise CliError(2, f"unknown model {raw!r}; expected one of {MODEL_TOKENS}")
-        return raw
-    raise CliError(2, f"unknown configuration key {key!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -120,7 +120,7 @@ def _read_config_file(path: str) -> dict:
             raise CliError(2, f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise CliError(2, f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw.strip())
     return values
@@ -129,32 +129,34 @@ def _read_config_file(path: str) -> dict:
 def resolve_config(args) -> dict:
     """Merge defaults, config file, environment, and flags, in rising priority.
 
-    A key the command does not read (UNREAD_KEYS) exits 2 when it is set.
+    Returns the six keys, then `sources`: where each value came from. A key
+    the command does not read (UNREAD_KEYS) exits 2 when it is set.
     """
-    resolved = dict(DEFAULTS)
-    sources = {key: "default" for key in DEFAULTS}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _read_config_file(config_path).items():
+    resolved = {key: default for key, (_, default, _) in KEYS.items()}
+    sources = dict.fromkeys(KEYS, "default")
+    if args.config:
+        for key, value in _read_config_file(args.config).items():
             resolved[key] = value
             sources[key] = "config"
-    for key in DEFAULTS:
+    for key in KEYS:
         raw = os.environ.get("QI_" + key.upper())
         if raw is not None:
             resolved[key] = _convert(key, raw)
             sources[key] = "env"
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for key in KEYS:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
             sources[key] = "flag"
-    command = getattr(args, "command", None)
-    for key, runs in UNREAD_KEYS.get(command, {}).items():
+    unread = UNREAD_KEYS.get(args.command, {})
+    if resolved["model"] == "coherent":
+        unread = {**unread, "c": None}
+    for key, runs in unread.items():
         if sources[key] != "default" and resolved[key] != runs:
             if runs is None:
-                raise CliError(2, f"{command} does not take {key} (set by {sources[key]})")
+                raise CliError(2, f"{args.command} does not take {key} (set by {sources[key]})")
             raise CliError(
-                2, f"{command} runs {key} {runs} only ({resolved[key]} set by {sources[key]})"
+                2, f"{args.command} runs {key} {runs} only ({resolved[key]} set by {sources[key]})"
             )
         if runs is not None:
             resolved[key] = runs
@@ -177,14 +179,6 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         raise CliError(2, str(exc)) from exc
 
 
-def _check_format(fmt: str, allowed: tuple, command: str) -> str:
-    if fmt is None:
-        return allowed[0]
-    if fmt not in allowed:
-        raise CliError(2, f"format {fmt!r} not supported by {command}; use one of {allowed}")
-    return fmt
-
-
 def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
     report = {
         "schema": 1,
@@ -196,101 +190,31 @@ def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _config_echo(resolved: dict, **extra) -> dict:
-    echo = {
-        "ns": resolved["ns"],
-        "nb": resolved["nb"],
-        "kappa": resolved["kappa"],
-        "copies": resolved["copies"],
-        "c": resolved["c"],
-        "model": resolved["model"],
-        "sources": resolved["sources"],
-    }
-    echo.update(extra)
-    return echo
-
-
-@dataclass
-class SweepSpec:
-    """Grid description for cmd_sweep."""
-
-    parameter: str
-    start: float
-    stop: float
-    count: int
-    spacing: str = "log"
-    extras: tuple = ()
-
-    def __post_init__(self):
-        if self.parameter not in PARAM_TOKENS:
-            raise CliError(2, f"unknown sweep parameter {self.parameter!r}")
-        if self.count < 2:
-            raise CliError(2, "sweep needs at least 2 grid points")
-        if not self.start < self.stop:
-            raise CliError(2, "sweep start must be below stop")
-        if self.spacing not in ("linear", "log"):
-            raise CliError(2, f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0:
-            raise CliError(2, "log spacing requires a positive start")
-        if self.parameter == "M" and self.start < 1:
-            raise CliError(2, "copy-count sweeps must start at 1 or above")
-        bad = [e for e in self.extras if e not in EXTRA_ORDER]
-        if bad:
-            raise CliError(2, f"unknown extras {bad}; choose from {EXTRA_ORDER}")
-        self.extras = tuple(e for e in EXTRA_ORDER if e in self.extras)
-
-    def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop), self.count)
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass
-class RunReport:
-    """Everything one command run produced, ready for serialization."""
-
-    config: dict
-    rows: list
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return _json_report(self.config, self.rows, self.diagnostics)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once, on the first main call: QI_* values are read in resolve_config.
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Gaussian quantum illumination bounds and diagnostics.",
-        epilog="Environment: QI_NS, QI_NB, QI_KAPPA, QI_COPIES, QI_C, QI_MODEL "
+        epilog=f"Environment: {', '.join('QI_' + key.upper() for key in KEYS)} "
         "override defaults.",
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p):
-        p.add_argument("--ns", type=float, default=None, help="mean signal photon number")
-        p.add_argument("--nb", type=float, default=None, help="mean background photon number")
-        p.add_argument("--kappa", type=float, default=None, help="target reflectivity in [0, 1]")
-        p.add_argument("--copies", type=int, default=None, help="number of probe copies M")
-        p.add_argument(
-            "--c",
-            type=float,
-            default=None,
-            help="correlation amplitude (default: the maximal one for the model)",
-        )
-        p.add_argument("--model", choices=MODEL_TOKENS, default=None)
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for key, (kind, _, text) in KEYS.items():
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(f"--{key}", **check, default=None, help=text)
         p.add_argument("--format", dest="fmt", default=None, help="output format")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--config", default=None, help="key=value configuration file")
+        return p
 
-    p_bounds = sub.add_parser("bounds", help="error-probability bounds for one scenario")
-    add_shared(p_bounds)
-
-    p_sweep = sub.add_parser("sweep", help="exponent comparison over a parameter grid")
-    add_shared(p_sweep)
-    p_sweep.add_argument("--param", choices=PARAM_TOKENS, default="nS")
+    add_command("bounds", "error-probability bounds for one scenario")
+    p_sweep = add_command("sweep", "exponent comparison over a parameter grid")
+    p_sweep.add_argument("--param", choices=tuple(PARAM_FIELDS), default="nS")
     p_sweep.add_argument("--start", type=float, default=0.01)
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--count", type=int, default=100)
@@ -301,16 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated bound columns: qb2,qb3,qb_coherent,chernoff3",
     )
     p_sweep.add_argument("--plot", default=None, help="write an SVG of the ratio curve here")
-
-    p_cross = sub.add_parser("crossover", help="signal strength where the probes tie")
-    add_shared(p_cross)
-
-    p_state = sub.add_parser("state-info", help="covariance and entanglement summary")
-    add_shared(p_state)
+    add_command("crossover", "signal strength where the probes tie")
+    p_state = add_command("state-info", "covariance and entanglement summary")
     p_state.add_argument("--state", choices=STATE_TOKENS, default="rho")
-
-    p_oracle = sub.add_parser("oracle-check", help="Gaussian engine vs number-basis oracle")
-    add_shared(p_oracle)
+    p_oracle = add_command("oracle-check", "Gaussian engine vs number-basis oracle")
     p_oracle.add_argument("--cutoff", type=int, default=20)
     p_oracle.add_argument(
         "--s-grid", default="0.25,0.5,0.75", help="comma-separated s values in (0, 1)"
@@ -318,112 +236,99 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _asymptotic_exponent(resolved: dict, model: str, n_signal: float) -> float:
-    kappa = resolved["kappa"]
-    nb = resolved["nb"]
-    if nb <= 0:
+def _asymptotic_exponent(scenario: IlluminationScenario, model: str) -> float:
+    """kappa * gamma / n_b, with gamma at the probe's correlation."""
+    if scenario.n_background <= 0:
         return math.inf
     if model == "three-mode":
-        return kappa * error_exponent_three_mode(n_signal) / nb
-    if model == "two-mode":
-        return kappa * error_exponent_two_mode(n_signal) / nb
-    return kappa * coherent_exponent_coefficient(n_signal) / nb
+        gamma = error_exponent_three_mode(scenario.n_signal, scenario.correlation)
+    elif model == "two-mode":
+        gamma = error_exponent_two_mode(scenario.n_signal, scenario.correlation)
+    else:
+        gamma = coherent_exponent_coefficient(scenario.n_signal)
+    return scenario.reflectivity * gamma / scenario.n_background
 
 
-def cmd_bounds(args) -> int:
-    resolved = resolve_config(args)
-    fmt = _check_format(args.fmt, ("text", "json"), "bounds")
+# Each command takes the parsed arguments and the resolved configuration and
+# returns (config extras, rows, diagnostics, text renderer of the rows); _run
+# emits either the JSON report or the renderer's text.
+
+
+def cmd_bounds(args, resolved: dict):
     model = resolved["model"]
     scenario = _scenario(resolved)
     qc = illumination_chernoff(scenario, model)
     qb = qc.bhattacharyya
-    asymptotic = _asymptotic_exponent(resolved, model, scenario.n_signal)
-    correlation = scenario.probe_correlation(model)
-
     row = {
         "model": model,
         "n_signal": scenario.n_signal,
         "n_background": scenario.n_background,
         "reflectivity": scenario.reflectivity,
         "copies": scenario.copies,
-        "correlation": correlation,
+        "correlation": scenario.probe_correlation(model),
         "bhattacharyya_bound": qb.value,
         "chernoff_bound": qc.value,
         "optimal_s": qc.s_used,
         "exponent_per_copy_qb": qb.diagnostics["exponent_per_copy"],
         "exponent_per_copy_qc": qc.diagnostics["exponent_per_copy"],
-        "asymptotic_exponent_per_copy": asymptotic,
+        "asymptotic_exponent_per_copy": _asymptotic_exponent(scenario, model),
     }
-    if fmt == "json":
-        _emit(RunReport(config=_config_echo(resolved), rows=[row]).to_json(), args.out)
-        return 0
-    lines = [
-        f"model: {model}",
-        f"n_signal: {_fmt(scenario.n_signal)}",
-        f"n_background: {_fmt(scenario.n_background)}",
-        f"reflectivity: {_fmt(scenario.reflectivity)}",
-        f"copies: {scenario.copies}",
-    ]
-    if correlation is not None:
-        lines.append(f"correlation: {_fmt(correlation)}")
-    lines += [
-        f"bhattacharyya_bound: {_fmt(qb.value)}",
-        f"chernoff_bound: {_fmt(qc.value)}",
-        f"optimal_s: {qc.s_used:.10f}",
-        f"exponent_per_copy_qb: {_fmt(row['exponent_per_copy_qb'])}",
-        f"exponent_per_copy_qc: {_fmt(row['exponent_per_copy_qc'])}",
-        f"asymptotic_exponent_per_copy: {_fmt(asymptotic)}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {}, [row], {}, _render_bounds
 
 
-def _sweep_row(resolved: dict, spec: SweepSpec, value: float) -> dict:
-    overrides = {}
-    if spec.parameter == "nS":
-        overrides["n_signal"] = value
-    elif spec.parameter == "nB":
-        overrides["n_background"] = value
-    elif spec.parameter == "kappa":
-        overrides["reflectivity"] = value
-    else:
-        overrides["copies"] = max(1, int(round(value)))
-    scenario = _scenario(resolved, **overrides)
+def _render_bounds(rows: list) -> str:
+    # One "key: value" line per row field; the coherent probe has no correlation.
+    lines = []
+    for key, value in rows[0].items():
+        if value is None:
+            continue
+        if key == "optimal_s":
+            value = f"{value:.10f}"
+        elif isinstance(value, float):
+            value = _fmt(value)
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_row(resolved: dict, parameter: str, extras: list, value: float) -> dict:
+    setting = max(1, int(round(value))) if parameter == "M" else value
+    scenario = _scenario(resolved, **{PARAM_FIELDS[parameter]: setting})
+    gammas = compare_exponents(scenario.n_signal)
     row = {
         "sweep_value": value,
         "n_s": scenario.n_signal,
-        "gamma2": error_exponent_two_mode(scenario.n_signal),
-        "gamma3": error_exponent_three_mode(scenario.n_signal),
+        "gamma2": gammas.gamma2,
+        "gamma3": gammas.gamma3,
+        "ratio": gammas.ratio,
     }
-    row["ratio"] = row["gamma3"] / row["gamma2"] if row["gamma2"] > 0 else math.nan
     results = {}
-    if "chernoff3" in spec.extras:
+    if "chernoff3" in extras:
         results["chernoff3"] = illumination_chernoff(scenario, "three-mode")
         # Same states, one evaluation: qb3 is the Chernoff grid's s = 1/2 entry.
         results["qb3"] = results["chernoff3"].bhattacharyya
-    for extra in spec.extras:
+    for extra in extras:
         if extra not in results:
             results[extra] = illumination_bhattacharyya(scenario, EXTRA_MODELS[extra])
         row[extra] = results[extra].value
     return row
 
 
-def _render_csv(spec: SweepSpec, rows: list) -> str:
-    header = ["n_s", "gamma2", "gamma3", "ratio"] + list(spec.extras)
+def _render_csv(extras: list, rows: list) -> str:
+    header = ["n_s", "gamma2", "gamma3", "ratio"] + extras
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in header))
     return "\n".join(lines) + "\n"
 
 
-def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
+def _render_ratio_svg(args, rows: list, crossover_ns: float) -> str:
     width, height = 800.0, 600.0
     left, right, top, bottom = 70.0, 775.0, 25.0, 545.0
 
     def xu(v: float) -> float:
-        return math.log10(v) if spec.spacing == "log" else v
+        return math.log10(v) if args.spacing == "log" else v
 
-    u0, u1 = xu(spec.start), xu(spec.stop)
+    u0, u1 = xu(args.start), xu(args.stop)
     xs = [xu(row["sweep_value"]) for row in rows]
     ys = [row["ratio"] for row in rows]
     ymin = min(min(ys), 1.0)
@@ -444,13 +349,13 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
         f'height="{bottom - top:.2f}" fill="none" stroke="black"/>',
     ]
 
-    if spec.spacing == "log":
+    if args.spacing == "log":
         k0 = math.ceil(u0 - 1e-9)
         k1 = math.floor(u1 + 1e-9)
         ticks = [(10.0**k, f"{10.0 ** k:g}") for k in range(k0, k1 + 1)]
     else:
         ticks = [
-            (spec.start + i * (spec.stop - spec.start) / 4.0, "")
+            (args.start + i * (args.stop - args.start) / 4.0, "")
             for i in range(5)
         ]
         ticks = [(v, f"{v:g}") for v, _ in ticks]
@@ -476,7 +381,7 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
             f'<line x1="{left:.2f}" y1="{py(1.0):.2f}" x2="{right:.2f}" y2="{py(1.0):.2f}" '
             f'stroke="gray" stroke-dasharray="6,4"/>'
         )
-    if spec.parameter == "nS" and spec.start <= crossover_ns <= spec.stop:
+    if args.param == "nS" and args.start <= crossover_ns <= args.stop:
         x = px(xu(crossover_ns))
         parts.append(
             f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{bottom:.2f}" '
@@ -485,7 +390,7 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
 
     points = " ".join(f"{px(u):.2f},{py(y):.2f}" for u, y in zip(xs, ys))
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="2"/>')
-    axis_label = "n_s" if spec.parameter == "nS" else spec.parameter
+    axis_label = "n_s" if args.param == "nS" else args.param
     parts.append(
         f'<text x="{(left + right) / 2:.2f}" y="{height - 12:.2f}" font-size="16" '
         f'text-anchor="middle">{axis_label}</text>'
@@ -498,63 +403,56 @@ def _render_ratio_svg(spec: SweepSpec, rows: list, crossover_ns: float) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    resolved = resolve_config(args)
-    fmt = _check_format(args.fmt, ("csv", "json"), "sweep")
-    extras = tuple(e for e in args.extras.split(",") if e)
-    extras = tuple("qb_coherent" if e == "qbCoherent" else e for e in extras)
-    spec = SweepSpec(
-        parameter=args.param,
-        start=args.start,
-        stop=args.stop,
-        count=args.count,
-        spacing=args.spacing,
-        extras=extras,
-    )
-    rows = [_sweep_row(resolved, spec, float(v)) for v in spec.grid()]
-
-    diagnostics = {"rows": len(rows)}
-    config = _config_echo(
-        resolved,
-        param=spec.parameter,
-        start=spec.start,
-        stop=spec.stop,
-        count=spec.count,
-        spacing=spec.spacing,
-        extras=list(spec.extras),
-    )
-    if args.plot is not None:
-        crossover = find_crossover().n_signal
-        _emit(_render_ratio_svg(spec, rows, crossover), args.plot)
-    if fmt == "json":
-        _emit(RunReport(config=config, rows=rows, diagnostics=diagnostics).to_json(), args.out)
+def cmd_sweep(args, resolved: dict):
+    # argparse already holds --param and --spacing to their choices.
+    if args.count < 2:
+        raise CliError(2, "sweep needs at least 2 grid points")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise CliError(2, "sweep start and stop must be finite")
+    if not args.start < args.stop:
+        raise CliError(2, "sweep start must be below stop")
+    if args.spacing == "log" and args.start <= 0:
+        raise CliError(2, "log spacing requires a positive start")
+    if args.param == "M" and args.start < 1:
+        raise CliError(2, "copy-count sweeps must start at 1 or above")
+    requested = ["qb_coherent" if e == "qbCoherent" else e for e in args.extras.split(",") if e]
+    bad = [e for e in requested if e not in EXTRA_ORDER]
+    if bad:
+        raise CliError(2, f"unknown extras {bad}; choose from {EXTRA_ORDER}")
+    extras = [e for e in EXTRA_ORDER if e in requested]
+    if args.spacing == "log":
+        grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.count)
     else:
-        _emit(_render_csv(spec, rows), args.out)
-    return 0
+        grid = np.linspace(args.start, args.stop, args.count)
+    rows = [_sweep_row(resolved, args.param, extras, float(v)) for v in grid]
+    if args.plot is not None:
+        _emit(_render_ratio_svg(args, rows, find_crossover().n_signal), args.plot)
+    config = {
+        "param": args.param,
+        "start": args.start,
+        "stop": args.stop,
+        "count": args.count,
+        "spacing": args.spacing,
+        "extras": extras,
+    }
+    return config, rows, {"rows": len(rows)}, functools.partial(_render_csv, extras)
 
 
-def cmd_crossover(args) -> int:
-    resolved = resolve_config(args)
-    fmt = _check_format(args.fmt, ("text", "json"), "crossover")
+def cmd_crossover(args, resolved: dict):
     result = find_crossover()
-    if fmt == "json":
-        report = RunReport(
-            config=_config_echo(resolved),
-            rows=[{"crossover_n_s": result.n_signal, "ratio_residual": result.residual}],
-        )
-        _emit(report.to_json(), args.out)
-        return 0
-    text = (
-        f"crossover_n_s: {result.n_signal:.6f}\n"
-        f"ratio_residual: {result.residual:.3e}\n"
+    row = {"crossover_n_s": result.n_signal, "ratio_residual": result.residual}
+    return {}, [row], {}, _render_crossover
+
+
+def _render_crossover(rows: list) -> str:
+    (row,) = rows
+    return (
+        f"crossover_n_s: {row['crossover_n_s']:.6f}\n"
+        f"ratio_residual: {row['ratio_residual']:.3e}\n"
     )
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_state_info(args) -> int:
-    resolved = resolve_config(args)
-    fmt = _check_format(args.fmt, ("text", "json"), "state-info")
+def cmd_state_info(args, resolved: dict):
     scenario = _scenario(resolved)
     if args.state == "initial3":
         cov = three_mode_cov(scenario.n_signal, scenario.probe_correlation("three-mode"))
@@ -562,47 +460,41 @@ def cmd_state_info(args) -> int:
         cov = target_absent_cov(scenario)
     else:
         cov = target_present_cov(scenario)
-
-    nus = symplectic_eigenvalues(cov)
     modes = cov.n
-    negativities = [
-        log_negativity(cov, Bipartition(n_modes=modes, transposed=(j,)))
-        for j in range(modes)
-    ]
     row = {
         "state": args.state,
         "modes": modes,
         "covariance": [[float(v) for v in r] for r in cov.matrix],
-        "symplectic_eigenvalues": [float(v) for v in nus],
+        "symplectic_eigenvalues": [float(v) for v in symplectic_eigenvalues(cov)],
         "pure": bool(is_pure(cov)),
         "physical": bool(is_physical(cov)),
         "max_correlation": max_three_mode_correlation(scenario.n_signal),
         "separability_threshold": separability_threshold(scenario.n_signal),
         "log_negativity": {
-            f"mode{j}_vs_rest": negativities[j] for j in range(modes)
+            f"mode{j}_vs_rest": log_negativity(cov, Bipartition(n_modes=modes, transposed=(j,)))
+            for j in range(modes)
         },
     }
-    if fmt == "json":
-        report = RunReport(config=_config_echo(resolved, state=args.state), rows=[row])
-        _emit(report.to_json(), args.out)
-        return 0
-    lines = [f"state: {args.state}", f"modes: {modes}", "covariance:"]
-    for r in cov.matrix:
+    return {"state": args.state}, [row], {}, _render_state_info
+
+
+def _render_state_info(rows: list) -> str:
+    (row,) = rows
+    lines = [f"state: {row['state']}", f"modes: {row['modes']}", "covariance:"]
+    for r in row["covariance"]:
         lines.append("  " + " ".join(f"{v: .6e}" for v in r))
+    nus = row["symplectic_eigenvalues"]
     lines.append("symplectic_eigenvalues: " + " ".join(_fmt(v) for v in nus))
     lines.append(f"pure: {'yes' if row['pure'] else 'no'}")
     lines.append(f"physical: {'yes' if row['physical'] else 'no'}")
     lines.append(f"max_correlation: {_fmt(row['max_correlation'])}")
     lines.append(f"separability_threshold: {_fmt(row['separability_threshold'])}")
-    for j in range(modes):
-        lines.append(f"log_negativity_mode{j}_vs_rest: {_fmt(negativities[j])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    for key, value in row["log_negativity"].items():
+        lines.append(f"log_negativity_{key}: {_fmt(value)}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_oracle_check(args) -> int:
-    resolved = resolve_config(args)
-    fmt = _check_format(args.fmt, ("text", "json"), "oracle-check")
+def cmd_oracle_check(args, resolved: dict):
     try:
         s_values = [float(tok) for tok in args.s_grid.split(",") if tok]
     except ValueError as exc:
@@ -610,25 +502,14 @@ def cmd_oracle_check(args) -> int:
     if not s_values or not all(0.0 < s < 1.0 for s in s_values):
         raise CliError(2, "s grid values must lie strictly inside (0, 1)")
     scenario = _scenario(resolved, copies=1)
-
-    budget = oracle_tail_budget(
-        scenario.n_signal, scenario.n_background, scenario.reflectivity, args.cutoff
-    )["budget"]
-    oracle_values = oracle_overlap(
-        scenario.n_signal,
-        scenario.n_background,
-        scenario.reflectivity,
-        s_values,
-        args.cutoff,
-    )
+    ns, nb, kappa = scenario.n_signal, scenario.n_background, scenario.reflectivity
+    budget = oracle_tail_budget(ns, nb, kappa, args.cutoff)["budget"]
+    oracle_values = oracle_overlap(ns, nb, kappa, s_values, args.cutoff)
     absent, present = illumination_states(scenario, "two-mode")
     gaussian_values = [ov.value for ov in power_overlap(absent, present, s_values)]
     rows = []
-    flagged = 0
     for s, gaussian, oracle in zip(s_values, gaussian_values, oracle_values):
         gap = abs(gaussian - oracle) / max(abs(gaussian), 1e-300)
-        flag = bool(gap > 10.0 * budget)
-        flagged += int(flag)
         rows.append(
             {
                 "s": s,
@@ -636,14 +517,15 @@ def cmd_oracle_check(args) -> int:
                 "oracle_qs": oracle,
                 "relative_gap": gap,
                 "tail_budget": budget,
-                "flagged": flag,
+                "flagged": bool(gap > 10.0 * budget),
             }
         )
-    config = _config_echo(resolved, cutoff=args.cutoff, s_grid=s_values)
-    diagnostics = {"flagged": flagged}
-    if fmt == "json":
-        _emit(RunReport(config=config, rows=rows, diagnostics=diagnostics).to_json(), args.out)
-        return 0
+    diagnostics = {"flagged": sum(row["flagged"] for row in rows)}
+    config = {"cutoff": args.cutoff, "s_grid": s_values}
+    return config, rows, diagnostics, _render_oracle_check
+
+
+def _render_oracle_check(rows: list) -> str:
     lines = ["s gaussian_qs oracle_qs relative_gap tail_budget flag"]
     for row in rows:
         lines.append(
@@ -651,18 +533,32 @@ def cmd_oracle_check(args) -> int:
             f"{_fmt(row['relative_gap'])} {_fmt(row['tail_budget'])} "
             f"{'GAP' if row['flagged'] else 'ok'}"
         )
-    lines.append(f"flagged: {flagged}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    lines.append(f"flagged: {sum(row['flagged'] for row in rows)}")
+    return "\n".join(lines) + "\n"
 
 
+# Each command with its --format choices; the first is the default.
 _COMMANDS = {
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "crossover": cmd_crossover,
-    "state-info": cmd_state_info,
-    "oracle-check": cmd_oracle_check,
+    "bounds": (cmd_bounds, ("text", "json")),
+    "sweep": (cmd_sweep, ("csv", "json")),
+    "crossover": (cmd_crossover, ("text", "json")),
+    "state-info": (cmd_state_info, ("text", "json")),
+    "oracle-check": (cmd_oracle_check, ("text", "json")),
 }
+
+
+def _run(args) -> int:
+    command, formats = _COMMANDS[args.command]
+    resolved = resolve_config(args)
+    fmt = formats[0] if args.fmt is None else args.fmt
+    if fmt not in formats:
+        raise CliError(2, f"format {fmt!r} not supported by {args.command}; use one of {formats}")
+    config, rows, diagnostics, render = command(args, resolved)
+    if fmt == "json":
+        _emit(_json_report({**resolved, **config}, rows, diagnostics), args.out)
+    else:
+        _emit(render(rows), args.out)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -672,7 +568,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -56,6 +56,10 @@ class IlluminationScenario:
     correlation: float | None = None
 
     def __post_init__(self):
+        for name in ("n_signal", "n_background", "correlation"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_signal < 0 or self.n_background < 0:
             raise ValueError("photon numbers must be nonnegative")
         if not 0.0 <= self.reflectivity <= 1.0:
@@ -141,11 +145,14 @@ def _cubic_slope(x: float, t: float) -> float:
 
 
 def max_three_mode_correlation(n_signal: float) -> float:
-    """Largest correlation amplitude the symmetric three-mode probe supports.
+    """Correlation amplitude where the symmetric three-mode probe has det V = 1.
 
     Square root of the unique real root in (0, S^2/2) of the determinant cubic
     of the probe covariance. Bracketed Newton with bisection fallback,
-    converging to |dx| < 1e-15 * S^2 with two polish steps.
+    converging to |dx| < 1e-15 * S^2 with two polish steps. This is the
+    paper's (and the default) correlation, but not a physical one: the probe
+    is a quantum state only for c <= sqrt(nS(1 + nS)), which lies below this
+    root for every nS > 0 (see three_mode_cov).
     """
     if n_signal < 0:
         raise ValueError("photon number must be nonnegative")
@@ -180,18 +187,6 @@ def max_three_mode_correlation(n_signal: float) -> float:
             break
         x = xn
     return math.sqrt(max(x, 0.0))
-
-
-def max_three_mode_correlation_small_asymptotic(n_signal: float) -> float:
-    """Leading small-signal series of the maximal correlation. Tests only."""
-    return math.sqrt(2.0 * n_signal) * (
-        1.0 - (2.0 / 3.0) * n_signal**2 + (4.0 / 3.0) * n_signal**3
-    )
-
-
-def max_three_mode_correlation_large_asymptotic(n_signal: float) -> float:
-    """Leading large-signal series of the maximal correlation. Tests only."""
-    return n_signal + 0.5 - n_signal ** -5.0 / 72.0
 
 
 def separability_threshold(n_signal: float) -> float:

@@ -1,10 +1,22 @@
-"""Shared builders for randomized covariance tests."""
+"""Shared builders for randomized covariance tests, and asymptotic reference series."""
 
 import math
 
 import numpy as np
 
 from qillum import IlluminationScenario, symplectic_form
+
+
+def max_three_mode_correlation_small_asymptotic(n_signal: float) -> float:
+    """Leading small-signal series of the maximal three-mode correlation."""
+    return math.sqrt(2.0 * n_signal) * (
+        1.0 - (2.0 / 3.0) * n_signal**2 + (4.0 / 3.0) * n_signal**3
+    )
+
+
+def max_three_mode_correlation_large_asymptotic(n_signal: float) -> float:
+    """Leading large-signal series of the maximal three-mode correlation."""
+    return n_signal + 0.5 - n_signal ** -5.0 / 72.0
 
 
 def rotation_symplectic(n: int, j: int, theta: float) -> np.ndarray:

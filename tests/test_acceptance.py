@@ -13,6 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import (
+    max_three_mode_correlation_large_asymptotic,
+    max_three_mode_correlation_small_asymptotic,
+)
 from qillum import (
     Bipartition,
     IlluminationScenario,
@@ -40,10 +44,6 @@ from qillum import (
     williamson_decompose,
 )
 from qillum.cli import main
-from qillum.states import (
-    max_three_mode_correlation_large_asymptotic,
-    max_three_mode_correlation_small_asymptotic,
-)
 
 
 def test_criterion_01_crossover_location():

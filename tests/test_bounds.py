@@ -20,11 +20,13 @@ from qillum import (
     illumination_bhattacharyya,
     illumination_chernoff,
     illumination_states,
+    max_three_mode_correlation,
     power_overlap,
     power_trace,
     power_variance,
     target_absent_williamson,
     target_present_factorization,
+    tmsv_correlation,
     williamson_decompose,
 )
 
@@ -182,6 +184,18 @@ def test_exponent_coefficients_reference_values():
     assert error_exponent_three_mode(0.0) == 0.0
     with pytest.raises(ValueError):
         error_exponent_two_mode(-0.1)
+
+
+@pytest.mark.parametrize("ns", [1e-4, 0.01, 0.3, 5.0])
+def test_exponent_coefficients_at_the_maximal_correlation(ns):
+    # An explicit maximal correlation gives the default coefficient: the same
+    # formula for three-mode, a cancellation-free rewrite for two-mode.
+    cmax = max_three_mode_correlation(ns)
+    assert error_exponent_three_mode(ns, cmax) == error_exponent_three_mode(ns)
+    assert error_exponent_two_mode(ns, tmsv_correlation(ns)) == pytest.approx(
+        error_exponent_two_mode(ns), rel=1e-14
+    )
+    assert error_exponent_two_mode(ns, 0.0) == error_exponent_three_mode(ns, 0.0) == 0.0
 
 
 def test_exponent_small_signal_limits():

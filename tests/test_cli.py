@@ -463,3 +463,124 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert lines[1].startswith("asymptotic_exponent_per_copy: ")
     assert lines[2] == "flagged: 0"
     assert lines[-1] == "[]"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["crossover"], "crossover.txt"),
+        (["crossover", "--format", "json"], "crossover.json"),
+        (["sweep", "--count", "5"], "sweep5.csv"),
+        (["sweep", "--count", "5", "--format", "json"], "sweep5.json"),
+    ],
+)
+def test_outputs_match_recorded_bytes(argv, golden, capsys):
+    # Python float math only, so these bytes are the same on every machine.
+    assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+def test_sweep_plot_matches_recorded_bytes(tmp_path, capsys):
+    plot = tmp_path / "ratio.svg"
+    assert run(capsys, "sweep", "--count", "5", "--plot", str(plot))[0] == 0
+    assert plot.read_bytes() == (GOLDEN / "sweep5.svg").read_bytes()
+
+
+EXTRAS = "('qb2', 'qb3', 'qb_coherent', 'chernoff3')"
+MODELS = "('two-mode', 'three-mode', 'coherent')"
+REFUSALS = [
+    (["bounds", "--format", "csv"], {},
+     "format 'csv' not supported by bounds; use one of ('text', 'json')"),
+    (["sweep", "--format", "text"], {},
+     "format 'text' not supported by sweep; use one of ('csv', 'json')"),
+    (["crossover", "--format", ""], {},
+     "format '' not supported by crossover; use one of ('text', 'json')"),
+    (["sweep", "--count", "1"], {}, "sweep needs at least 2 grid points"),
+    (["sweep", "--start", "1", "--stop", "0.5"], {}, "sweep start must be below stop"),
+    (["sweep", "--start", "1", "--stop", "1"], {}, "sweep start must be below stop"),
+    (["sweep", "--start", "0"], {}, "log spacing requires a positive start"),
+    (["sweep", "--param", "M", "--start", "0.5", "--stop", "9", "--spacing", "linear"], {},
+     "copy-count sweeps must start at 1 or above"),
+    (["sweep", "--extras", "qb2,nope,qbCoherent,zz"], {},
+     f"unknown extras ['nope', 'zz']; choose from {EXTRAS}"),
+    (["oracle-check", "--s-grid", "x"], {}, "bad s grid 'x'"),
+    (["oracle-check", "--s-grid", "0,0.5"], {}, "s grid values must lie strictly inside (0, 1)"),
+    (["oracle-check", "--s-grid", ","], {}, "s grid values must lie strictly inside (0, 1)"),
+    (["bounds"], {"QI_NS": "many"}, "invalid value for ns: 'many'"),
+    (["bounds"], {"QI_COPIES": "1.5"}, "invalid value for copies: '1.5'"),
+    (["bounds"], {"QI_MODEL": "bogus"}, f"unknown model 'bogus'; expected one of {MODELS}"),
+    (["bounds", "--kappa", "2"], {}, "reflectivity must lie in [0, 1]"),
+    (["bounds", "--model", "coherent", "--c", "0.05"], {}, "bounds does not take c (set by flag)"),
+    (["bounds"], {"QI_MODEL": "coherent", "QI_C": "0.05"}, "bounds does not take c (set by env)"),
+]
+
+
+@pytest.mark.parametrize("argv,env,message", REFUSALS)
+def test_refusals_print_one_exact_line(argv, env, message, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_file_refusals_print_one_exact_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, message in (
+        ("volume=11\n", f"{cfg}:1: unknown key 'volume'"),
+        ("# ns\n\nns\n", f"{cfg}:3: expected key=value, got 'ns'"),
+        ("model=four\n", f"unknown model 'four'; expected one of {MODELS}"),
+    ):
+        cfg.write_text(text, encoding="utf-8")
+        assert run(capsys, "bounds", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+    absent = tmp_path / "absent.cfg"
+    assert run(capsys, "bounds", "--config", str(absent)) == (
+        3, "", f"error: cannot read config {absent}: No such file or directory\n"
+    )
+    missing = tmp_path / "missing" / "x.csv"
+    for argv in (["--out", str(missing)], ["--plot", str(missing)]):
+        assert run(capsys, "sweep", "--count", "3", *argv) == (
+            3, "", f"error: cannot write {missing}: No such file or directory\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bounds", "--ns", "nan"], "n_signal must be finite, got nan"),
+        (["bounds", "--nb", "inf"], "n_background must be finite, got inf"),
+        (["bounds", "--c", "nan"], "correlation must be finite, got nan"),
+        (["state-info", "--ns", "nan"], "n_signal must be finite, got nan"),
+        (["state-info", "--c", "inf"], "correlation must be finite, got inf"),
+        (["oracle-check", "--ns", "nan"], "n_signal must be finite, got nan"),
+        (["oracle-check", "--nb=-inf"], "n_background must be finite, got -inf"),
+        (["sweep", "--count", "3", "--ns", "nan", "--param", "nB", "--start", "1", "--stop", "10"],
+         "n_signal must be finite, got nan"),
+        (["sweep", "--count", "3", "--stop", "inf"], "sweep start and stop must be finite"),
+        (["sweep", "--count", "3", "--start", "nan"], "sweep start and stop must be finite"),
+    ],
+)
+def test_non_finite_inputs_are_refused(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("model", ["three-mode", "two-mode"])
+@pytest.mark.parametrize("ns", [1e-3, 0.01, 0.1])
+def test_bounds_asymptote_is_taken_at_the_probe_correlation(model, ns, capsys):
+    # At half the maximal correlation and n_b = 1e6 the printed exponent sits
+    # on the asymptote of that probe, not of the maximally correlated one.
+    cmax = {"three-mode": qillum.max_three_mode_correlation, "two-mode": qillum.tmsv_correlation}
+    argv = ["bounds", "--model", model, "--ns", repr(ns), "--nb", "1e6", "--kappa", "0.1",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--c", repr(0.5 * cmax[model](ns)))
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["exponent_per_copy_qb"] / row["asymptotic_exponent_per_copy"] == pytest.approx(
+        1.0, abs=5e-4
+    )
+    # the default probe keeps the maximal-correlation asymptote
+    code, out, _ = run(capsys, *argv)
+    row = json.loads(out)["rows"][0]
+    assert row["exponent_per_copy_qb"] / row["asymptotic_exponent_per_copy"] == pytest.approx(
+        1.0, abs=5e-4
+    )

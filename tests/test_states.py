@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    max_three_mode_correlation_large_asymptotic,
+    max_three_mode_correlation_small_asymptotic,
+)
 from qillum import (
     AnalyticDomainError,
     IlluminationScenario,
@@ -23,10 +27,6 @@ from qillum import (
     two_mode_target_absent_cov,
     two_mode_target_present_cov,
     williamson_decompose,
-)
-from qillum.states import (
-    max_three_mode_correlation_large_asymptotic,
-    max_three_mode_correlation_small_asymptotic,
 )
 from qillum.symplectic import Bipartition, log_negativity, symplectic_eigenvalues
 
