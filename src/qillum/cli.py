@@ -179,7 +179,19 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         raise CliError(2, str(exc)) from exc
 
 
+def _finite(value):
+    """value with every non-finite float, however deeply nested, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
+    # Strict JSON: inf and nan, which text and CSV print, become null.
     report = {
         "schema": 1,
         "version": __version__,
@@ -187,7 +199,7 @@ def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
         "rows": rows,
         "diagnostics": diagnostics,
     }
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(_finite(report), indent=2, allow_nan=False) + "\n"
 
 
 @functools.cache

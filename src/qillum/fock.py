@@ -59,10 +59,10 @@ class DimensionCapError(RuntimeError):
 class TailBudgetError(ValueError):
     """Truncation tails too heavy for the requested comparison."""
 
-    def __init__(self, budget: float, limit: float = TAIL_LIMIT):
+    def __init__(self, budget: float):
         self.budget = budget
         super().__init__(
-            f"truncation tail budget {budget:.3e} exceeds {limit:.1e}; "
+            f"truncation tail budget {budget:.3e} exceeds {TAIL_LIMIT:.1e}; "
             f"raise the cutoff or shrink the photon numbers"
         )
 
@@ -335,6 +335,8 @@ def oracle_tail_budget(
     by input leakage) and floors the result at 64 eps times the matrix
     dimension to cover plain rounding. Every value is a Python float.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
     dim = (cutoff + 1) ** 2
     absent = thermal_tail(n_background, cutoff) + thermal_tail(n_signal, cutoff)
     present = thermal_tail(n_signal, cutoff)  # Schmidt weights are thermal

@@ -8,6 +8,7 @@ at or above 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,11 @@ class GaussianState:
     @property
     def n(self) -> int:
         return self.cov.n
+
+    @functools.cached_property
+    def williamson(self) -> WilliamsonDecomposition:
+        """Williamson decomposition of cov, computed on first use and kept."""
+        return williamson_decompose(self.cov)
 
 
 @dataclass
@@ -233,11 +239,11 @@ def log_negativity(cov, part: Bipartition) -> float:
     return float(sum(-np.log2(v) for v in nu if v < 1.0))
 
 
-def is_pure(cov, tol: float = PURITY_TOL) -> bool:
-    """True iff every symplectic eigenvalue is within tol of 1."""
-    return bool(np.all(np.abs(symplectic_eigenvalues(cov) - 1.0) <= tol))
+def is_pure(cov) -> bool:
+    """True iff every symplectic eigenvalue is within PURITY_TOL of 1."""
+    return bool(np.all(np.abs(symplectic_eigenvalues(cov) - 1.0) <= PURITY_TOL))
 
 
-def is_physical(cov, tol: float = PHYSICAL_TOL) -> bool:
-    """True iff the matrix is a bona fide state: all symplectic eigenvalues >= 1 - tol."""
-    return bool(np.all(symplectic_eigenvalues(cov) >= 1.0 - tol))
+def is_physical(cov) -> bool:
+    """True iff the matrix is a state: every symplectic eigenvalue >= 1 - PHYSICAL_TOL."""
+    return bool(np.all(symplectic_eigenvalues(cov) >= 1.0 - PHYSICAL_TOL))

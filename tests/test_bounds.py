@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import box_scenarios, random_cov
-from qillum import bounds
+from qillum import bounds, symplectic
 from qillum import (
     CovarianceMatrix,
     GaussianState,
@@ -22,33 +22,35 @@ from qillum import (
     illumination_states,
     max_three_mode_correlation,
     power_overlap,
-    power_trace,
-    power_variance,
     target_absent_williamson,
     target_present_factorization,
     tmsv_correlation,
-    williamson_decompose,
 )
 
 
+def _maps(x, p):
+    """Variance map and trace of the p-th power, elementwise, as power_overlap takes them."""
+    variance, log_trace = bounds._power_maps(bounds._check_eigenvalues(x), np.asarray(p))
+    return variance, np.exp(log_trace)
+
+
 def test_power_maps_closed_form_points():
-    assert power_variance(3.0, 0.5) == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-12)
-    assert power_trace(3.0, 0.5) == pytest.approx(1 + math.sqrt(2), abs=1e-12)
-    assert power_variance(7.0, 1.0) == 7.0
-    assert power_trace(7.0, 1.0) == 1.0
-    assert power_variance(1.0, 0.3) == 1.0
-    assert power_trace(1.0, 0.3) == 1.0
+    # one batched call: a generic point, then the exact p = 1 and x = 1 cases
+    variance, trace = _maps([3.0, 7.0, 1.0], [0.5, 1.0, 0.3])
+    assert variance[0] == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-12)
+    assert trace[0] == pytest.approx(1 + math.sqrt(2), abs=1e-12)
+    assert variance[1] == 7.0
+    assert trace[1] == 1.0
+    assert variance[2] == 1.0
+    assert trace[2] == 1.0
 
 
 def test_power_maps_validation():
-    with pytest.raises(ValueError):
-        power_variance(0.9, 0.5)
-    with pytest.raises(ValueError):
-        power_trace(2.0, 0.0)
-    with pytest.raises(ValueError):
-        power_trace(2.0, 1.5)
+    with pytest.raises(ValueError, match="symplectic eigenvalue 0.9 below one"):
+        _maps([2.0, 0.9], [0.5, 0.5])
     # rounding-level dips below one are snapped, not rejected
-    assert power_variance(1.0 - 1e-10, 0.5) == 1.0
+    assert bounds._check_eigenvalues([1.0 - 1e-10]).tolist() == [1.0]
+    assert _maps([1.0 - 1e-10], [0.5])[0].tolist() == [1.0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -59,8 +61,9 @@ def test_power_maps_validation():
 def test_power_trace_completeness_identity(x, s):
     # 2 G_s G_(1-s) == Lambda_s + Lambda_(1-s): exactly what makes the
     # one-mode self-overlap Tr[rho^s rho^(1-s)] collapse to Tr[rho] = 1
-    lhs = 2.0 * power_trace(x, s) * power_trace(x, 1 - s)
-    rhs = power_variance(x, s) + power_variance(x, 1 - s)
+    variance, trace = _maps([x, x], [s, 1 - s])
+    lhs = 2.0 * trace[0] * trace[1]
+    rhs = variance[0] + variance[1]
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -163,14 +166,28 @@ def test_precomputed_decompositions_change_nothing():
     scn = IlluminationScenario(n_signal=0.2, n_background=15.0, reflectivity=0.05)
     absent, present = illumination_states(scn, "three-mode")
     plain = power_overlap(absent, present, 0.5).value
-    assisted = power_overlap(
-        absent,
-        present,
-        0.5,
-        decomposition_a=target_absent_williamson(scn),
-        decomposition_b=target_present_factorization(scn).williamson(),
-    ).value
+    absent, present = illumination_states(scn, "three-mode")
+    absent.williamson = target_absent_williamson(scn)
+    present.williamson = target_present_factorization(scn).williamson()
+    assisted = power_overlap(absent, present, 0.5).value
     assert plain == pytest.approx(assisted, rel=1e-11)
+
+
+def test_each_state_is_decomposed_once(monkeypatch):
+    calls = []
+    decompose = symplectic.williamson_decompose
+
+    def counting(cov):
+        calls.append(cov)
+        return decompose(cov)
+
+    monkeypatch.setattr(symplectic, "williamson_decompose", counting)
+    scn = IlluminationScenario(n_signal=0.2, n_background=15.0, reflectivity=0.05)
+    absent, present = illumination_states(scn, "three-mode")
+    chernoff_bound(absent, present)  # a grid call and several zoom calls
+    power_overlap(absent, present, [0.3, 0.6])
+    assert len(calls) == 2
+    assert calls[0] is absent.cov and calls[1] is present.cov
 
 
 def test_exponent_coefficients_reference_values():
@@ -334,9 +351,7 @@ def _model_pairs(scenarios):
     for scn in scenarios:
         for model in ("three-mode", "two-mode", "coherent"):
             absent, present = illumination_states(scn, model)
-            dec_a = williamson_decompose(absent.cov)
-            dec_b = williamson_decompose(present.cov)
-            yield model, scn, absent, present, dec_a, dec_b
+            yield model, scn, absent, present, absent.williamson, present.williamson
 
 
 REFERENCE_GRID = [
@@ -350,14 +365,10 @@ REFERENCE_GRID = [
 def test_batched_overlap_entries_equal_scalar_calls():
     s_values = [*bounds.CHERNOFF_GRID, 0.123456789, 0.5 + 1e-11]
     for _, _, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(7, 6)):
-        many = power_overlap(
-            absent, present, s_values, decomposition_a=dec_a, decomposition_b=dec_b
-        )
+        many = power_overlap(absent, present, s_values)
         assert len(many) == len(s_values)
         for s, ov in zip(s_values, many):
-            one = power_overlap(
-                absent, present, s, decomposition_a=dec_a, decomposition_b=dec_b
-            )
+            one = power_overlap(absent, present, s)
             assert ov == one  # every field, bit for bit
 
 
@@ -369,16 +380,16 @@ def test_power_overlap_sequence_convention():
     many = power_overlap(cov, other, (0.25, 0.5))
     assert [ov.s for ov in many] == [0.25, 0.5]
     assert power_overlap(cov, other, ()) == []
-    for bad in ([0.5, 1.0], [0.0], [[0.5]], [0.5, math.nan]):
+    for bad in ([0.5, 1.0], [0.0], [1.5], [[0.5]], [0.5, math.nan]):
         with pytest.raises(ValueError, match="strictly inside"):
             power_overlap(cov, other, bad)
 
 
 def test_power_overlap_keeps_its_refusals(monkeypatch):
     thermal = CovarianceMatrix(np.diag([3.0, 3.0]))
-    sub_vacuum = bounds.WilliamsonDecomposition(symplectic=np.eye(2), nu=[0.5])
+    sub_vacuum = CovarianceMatrix(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError, match="symplectic eigenvalue 0.5 below one"):
-        power_overlap(thermal, thermal, [0.3, 0.5], decomposition_b=sub_vacuum)
+        power_overlap(thermal, sub_vacuum, [0.3, 0.5])
 
     def indefinite(_):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -395,9 +406,7 @@ def test_batched_engine_matches_scalar_reference():
     compared = 0
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(REFERENCE_GRID):
         try:
-            many = power_overlap(
-                absent, present, s_values, decomposition_a=dec_a, decomposition_b=dec_b
-            )
+            many = power_overlap(absent, present, s_values)
         except ValueError as exc:
             with pytest.raises(ValueError) as ref_exc:
                 _reference_overlap(absent, present, 0.5, dec_a, dec_b)
@@ -423,7 +432,7 @@ def test_displaced_overlap_matches_scalar_reference(seed):
     mb, _ = random_cov(2, rng)
     a = GaussianState(cov=CovarianceMatrix(ma), mean=rng.normal(size=4))
     b = GaussianState(cov=CovarianceMatrix(mb), mean=rng.normal(size=4))
-    da, db = williamson_decompose(a.cov), williamson_decompose(b.cov)
+    da, db = a.williamson, b.williamson
     s_values = [0.1, 0.5, 0.8]
     for s, ov in zip(s_values, power_overlap(a, b, s_values)):
         prefactor_log, det_term_log, log_q = _reference_overlap(a, b, s, da, db)
@@ -437,9 +446,7 @@ def test_zoom_search_no_worse_than_golden_section():
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(2024, 24)):
 
         def logq(s):
-            return power_overlap(
-                absent, present, s, decomposition_a=dec_a, decomposition_b=dec_b
-            ).log_value
+            return power_overlap(absent, present, s).log_value
 
         reference = _reference_chernoff_log(logq)
         qc = chernoff_bound(absent, present)

@@ -514,6 +514,9 @@ REFUSALS = [
     (["bounds", "--kappa", "2"], {}, "reflectivity must lie in [0, 1]"),
     (["bounds", "--model", "coherent", "--c", "0.05"], {}, "bounds does not take c (set by flag)"),
     (["bounds"], {"QI_MODEL": "coherent", "QI_C": "0.05"}, "bounds does not take c (set by env)"),
+    (["oracle-check", "--cutoff", "-3", "--ns", "1e-6", "--nb", "1e-6", "--kappa", "0.1"], {},
+     "cutoff must be at least 1"),
+    (["oracle-check", "--cutoff", "0"], {}, "cutoff must be at least 1"),
 ]
 
 
@@ -584,3 +587,39 @@ def test_bounds_asymptote_is_taken_at_the_probe_correlation(model, ns, capsys):
     assert row["exponent_per_copy_qb"] / row["asymptotic_exponent_per_copy"] == pytest.approx(
         1.0, abs=5e-4
     )
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv,field,printed",
+    [
+        (["bounds", "--nb", "0", "--model", "two-mode"], "asymptotic_exponent_per_copy",
+         "\nasymptotic_exponent_per_copy: inf\n"),
+        (["sweep", "--param", "kappa", "--ns", "0", "--start", "0.1", "--stop", "0.2",
+          "--count", "2"], "ratio", ",nan\n"),
+    ],
+)
+def test_json_writes_non_finite_values_as_null(argv, field, printed, capsys):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out, parse_constant=_refuse_constant)["rows"]
+    assert [row[field] for row in rows] == [None] * len(rows)
+    # text and CSV keep printing the value itself
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and printed in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--model", "coherent", "--ns", "0"], ["--model", "two-mode", "--ns", "0", "--c", "0"]],
+)
+def test_zero_exponent_prints_without_sign(argv, capsys):
+    code, out, _ = run(capsys, "bounds", *argv)
+    assert code == 0
+    assert "exponent_per_copy_qb: 0.00000000000e+00\n" in out
+    code, out, _ = run(capsys, "bounds", *argv, "--format", "json")
+    row = json.loads(out, parse_constant=_refuse_constant)["rows"][0]
+    assert math.copysign(1.0, row["exponent_per_copy_qb"]) == 1.0
