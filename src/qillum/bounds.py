@@ -51,20 +51,27 @@ def _check_eigenvalues(nu) -> np.ndarray:
     return np.maximum(nu, 1.0)
 
 
-def _power_maps(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Variance map and log power trace of a mode, elementwise over x >= 1, 0 < p <= 1.
-
-    With e = [(x-1)/(x+1)]^p - 1 the variance map is (2 + e) / -e and the
-    log trace p log 2 - p log(x+1) - log(-e). The ratio's log goes through
-    log1p and e through expm1, so the x -> 1 and x -> infinity limits lose
-    nothing; x = 1 gives exactly 1 and 0, and p = 1 exactly x and 0.
-    """
+def _mode_logs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power-independent parts of _power_maps: log((x-1)/(x+1)) and log 2 - log(x+1)."""
     inv = 1.0 / x
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 1
         log_ratio = np.log1p(-inv) - np.log1p(inv)
+    return log_ratio, math.log(2.0) - np.log1p(x)
+
+
+def _power_maps(x: np.ndarray, logs: tuple, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Variance map and log power trace of a mode, elementwise over x >= 1, 0 < p <= 1.
+
+    logs is _mode_logs(x). With e = [(x-1)/(x+1)]^p - 1 the variance map is
+    (2 + e) / -e and the log trace p log 2 - p log(x+1) - log(-e). The
+    ratio's log goes through log1p and e through expm1, so the x -> 1 and
+    x -> infinity limits lose nothing; x = 1 gives exactly 1 and 0, and
+    p = 1 exactly x and 0.
+    """
+    log_ratio, log_half = logs
     em1 = np.expm1(p * log_ratio)
     variance = (2.0 + em1) / -em1
-    log_trace = p * (math.log(2.0) - np.log1p(x)) - np.log(-em1)
+    log_trace = p * log_half - np.log(-em1)
     exact = p == 1.0
     if exact.any():
         variance = np.where(exact, x, variance)
@@ -100,20 +107,79 @@ def _forward_solve(chol: np.ndarray, d: np.ndarray) -> np.ndarray:
     return y
 
 
+class _PairEngine:
+    """q(s) for one pair of states: the per-pair work once, then any batch of s.
+
+    Construction checks the mode counts and both spectra and keeps what does
+    not depend on s: the clipped eigenvalues with their _mode_logs, [S_A | S_B]
+    with its transpose, and the mean difference. A call evaluates a 1-D array
+    of s values together: the power maps elementwise on a (k, 2n) array, the
+    combined covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a
+    (k, 2n, 2n) stack from one batched product, one Cholesky factorization of
+    the stack and, for displaced states, one batched triangular solve. Every
+    stacked operation acts on each s separately, so an entry does not depend
+    on the rest of its batch.
+
+    A call returns a (6, k) array whose rows are OverlapResult's fields in
+    order. Two states equal entry for entry, in covariance and mean, give
+    q = 1 exactly: every log piece is 0 rather than a rounding residue.
+    """
+
+    def __init__(self, a: GaussianState, b: GaussianState):
+        if a.n != b.n:
+            raise ValueError(f"mode count mismatch: {a.n} vs {b.n}")
+        da, db = a.williamson, b.williamson
+        # Columns: the n modes of A at power s, then the n modes of B at 1 - s.
+        self.n = a.n
+        self.nu = _check_eigenvalues(np.concatenate([da.nu, db.nu]))
+        self.logs = _mode_logs(self.nu)
+        self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
+        self.sym_t = self.sym.T
+        self.d = b.mean - a.mean
+        self.displaced = bool(self.d.any())
+        self.equal = not self.displaced and bool((a.cov.matrix == b.cov.matrix).all())
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        n = self.n
+        p = np.empty((s.size, 2 * n))
+        p[:, :n] = s[:, None]
+        p[:, n:] = 1.0 - s[:, None]
+        variance, log_trace = _power_maps(self.nu, self.logs, p)
+        prefactor_log = n * math.log(2.0) + log_trace.sum(axis=1)
+
+        # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
+        combined = (self.sym * variance.repeat(2, axis=1)[:, None, :]) @ self.sym_t
+        try:
+            chol = np.linalg.cholesky(combined)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("combined covariance is not positive definite") from exc
+        det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+
+        if self.displaced:
+            displacement_log = -0.5 * (_forward_solve(chol, self.d) ** 2).sum(axis=1)
+        else:
+            displacement_log = np.zeros_like(s)
+
+        log_value = prefactor_log + det_term_log + displacement_log
+        fields = np.array(
+            [np.exp(log_value), log_value, prefactor_log, det_term_log, displacement_log, s]
+        )
+        if self.equal:
+            # Checked like any pair above, but q is 1 whatever the rounding says.
+            fields[0] = 1.0
+            fields[1:5] = 0.0
+        return fields
+
+
 def power_overlap(
     state_a, state_b, s: float | Sequence[float]
 ) -> OverlapResult | list[OverlapResult]:
     """Evaluate q(s) = Tr[rho_A^s rho_B^(1-s)] for two Gaussian states.
 
     s is one value or a 1-D sequence of values; a scalar gives one
-    OverlapResult and a sequence a list of them, one per value. The k values
-    are evaluated together: the power maps elementwise on a (k, 2n) array,
-    the combined covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a
-    (k, 2n, 2n) stack from one batched product, one Cholesky factorization of
-    the stack and, for displaced states, one batched triangular solve. A
-    scalar s is the length-1 case of the same computation; every stacked
-    operation acts on each s separately, so an entry of a sequence equals
-    its scalar call bit for bit.
+    OverlapResult and a sequence a list of them, one per value. The values
+    go to one _PairEngine call, of which a scalar is the length-1 case, so an
+    entry of a sequence equals its scalar call bit for bit.
 
     The Williamson data come from each state's `williamson`, so a
     GaussianState passed again is not decomposed again; any symplectic matrix
@@ -127,46 +193,7 @@ def power_overlap(
     s_values = s_array.reshape(1) if s_array.ndim == 0 else s_array
     if s_values.ndim != 1 or not ((s_values > 0.0) & (s_values < 1.0)).all():
         raise ValueError("s must lie strictly inside (0, 1)")
-    if a.n != b.n:
-        raise ValueError(f"mode count mismatch: {a.n} vs {b.n}")
-    da, db = a.williamson, b.williamson
-    n = a.n
-
-    # Columns: the n modes of A at power s, then the n modes of B at 1 - s.
-    nu = _check_eigenvalues(np.concatenate([da.nu, db.nu]))
-    p = np.empty((s_values.size, 2 * n))
-    p[:, :n] = s_values[:, None]
-    p[:, n:] = 1.0 - s_values[:, None]
-    variance, log_trace = _power_maps(nu, p)
-    prefactor_log = n * math.log(2.0) + log_trace.sum(axis=1)
-
-    # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
-    sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
-    combined = (sym * variance.repeat(2, axis=1)[:, None, :]) @ sym.T
-    try:
-        chol = np.linalg.cholesky(combined)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("combined covariance is not positive definite") from exc
-    det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-
-    d = b.mean - a.mean
-    if d.any():
-        displacement_log = -0.5 * (_forward_solve(chol, d) ** 2).sum(axis=1)
-    else:
-        displacement_log = np.zeros_like(s_values)
-
-    log_value = prefactor_log + det_term_log + displacement_log
-    results = [
-        OverlapResult(*fields)
-        for fields in zip(
-            np.exp(log_value).tolist(),
-            log_value.tolist(),
-            prefactor_log.tolist(),
-            det_term_log.tolist(),
-            displacement_log.tolist(),
-            s_values.tolist(),
-        )
-    ]
+    results = [OverlapResult(*fields) for fields in _PairEngine(a, b)(s_values).T.tolist()]
     return results[0] if s_array.ndim == 0 else results
 
 
@@ -226,40 +253,42 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
 
     log q(s) is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so
     the minimum lies within one step of the smallest value on any grid. The
-    33-point grid is evaluated in one power_overlap call; each zoom round
-    spreads 37 points over the two steps around the smallest value so far,
-    in one call, until the bracket is narrower than 1e-10 (at most seven
-    rounds from the grid). The result is the smallest q over every evaluated point.
-    Each state is decomposed once, on its first call, and keeps the result.
+    33-point grid is one _PairEngine call; each zoom round spreads 37 points
+    over the two steps around the smallest value so far, in one call, until
+    the bracket is narrower than 1e-10 (at most seven rounds from the grid).
+    The search runs on the engine's arrays; the result is the smallest q over
+    every evaluated point, the first one when several tie. Each state is
+    decomposed once, on its first use, and keeps the result.
 
     The grid contains s = 1/2 exactly, so the result can never exceed the
     Bhattacharyya bound, which the result carries as `bhattacharyya`.
     """
-    a = _as_state(state_a)
-    b = _as_state(state_b)
-    points = power_overlap(a, b, CHERNOFF_GRID)
-    half = points[GRID_POINTS // 2]
+    engine = _PairEngine(_as_state(state_a), _as_state(state_b))
+    # Columns are evaluated points; rows OverlapResult's fields, log q in row 1.
+    points = engine(CHERNOFF_GRID)
+    half = points[:, GRID_POINTS // 2]
     best = half
     rounds = 0
     while True:
-        k = min(range(len(points)), key=lambda j: points[j].log_value)
-        if points[k].log_value < best.log_value:
-            best = points[k]
-        lo = points[max(k - 1, 0)]
-        hi = points[min(k + 1, len(points) - 1)]
-        if hi.s - lo.s <= S_TOL:
+        k = int(np.argmin(points[1]))
+        if points[1, k] < best[1]:
+            best = points[:, k]
+        lo = points[:, max(k - 1, 0)]
+        hi = points[:, min(k + 1, points.shape[1] - 1)]
+        if hi[5] - lo[5] <= S_TOL:
             break
-        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * ZOOM_FRACTIONS), hi]
+        inner = engine(lo[5] + (hi[5] - lo[5]) * ZOOM_FRACTIONS)
+        points = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
         rounds += 1
 
     result = _bound_from_overlap(
-        best,
+        OverlapResult(*best.tolist()),
         copies,
         grid_points=GRID_POINTS,
         zoom_rounds=rounds,
-        bracket_width=hi.s - lo.s,
+        bracket_width=float(hi[5] - lo[5]),
     )
-    result.bhattacharyya = _bound_from_overlap(half, copies)
+    result.bhattacharyya = _bound_from_overlap(OverlapResult(*half.tolist()), copies)
     return result
 
 

@@ -30,7 +30,8 @@ from qillum import (
 
 def _maps(x, p):
     """Variance map and trace of the p-th power, elementwise, as power_overlap takes them."""
-    variance, log_trace = bounds._power_maps(bounds._check_eigenvalues(x), np.asarray(p))
+    x = bounds._check_eigenvalues(x)
+    variance, log_trace = bounds._power_maps(x, bounds._mode_logs(x), np.asarray(p))
     return variance, np.exp(log_trace)
 
 
@@ -467,20 +468,83 @@ def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
         assert qc.diagnostics["log_overlap"] <= qb.diagnostics["log_overlap"]
 
 
-def test_chernoff_engine_calls(monkeypatch):
+def _reference_chernoff(a, b, copies):
+    """The list-walking search chernoff_bound replaced: power_overlap's
+    OverlapResults, scanned with Python's min, the bracket carried as results."""
+    points = power_overlap(a, b, bounds.CHERNOFF_GRID)
+    half = points[bounds.GRID_POINTS // 2]
+    best = half
+    rounds = 0
+    while True:
+        k = min(range(len(points)), key=lambda j: points[j].log_value)
+        if points[k].log_value < best.log_value:
+            best = points[k]
+        lo = points[max(k - 1, 0)]
+        hi = points[min(k + 1, len(points) - 1)]
+        if hi.s - lo.s <= bounds.S_TOL:
+            break
+        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS), hi]
+        rounds += 1
+    result = bounds._bound_from_overlap(
+        best,
+        copies,
+        grid_points=bounds.GRID_POINTS,
+        zoom_rounds=rounds,
+        bracket_width=hi.s - lo.s,
+    )
+    result.bhattacharyya = bounds._bound_from_overlap(half, copies)
+    return result
+
+
+def _count_engine_calls(monkeypatch):
+    """Record the ndim of the s argument of every _PairEngine call."""
     calls = []
-    original = bounds.power_overlap
+    original = bounds._PairEngine.__call__
 
-    def counting(*args, **kwargs):
-        calls.append(np.ndim(args[2]))
-        return original(*args, **kwargs)
+    def counting(self, s):
+        calls.append(np.ndim(s))
+        return original(self, s)
 
-    monkeypatch.setattr(bounds, "power_overlap", counting)
+    monkeypatch.setattr(bounds._PairEngine, "__call__", counting)
+    return calls
+
+
+def test_chernoff_matches_list_walking_reference(monkeypatch):
+    # The array search evaluates the same s points in the same order as the
+    # reference, so every field must agree exactly, refusals included.
+    calls = _count_engine_calls(monkeypatch)
+    compared = 0
+    for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(31, 12)):
+        try:
+            reference = _reference_chernoff(absent, present, scn.copies)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ours:
+                chernoff_bound(absent, present, scn.copies)
+            assert str(ours.value) == str(exc)
+            continue
+        calls.clear()
+        qc = chernoff_bound(absent, present, scn.copies)
+        assert len(calls) == qc.diagnostics["zoom_rounds"] + 1
+        assert (qc.value, qc.q_at_s, qc.s_used, qc.copies) == (
+            reference.value, reference.q_at_s, reference.s_used, reference.copies
+        ), (model, scn)
+        assert qc.diagnostics == reference.diagnostics, (model, scn)
+        assert [type(v) for v in qc.diagnostics.values()] == [
+            type(v) for v in reference.diagnostics.values()
+        ]
+        assert qc.bhattacharyya == reference.bhattacharyya, (model, scn)
+        assert qc == reference
+        compared += 1
+    assert compared >= 30
+
+
+def test_chernoff_engine_calls(monkeypatch):
+    calls = _count_engine_calls(monkeypatch)
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
-    illumination_chernoff(scn, "three-mode")
+    qc = illumination_chernoff(scn, "three-mode")
     assert 1 < len(calls) <= 8
     assert all(ndim == 1 for ndim in calls)
-
+    assert len(calls) == qc.diagnostics["zoom_rounds"] + 1
 
 
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
@@ -489,18 +553,56 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
     # search must still return the dip, so Chernoff <= Bhattacharyya.
     evaluated = []
 
-    def fake(state_a, state_b, s, **_):
-        first = not evaluated
-        out = []
-        for x in np.atleast_1d(s).tolist():
-            log_q = (x - 0.5) ** 2 - 1e-3 - (1e-9 if first and x == 0.5 else 0.0)
-            evaluated.append(log_q)
-            out.append(bounds.OverlapResult(math.exp(log_q), log_q, 0.0, log_q, 0.0, x))
-        return out
+    class Synthetic:
+        def __init__(self, state_a, state_b):
+            pass
 
-    monkeypatch.setattr(bounds, "power_overlap", fake)
+        def __call__(self, s):
+            first = not evaluated
+            log_q = np.array([
+                (x - 0.5) ** 2 - 1e-3 - (1e-9 if first and x == 0.5 else 0.0)
+                for x in s.tolist()
+            ])
+            evaluated.extend(log_q.tolist())
+            zero = np.zeros_like(s)
+            return np.stack([np.exp(log_q), log_q, zero, log_q, zero, s])
+
+    monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov, 10)
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert qc.s_used == 0.5
     assert qc.value <= qc.bhattacharyya.value
+
+
+EQUAL_HYPOTHESES = [
+    # nothing to reflect: no signal photons, no correlation, or a blind target
+    (IlluminationScenario(n_signal=0.0, n_background=100.0, reflectivity=0.01), "coherent"),
+    (IlluminationScenario(n_signal=0.0, n_background=100.0, reflectivity=0.01,
+                          correlation=0.0), "two-mode"),
+    (IlluminationScenario(n_signal=0.01, n_background=100.0, reflectivity=0.0), "three-mode"),
+]
+
+
+@pytest.mark.parametrize("scn,model", EQUAL_HYPOTHESES)
+def test_equal_hypotheses_give_exactly_one_half(scn, model):
+    absent, present = illumination_states(scn, model)
+    assert np.array_equal(absent.cov.matrix, present.cov.matrix)
+    assert np.array_equal(absent.mean, present.mean)
+    qc = chernoff_bound(absent, present, 10**6)
+    for bound in (qc, qc.bhattacharyya):
+        assert bound.value == 0.5 and bound.q_at_s == 1.0 and bound.s_used == 0.5
+        assert bound.diagnostics["exponent_per_copy"] == 0.0
+        assert bound.diagnostics["log_overlap"] == 0.0
+    for ov in power_overlap(absent, present, [1e-6, 0.3, 0.5, 0.9]):
+        assert (ov.value, ov.log_value, ov.prefactor_log, ov.det_term_log) == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_equal_states_keep_the_general_refusals():
+    # The equal-state rule comes after every check a distinct pair gets.
+    sub_vacuum = CovarianceMatrix(np.diag([0.5, 0.5]))
+    with pytest.raises(ValueError, match="symplectic eigenvalue 0.5 below one"):
+        power_overlap(sub_vacuum, sub_vacuum, 0.5)
+    thermal = CovarianceMatrix(np.diag([3.0, 3.0]))
+    displaced = GaussianState(cov=thermal, mean=np.array([1e-3, 0.0]))
+    assert power_overlap(thermal, displaced, 0.5).value < 1.0

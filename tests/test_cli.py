@@ -466,6 +466,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# A dim-signal, bright-background scenario where log q cancels to its last digits.
+BRIGHT_CORNER = ["--ns", "0.001", "--nb", "1e6", "--kappa", "0.001"]
 
 
 @pytest.mark.parametrize(
@@ -475,11 +477,45 @@ GOLDEN = Path(__file__).parent / "golden"
         (["crossover", "--format", "json"], "crossover.json"),
         (["sweep", "--count", "5"], "sweep5.csv"),
         (["sweep", "--count", "5", "--format", "json"], "sweep5.json"),
+        *(
+            (["bounds", "--model", model, *flags, "--format", fmt], f"bounds_{model}{tag}.{ext}")
+            for model in ("three-mode", "two-mode", "coherent")
+            for tag, flags in (("", []), ("_bright", BRIGHT_CORNER))
+            for fmt, ext in (("text", "txt"), ("json", "json"))
+        ),
     ],
 )
 def test_outputs_match_recorded_bytes(argv, golden, capsys):
-    # Python float math only, so these bytes are the same on every machine.
+    # crossover and sweep are Python float math only, so their bytes are the
+    # same on every machine. bounds goes through LAPACK (eigh, Cholesky), and
+    # in the bright corner its exponents sit at the rounding floor, so its
+    # bytes pin one numpy/LAPACK build: they catch any change to the
+    # arithmetic of the overlap engine and the Chernoff search.
     assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--model", "coherent", "--ns", "0"],
+        ["bounds", "--model", "two-mode", "--ns", "0", "--c", "0"],
+        ["bounds", "--kappa", "0"],
+    ],
+)
+def test_equal_hypotheses_print_one_half(argv, capsys):
+    # Both hypotheses are the same state, so the error probability is 1/2
+    # exactly and no rounding residue may pass for an exponent.
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    for line in (
+        "bhattacharyya_bound: 5.00000000000e-01",
+        "chernoff_bound: 5.00000000000e-01",
+        "optimal_s: 0.5000000000",
+        "exponent_per_copy_qb: 0.00000000000e+00",
+        "exponent_per_copy_qc: 0.00000000000e+00",
+    ):
+        assert line in lines
 
 
 def test_sweep_plot_matches_recorded_bytes(tmp_path, capsys):
