@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,6 +91,11 @@ class OverlapResult:
     s: float
 
 
+# _PairEngine returns OverlapResult's fields as rows, in this order.
+_FIELDS = [f.name for f in fields(OverlapResult)]
+LOG_ROW, S_ROW = _FIELDS.index("log_value"), _FIELDS.index("s")
+
+
 def _as_state(obj) -> GaussianState:
     if isinstance(obj, GaussianState):
         return obj
@@ -112,17 +117,19 @@ class _PairEngine:
 
     Construction checks the mode counts and both spectra and keeps what does
     not depend on s: the clipped eigenvalues with their _mode_logs, [S_A | S_B]
-    with its transpose, and the mean difference. A call evaluates a 1-D array
-    of s values together: the power maps elementwise on a (k, 2n) array, the
-    combined covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a
-    (k, 2n, 2n) stack from one batched product, one Cholesky factorization of
-    the stack and, for displaced states, one batched triangular solve. Every
-    stacked operation acts on each s separately, so an entry does not depend
-    on the rest of its batch.
+    and the mean difference. A call evaluates a 1-D array of s values
+    together: the power maps elementwise on a (k, 2n) array, the combined
+    covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a (k, 2n, 2n)
+    stack from one batched product, one Cholesky factorization of the stack
+    and, for displaced states, one batched triangular solve. Every stacked
+    operation acts on each s separately, so an entry does not depend on the
+    rest of its batch.
 
     A call returns a (6, k) array whose rows are OverlapResult's fields in
-    order. Two states equal entry for entry, in covariance and mean, give
-    q = 1 exactly: every log piece is 0 rather than a rounding residue.
+    order (LOG_ROW and S_ROW name the two the search reads). Two states equal
+    entry for entry, in covariance and mean, give q = 1 exactly: every log
+    piece is 0 rather than a rounding residue. States that differ only by
+    rounding are not caught by this rule.
     """
 
     def __init__(self, a: GaussianState, b: GaussianState):
@@ -134,7 +141,6 @@ class _PairEngine:
         self.nu = _check_eigenvalues(np.concatenate([da.nu, db.nu]))
         self.logs = _mode_logs(self.nu)
         self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
-        self.sym_t = self.sym.T
         self.d = b.mean - a.mean
         self.displaced = bool(self.d.any())
         self.equal = not self.displaced and bool((a.cov.matrix == b.cov.matrix).all())
@@ -148,7 +154,7 @@ class _PairEngine:
         prefactor_log = n * math.log(2.0) + log_trace.sum(axis=1)
 
         # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
-        combined = (self.sym * variance.repeat(2, axis=1)[:, None, :]) @ self.sym_t
+        combined = (self.sym * variance.repeat(2, axis=1)[:, None, :]) @ self.sym.T
         try:
             chol = np.linalg.cholesky(combined)
         except np.linalg.LinAlgError as exc:
@@ -159,16 +165,14 @@ class _PairEngine:
             displacement_log = -0.5 * (_forward_solve(chol, self.d) ** 2).sum(axis=1)
         else:
             displacement_log = np.zeros_like(s)
-
-        log_value = prefactor_log + det_term_log + displacement_log
-        fields = np.array(
-            [np.exp(log_value), log_value, prefactor_log, det_term_log, displacement_log, s]
-        )
         if self.equal:
             # Checked like any pair above, but q is 1 whatever the rounding says.
-            fields[0] = 1.0
-            fields[1:5] = 0.0
-        return fields
+            prefactor_log = det_term_log = np.zeros_like(s)
+
+        log_value = prefactor_log + det_term_log + displacement_log
+        return np.array(
+            [np.exp(log_value), log_value, prefactor_log, det_term_log, displacement_log, s]
+        )
 
 
 def power_overlap(
@@ -193,7 +197,7 @@ def power_overlap(
     s_values = s_array.reshape(1) if s_array.ndim == 0 else s_array
     if s_values.ndim != 1 or not ((s_values > 0.0) & (s_values < 1.0)).all():
         raise ValueError("s must lie strictly inside (0, 1)")
-    results = [OverlapResult(*fields) for fields in _PairEngine(a, b)(s_values).T.tolist()]
+    results = [OverlapResult(*column) for column in _PairEngine(a, b)(s_values).T.tolist()]
     return results[0] if s_array.ndim == 0 else results
 
 
@@ -260,35 +264,39 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     every evaluated point, the first one when several tie. Each state is
     decomposed once, on its first use, and keeps the result.
 
-    The grid contains s = 1/2 exactly, so the result can never exceed the
-    Bhattacharyya bound, which the result carries as `bhattacharyya`.
+    The search starts from power_overlap's s = 1/2 point, the one
+    bhattacharyya_bound gives, and carries it as `bhattacharyya`; the result
+    can never exceed it. The grid holds s = 1/2 as well, so the points
+    searched, and their order, do not depend on that start.
     """
-    engine = _PairEngine(_as_state(state_a), _as_state(state_b))
-    # Columns are evaluated points; rows OverlapResult's fields, log q in row 1.
+    a = _as_state(state_a)
+    b = _as_state(state_b)
+    half = power_overlap(a, b, 0.5)
+    engine = _PairEngine(a, b)
+    # Columns are evaluated points, rows OverlapResult's fields.
     points = engine(CHERNOFF_GRID)
-    half = points[:, GRID_POINTS // 2]
     best = half
     rounds = 0
     while True:
-        k = int(np.argmin(points[1]))
-        if points[1, k] < best[1]:
-            best = points[:, k]
-        lo = points[:, max(k - 1, 0)]
-        hi = points[:, min(k + 1, points.shape[1] - 1)]
-        if hi[5] - lo[5] <= S_TOL:
+        k = int(np.argmin(points[LOG_ROW]))
+        if points[LOG_ROW, k] < best.log_value:
+            best = OverlapResult(*points[:, k].tolist())
+        lo, hi = max(k - 1, 0), min(k + 1, points.shape[1] - 1)
+        s_lo, s_hi = points[S_ROW, lo], points[S_ROW, hi]
+        if s_hi - s_lo <= S_TOL:
             break
-        inner = engine(lo[5] + (hi[5] - lo[5]) * ZOOM_FRACTIONS)
-        points = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
+        inner = engine(s_lo + (s_hi - s_lo) * ZOOM_FRACTIONS)
+        points = np.concatenate([points[:, lo, None], inner, points[:, hi, None]], axis=1)
         rounds += 1
 
     result = _bound_from_overlap(
-        OverlapResult(*best.tolist()),
+        best,
         copies,
         grid_points=GRID_POINTS,
         zoom_rounds=rounds,
-        bracket_width=float(hi[5] - lo[5]),
+        bracket_width=float(s_hi - s_lo),
     )
-    result.bhattacharyya = _bound_from_overlap(OverlapResult(*half.tolist()), copies)
+    result.bhattacharyya = _bound_from_overlap(half, copies)
     return result
 
 

@@ -20,16 +20,14 @@ PURITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-9
 
 
-@functools.cache
 def symplectic_form(n: int) -> np.ndarray:
-    """Standard form Omega = direct sum of n blocks [[0, 1], [-1, 0]], built once per n, read-only."""
+    """Standard form Omega = direct sum of n blocks [[0, 1], [-1, 0]]."""
     if n < 1:
         raise ValueError("mode count must be at least 1")
     omega = np.zeros((2 * n, 2 * n))
     for j in range(n):
         omega[2 * j, 2 * j + 1] = 1.0
         omega[2 * j + 1, 2 * j] = -1.0
-    omega.flags.writeable = False
     return omega
 
 
@@ -203,24 +201,18 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
 
     s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2)
 
-    # Every block at once: (a, b) is block j's weight on its own mode's x row,
-    # s[2j, 2j:2j+2], or on its p row where the x row is numerically empty.
-    # A block with no weight on its own mode is kept as it is.
-    c0, c1 = s[:, 0::2], s[:, 1::2]
-    a, b = s.diagonal()[0::2], s.diagonal(1)[0::2]
-    r = np.hypot(a, b)
-    keep = np.zeros(n, dtype=bool)
-    p_row = r < 1e-12
-    if p_row.any():
-        a = np.where(p_row, s.diagonal(-1)[0::2], a)
-        b = np.where(p_row, s.diagonal()[1::2], b)
-        r = np.where(p_row, np.hypot(a, b), r)
-        keep = r < 1e-12
-        r = np.where(keep, 1.0, r)
-    s[:, 0::2], s[:, 1::2] = (
-        np.where(keep, c0, (a * c0 + b * c1) / r),
-        np.where(keep, c1, (a * c1 - b * c0) / r),
-    )
+    for j in range(n):
+        c0, c1 = s[:, 2 * j].copy(), s[:, 2 * j + 1].copy()
+        a, b = s[2 * j, 2 * j], s[2 * j, 2 * j + 1]
+        r = np.hypot(a, b)
+        if r < 1e-12:
+            # x-row of this block is numerically empty; anchor on the p-row.
+            a, b = s[2 * j + 1, 2 * j], s[2 * j + 1, 2 * j + 1]
+            r = np.hypot(a, b)
+        if r < 1e-12:
+            continue
+        s[:, 2 * j] = (a * c0 + b * c1) / r
+        s[:, 2 * j + 1] = (-b * c0 + a * c1) / r
 
     dec = WilliamsonDecomposition(symplectic=s, nu=nus)
     resid = np.max(np.abs(dec.reconstruct() - m))

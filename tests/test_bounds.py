@@ -496,23 +496,39 @@ def _reference_chernoff(a, b, copies):
     return result
 
 
-def _count_engine_calls(monkeypatch):
-    """Record the ndim of the s argument of every _PairEngine call."""
-    calls = []
-    original = bounds._PairEngine.__call__
+def _count_search_calls(monkeypatch):
+    """Record the s of every power_overlap call and the ndim of every other engine call.
 
-    def counting(self, s):
-        calls.append(np.ndim(s))
-        return original(self, s)
+    Engine calls made inside power_overlap are left out of "engine", so it
+    holds the batches chernoff_bound's own engine evaluates.
+    """
+    calls = {"overlap": [], "engine": []}
+    inside = []
+    original_call = bounds._PairEngine.__call__
+    original_overlap = bounds.power_overlap
 
-    monkeypatch.setattr(bounds._PairEngine, "__call__", counting)
+    def counting_call(self, s):
+        if not inside:
+            calls["engine"].append(np.ndim(s))
+        return original_call(self, s)
+
+    def counting_overlap(state_a, state_b, s):
+        calls["overlap"].append(s)
+        inside.append(s)
+        try:
+            return original_overlap(state_a, state_b, s)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(bounds._PairEngine, "__call__", counting_call)
+    monkeypatch.setattr(bounds, "power_overlap", counting_overlap)
     return calls
 
 
 def test_chernoff_matches_list_walking_reference(monkeypatch):
     # The array search evaluates the same s points in the same order as the
     # reference, so every field must agree exactly, refusals included.
-    calls = _count_engine_calls(monkeypatch)
+    calls = _count_search_calls(monkeypatch)
     compared = 0
     for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(31, 12)):
         try:
@@ -522,9 +538,11 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
                 chernoff_bound(absent, present, scn.copies)
             assert str(ours.value) == str(exc)
             continue
-        calls.clear()
+        calls["overlap"].clear()
+        calls["engine"].clear()
         qc = chernoff_bound(absent, present, scn.copies)
-        assert len(calls) == qc.diagnostics["zoom_rounds"] + 1
+        assert calls["overlap"] == [0.5]
+        assert len(calls["engine"]) == qc.diagnostics["zoom_rounds"] + 1
         assert (qc.value, qc.q_at_s, qc.s_used, qc.copies) == (
             reference.value, reference.q_at_s, reference.s_used, reference.copies
         ), (model, scn)
@@ -539,40 +557,49 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
 
 
 def test_chernoff_engine_calls(monkeypatch):
-    calls = _count_engine_calls(monkeypatch)
+    calls = _count_search_calls(monkeypatch)
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
     qc = illumination_chernoff(scn, "three-mode")
-    assert 1 < len(calls) <= 8
-    assert all(ndim == 1 for ndim in calls)
-    assert len(calls) == qc.diagnostics["zoom_rounds"] + 1
+    assert 1 < len(calls["engine"]) <= 8
+    assert all(ndim == 1 for ndim in calls["engine"])
+    assert len(calls["engine"]) == qc.diagnostics["zoom_rounds"] + 1
+    # the s = 1/2 start, which the result carries as its Bhattacharyya bound
+    assert calls["overlap"] == [0.5]
 
 
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
-    # A synthetic engine whose grid call puts a rounding-level dip at s = 1/2
-    # that later calls do not reproduce, as a separate evaluation can: the
-    # search must still return the dip, so Chernoff <= Bhattacharyya.
-    evaluated = []
+    # A synthetic engine that puts a rounding-level dip at s = 1/2 in one
+    # call, either power_overlap's s = 1/2 start or the grid, and not in the
+    # other, as two separate evaluations can differ: the search must still
+    # return the dip, so Chernoff <= Bhattacharyya.
+    for dip_call in (0, 1):
+        evaluated = []
+        sizes = []
 
-    class Synthetic:
-        def __init__(self, state_a, state_b):
-            pass
+        class Synthetic:
+            def __init__(self, state_a, state_b):
+                pass
 
-        def __call__(self, s):
-            first = not evaluated
-            log_q = np.array([
-                (x - 0.5) ** 2 - 1e-3 - (1e-9 if first and x == 0.5 else 0.0)
-                for x in s.tolist()
-            ])
-            evaluated.extend(log_q.tolist())
-            zero = np.zeros_like(s)
-            return np.stack([np.exp(log_q), log_q, zero, log_q, zero, s])
+            def __call__(self, s, dip_call=dip_call, evaluated=evaluated, sizes=sizes):
+                dip = len(sizes) == dip_call
+                sizes.append(s.size)
+                log_q = np.array([
+                    (x - 0.5) ** 2 - 1e-3 - (1e-9 if dip and x == 0.5 else 0.0)
+                    for x in s.tolist()
+                ])
+                evaluated.extend(log_q.tolist())
+                zero = np.zeros_like(s)
+                rows = {"value": np.exp(log_q), "log_value": log_q, "prefactor_log": zero,
+                        "det_term_log": log_q, "displacement_log": zero, "s": s}
+                return np.stack([rows[name] for name in bounds._FIELDS])
 
-    monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
-    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
-    qc = chernoff_bound(cov, cov, 10)
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert qc.s_used == 0.5
-    assert qc.value <= qc.bhattacharyya.value
+        monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
+        cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+        qc = chernoff_bound(cov, cov, 10)
+        assert sizes[:2] == [1, bounds.GRID_POINTS]
+        assert qc.diagnostics["log_overlap"] == min(evaluated)
+        assert qc.s_used == 0.5
+        assert qc.value <= qc.bhattacharyya.value
 
 
 EQUAL_HYPOTHESES = [
