@@ -6,18 +6,22 @@ makes no Gaussian assumption, and cross-checks the covariance-based overlap
 engine with them.
 
 It works on the blocks that two conservation laws give, not on dense
-matrices:
+matrices, indexed cyclically modulo d = cutoff + 1 so that every block is
+full and none is padded:
 
 - The beamsplitter generator a+ b - a b+ conserves the total photon number N
-  of (signal, background). The unitary is therefore a stack of 2 cutoff + 1
-  sector blocks, one per N, each the exponential of a tridiagonal generator
-  of size at most cutoff + 1. Sectors with N > cutoff are truncated exactly
-  as the dense truncated operator truncates them.
+  of (signal, background). Group j = N mod d holds sectors j and j + d, which
+  together have exactly d states, ordered by signal number n. The coupling
+  sqrt((n + 1)(N - n)) of n to n + 1 is 0 at n = j, the top of sector j, so
+  the two sectors stay decoupled in one tridiagonal generator of size d, and
+  sectors with N > cutoff are truncated exactly as the dense truncated
+  operator truncates them.
 - The two-mode squeezed probe pairs equal signal and idler photon numbers,
   and the thermal background is diagonal in the number basis. The
   target-present state is therefore block-diagonal in k = r - i (return minus
-  idler photons): 2 cutoff + 1 blocks of size cutoff + 1 - |k|, each V V^T
-  over the traced background branches. The target-absent state is diagonal.
+  idler photons). Block K = k mod d holds r - i = K and r - i = K - d: d
+  idler rows, each V V^T over the d traced background branches, with V zero
+  between the two. The target-absent state is diagonal.
 
 q(s) = Tr[absent^s present^(1-s)] then needs only the singular values and
 left singular vectors of every block's V, from one batched SVD for a whole
@@ -164,106 +168,98 @@ def target_absent_fock(n_signal: float, n_background: float, cutoff: int) -> Foc
 
 
 def _sector_beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
-    """exp(theta (a+ b - a b+)) on (signal, background), one block per total N.
+    """exp(theta (a+ b - a b+)) on (signal, background), one block per N mod d.
 
-    Shape (2 cutoff + 1, cutoff + 1, cutoff + 1). Entry [N, x, y] is
-    <n', N - n'| U |n, N - n> with n' = lo + x, n = lo + y and
-    lo = max(0, N - cutoff) the smallest signal number of sector N. Rows and
-    columns past the sector's size are zero padding in the generator, so the
-    padding exponentiates to an identity that no block entry mixes with.
+    Shape (d, d, d) with d = cutoff + 1. Entry [j, n', n] is
+    <n', N - n'| U |n, N - n> for signal numbers n and n' of one sector N with
+    N mod d = j: sector j for n <= j and sector j + d for n > j. Entries
+    between the two sectors are zero.
 
     theta = arccos(sqrt(kappa)) sends the signal into the output with
     amplitude sqrt(kappa) and the background with sqrt(1 - kappa).
     """
-    total = np.arange(2 * cutoff + 1)[:, None]
-    n = np.maximum(0, total - cutoff) + np.arange(cutoff)[None, :]
-    # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)), where n+1 is still in the sector.
-    inside = n + 1 <= np.minimum(total, cutoff)
-    coupling = np.sqrt(np.where(inside, (n + 1) * (total - n), 0))
+    d = cutoff + 1
+    group = np.arange(d)[:, None]
+    n = np.arange(cutoff)[None, :]
+    # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)); N - n = (j - n) mod d is the
+    # background number, 0 at n = j, where sector j ends and sector j + d starts.
+    coupling = np.sqrt((n + 1) * ((group - n) % d))
     # The generator G = a+ b - a b+ is D (-i T) D^-1, T the symmetric tridiagonal of
     # couplings and D = diag(i^x). From the real eigh T = w lam w^T,
     # exp(theta G)[x, y] = Re(i^(x - y) (w exp(-i theta lam) w^T)[x, y]).
-    sym = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
+    sym = np.zeros((d, d, d))
     j = np.arange(cutoff)
     sym[:, j + 1, j] = sym[:, j, j + 1] = coupling
     lam, w = np.linalg.eigh(sym)
     phase = math.acos(math.sqrt(reflectivity)) * lam
     cos = (w * np.cos(phase)[:, None, :]) @ w.swapaxes(1, 2)
     sin = (w * np.sin(phase)[:, None, :]) @ w.swapaxes(1, 2)
-    x = np.arange(cutoff + 1)
+    x = np.arange(d)
     return np.choose(np.subtract.outer(x, x) % 4, [cos, sin, -cos, -sin])
 
 
 def _block_layout(cutoff: int):
-    """Where each r - i block sits in the number basis.
+    """Where each cyclic r - i block sits in the number basis.
 
-    Block index K = k + cutoff holds k = r - i; its local row p is idler
-    number i = max(0, -k) + p and return number r = i + k. Returns k with
-    shape (2 cutoff + 1, 1), and the idler numbers and a validity mask (p
-    below the block size cutoff + 1 - |k|), both (2 cutoff + 1, cutoff + 1).
-    Invalid idler numbers are set to 0 so they index safely.
+    Block K holds the states with r - i = K mod d, d = cutoff + 1; its row p
+    is idler number i = p and return number r = (p + K) mod d. Returns the
+    idler numbers, shape (1, d), and the return numbers, shape (d, d).
     """
-    k = np.arange(-cutoff, cutoff + 1)[:, None]
-    p = np.arange(cutoff + 1)[None, :]
-    valid = p < cutoff + 1 - np.abs(k)
-    idler = np.where(valid, np.maximum(0, -k) + p, 0)
-    return k, idler, valid
+    d = cutoff + 1
+    idler = np.arange(d)[None, :]
+    return idler, (idler + idler.T) % d
 
 
 def _absent_blocks(n_signal: float, n_background: float, cutoff: int) -> np.ndarray:
-    """Diagonal of the target-absent state in the r - i block layout, zero padded."""
-    k, idler, valid = _block_layout(cutoff)
-    ret = thermal_weights(n_background, cutoff)
-    idl = thermal_weights(n_signal, cutoff)
-    return np.where(valid, ret[np.where(valid, idler + k, 0)] * idl[idler], 0.0)
+    """Diagonal of the target-absent state in the cyclic r - i block layout."""
+    idler, ret = _block_layout(cutoff)
+    background = thermal_weights(n_background, cutoff)
+    return background[ret] * thermal_weights(n_signal, cutoff)[idler]
 
 
 def _present_branches(
     n_signal: float, n_background: float, reflectivity: float, cutoff: int
 ) -> np.ndarray:
-    """Branch stack V of the target-present state, zero padded to (2c+1, c+1, c+1).
+    """Branch stack V of the target-present state, shape (d, d, d), d = cutoff + 1.
 
-    The r - i block k of the state is V_k V_k^T. Row i of V_k (return
-    r = i + k) and column b (the traced background output, fed by background
-    input m = k + b) hold the branch amplitude amp[i] sqrt(w[m]) <r, b| U |i, m>,
-    read from sector N = i + m. At kappa = 0 each V_k is the square root of the
-    diagonal target-absent block; at kappa = 1 only block k = 0 is nonzero, with
-    the Schmidt amplitudes as its one column.
+    Cyclic block K of the state is V_K V_K^T. Row i of V_K (return
+    r = (i + K) mod d) and column b (the traced background output, fed by
+    background input m = (b + K) mod d) hold the branch amplitude
+    amp[i] sqrt(w[m]) <r, b| U |i, m>, read from sector N = i + m, and 0 unless
+    r + b = i + m. At kappa = 0 each V_K is the square root of the diagonal
+    target-absent block; at kappa = 1 only block K = 0 is nonzero, with the
+    Schmidt amplitudes as its one column.
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
     _check_dimension(2, cutoff)
     d = cutoff + 1
-    branches = np.zeros((2 * cutoff + 1, d, d))
+    branches = np.zeros((d, d, d))
     if reflectivity == 0.0:
         diag = np.arange(d)
         branches[:, diag, diag] = np.sqrt(_absent_blocks(n_signal, n_background, cutoff))
         return branches
     amp = tmsv_amplitudes(n_signal, cutoff)
     if reflectivity == 1.0:  # the signal returns intact; the background drops out
-        branches[cutoff, :, 0] = amp
+        branches[0, :, 0] = amp
         return branches
-    k, idler, valid = _block_layout(cutoff)
+    idler, ret = _block_layout(cutoff)
     w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
     u = _sector_beamsplitter(reflectivity, cutoff)
-    mask = valid[:, :, None] & valid[:, None, :]
-    i = np.where(mask, idler[:, :, None], 0)
-    m = np.where(mask, idler[:, None, :] + k[:, :, None], 0)
-    r = np.where(mask, i + k[:, :, None], 0)
-    lo = np.maximum(0, i + m - cutoff)
-    return np.where(mask, amp[i] * np.sqrt(w[m]) * u[i + m, r - lo, i - lo], 0.0)
+    i, r = idler[:, :, None], ret[:, :, None]
+    b, m = idler[:, None, :], ret[:, None, :]
+    branch = amp[i] * np.sqrt(w[m]) * u[(i + m) % d, r, i]
+    # Exact zeros by construction, not by how eigh deflates at the zero coupling.
+    return np.where(r + b == i + m, branch, 0.0)
 
 
 def _scatter_blocks(blocks: np.ndarray, cutoff: int) -> np.ndarray:
-    """Dense (return, idler) matrix from padded r - i blocks."""
+    """Dense (return, idler) matrix from the cyclic r - i blocks."""
     d = cutoff + 1
-    k, idler, valid = _block_layout(cutoff)
-    flat = (idler + k) * d + idler
-    mask = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(flat[:, :, None], blocks.shape)
-    cols = np.broadcast_to(flat[:, None, :], blocks.shape)
+    idler, ret = _block_layout(cutoff)
+    flat = ret * d + idler
     dense = np.zeros((d * d, d * d))
-    dense[rows[mask], cols[mask]] = blocks[mask]
+    dense[flat[:, :, None], flat[:, None, :]] = blocks
     return dense
 
 
@@ -367,11 +363,13 @@ def oracle_overlap(
     diagonalized once for the whole sequence, and each q(s) is computed the
     same way whatever the sequence holds.
 
+    Refuses a cutoff past the dimension cap before it allocates anything.
     Refuses to answer when the analytic tail budget exceeds 1e-8: a result
     would look precise while silently missing that much weight. Refuses
     reflectivity 1 too: the background input n_background / (1 - kappa) is
     then not finite, so no Fock state matches the Gaussian present state.
     """
+    _check_dimension(2, cutoff)
     s_values = np.atleast_1d(np.asarray(s, dtype=float))
     if s_values.ndim != 1 or not np.all((s_values > 0.0) & (s_values < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
@@ -385,11 +383,10 @@ def oracle_overlap(
     if tails > TAIL_LIMIT:
         raise TailBudgetError(tails)
     absent = _absent_blocks(n_signal, n_background, cutoff)
-    # Block k is V_k V_k^T, so its eigenvalues are the squared singular values
-    # of V_k and its eigenvectors the left singular vectors: one batched SVD,
+    # Block K is V_K V_K^T, so its eigenvalues are the squared singular values
+    # of V_K and its eigenvectors the left singular vectors: one batched SVD,
     # nonnegative by construction, and tiny eigenvalues keep their relative
-    # precision, which eigh of V V^T loses. Padded rows of V are zero, so a
-    # singular vector with weight on them has singular value zero and drops out.
+    # precision, which eigh of V V^T loses.
     branches = _present_branches(n_signal, n_background, reflectivity, cutoff)
     left, sigma, _ = np.linalg.svd(branches)
     vals, vecs_sq = sigma**2, left**2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ def _sector_generators(cutoff):
     gen[:, j + 1, j] = coupling
     gen[:, j, j + 1] = -coupling
     return gen
+
+
+def _sector_signal_numbers(total, cutoff):
+    """Signal numbers of sector N = total inside the truncation."""
+    return np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
 
 
 def _stacked_expm_beamsplitter(reflectivity, cutoff):
@@ -264,20 +270,71 @@ def test_sector_construction_matches_dense_reference(cutoff, kappa):
 @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.9])
 @pytest.mark.parametrize("cutoff", [2, 10, 24])
 def test_sector_beamsplitter_matches_references(cutoff, kappa):
+    # Sector N sits in cyclic block N mod d at its signal numbers; both sectors of
+    # a block are compared, and the entries between them must be zero.
     u = fock._sector_beamsplitter(kappa, cutoff)
-    assert np.max(np.abs(u - _stacked_expm_beamsplitter(kappa, cutoff))) < 1e-12
+    d = cutoff + 1
+    stacked = _stacked_expm_beamsplitter(kappa, cutoff)
+    expected = np.zeros((d, d, d))
+    for total in range(2 * cutoff + 1):
+        n = _sector_signal_numbers(total, cutoff)
+        expected[total % d, n[:, None], n] = stacked[total, : n.size, : n.size]
+    assert np.max(np.abs(u - expected)) < 1e-12
     mpmath = pytest.importorskip("mpmath")
+    expected = np.zeros((d, d, d))
     with mpmath.workdps(30):
         theta = mpmath.acos(mpmath.sqrt(kappa))
         for total, gen in enumerate(_sector_generators(cutoff)):
-            size = min(total, cutoff) - max(0, total - cutoff) + 1
-            g = mpmath.zeros(size)
-            for x in range(size - 1):  # couplings are square roots of integers
+            n = _sector_signal_numbers(total, cutoff)
+            g = mpmath.zeros(n.size)
+            for x in range(n.size - 1):  # couplings are square roots of integers
                 g[x + 1, x] = mpmath.sqrt(round(gen[x + 1, x] ** 2))
                 g[x, x + 1] = -g[x + 1, x]
-            ref = np.eye(cutoff + 1)
-            ref[:size, :size] = np.array(mpmath.expm(theta * g).tolist(), dtype=float)
-            assert np.max(np.abs(u[total] - ref)) < 1e-13
+            expected[total % d, n[:, None], n] = np.array(
+                mpmath.expm(theta * g).tolist(), dtype=float
+            )
+    assert np.max(np.abs(u - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.9])
+@pytest.mark.parametrize("cutoff", [2, 10, 24])
+def test_present_branches_conserve_photon_number(cutoff, kappa):
+    # Row i of cyclic block K has return r = (i + K) mod d, column b background
+    # input m = (b + K) mod d; a branch with r + b != i + m does not exist.
+    v = fock._present_branches(0.15, 0.4, kappa, cutoff)
+    d = cutoff + 1
+    block, i, b = np.ogrid[:d, :d, :d]
+    conserved = (i + block) % d + b == i + (b + block) % d
+    assert np.all(v[~conserved] == 0.0)
+    assert np.all(np.any(v != 0.0, axis=2))  # every idler row carries a branch
+
+
+def test_oracle_overlap_matches_dense_reference():
+    # The dense expm route shares no block code with the oracle.
+    rng = np.random.default_rng(20261018)
+    grid = [0.1, 0.3, 0.5]
+    for _ in range(10):
+        cutoff = int(rng.integers(2, 11))
+        ratio = fock.TAIL_LIMIT ** (1.0 / (cutoff + 1))
+        n_max = ratio / (1.0 - ratio)
+        kappa = float(rng.uniform(0.01, 0.99))
+        ns, nb = rng.uniform(0.05, 0.5, size=2) * n_max * [1.0, 1.0 - kappa]
+        absent = target_absent_fock(ns, nb, cutoff)
+        present = _dense_present(ns, nb, kappa, cutoff)
+        expected = [trace_power_product(absent, present, s) for s in grid]
+        got = oracle_overlap(ns, nb, kappa, grid, cutoff)
+        assert np.max(np.abs(np.subtract(got, expected)) / expected) < 1e-11
+
+
+def test_oracle_checks_the_dimension_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError):
+            oracle_overlap(0.01, 0.01, 0.1, 0.5, 1500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_overlap_sequence_validation():
