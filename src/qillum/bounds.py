@@ -28,12 +28,14 @@ from .states import IlluminationScenario, illumination_states, max_three_mode_co
 from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
 # chernoff_bound's search: a grid holding s = 1/2 exactly, then zoom rounds of
-# ZOOM_POINTS interior points until the bracket is narrower than S_TOL. Each
-# round shrinks the two-step bracket 19-fold, so seven rounds take the grid's
-# 1/16 bracket below 1e-10 and a search makes at most eight engine calls.
+# ZOOM_POINTS interior points until log q around the best point is flat to
+# ROUNDING_ULPS ulps of its log pieces, or the bracket is narrower than S_TOL.
+# Each round shrinks the two-step bracket 19-fold, so seven rounds take the
+# grid's 1/16 bracket below 1e-10 and a search makes at most eight engine calls.
 GRID_POINTS = 33
 ZOOM_POINTS = 37
 S_TOL = 1e-10
+ROUNDING_ULPS = 4
 # linspace lands one ulp below 1/2 at the grid's midpoint, so it is set exactly.
 CHERNOFF_GRID = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
 CHERNOFF_GRID[GRID_POINTS // 2] = 0.5
@@ -94,6 +96,7 @@ class OverlapResult:
 # _PairEngine returns OverlapResult's fields as rows, in this order.
 _FIELDS = [f.name for f in fields(OverlapResult)]
 LOG_ROW, S_ROW = _FIELDS.index("log_value"), _FIELDS.index("s")
+PIECE_ROWS = [_FIELDS.index(f) for f in ("prefactor_log", "det_term_log", "displacement_log")]
 
 
 def _as_state(obj) -> GaussianState:
@@ -258,10 +261,15 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     log q(s) is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so
     the minimum lies within one step of the smallest value on any grid. The
     33-point grid is one _PairEngine call; each zoom round spreads 37 points
-    over the two steps around the smallest value so far, in one call, until
-    the bracket is narrower than 1e-10 (at most seven rounds from the grid).
-    The search runs on the engine's arrays; the result is the smallest q over
-    every evaluated point, the first one when several tie. Each state is
+    over the two steps around the smallest value so far, in one call. After
+    each call, with k the smallest point, the spread of log q over the evenly
+    spaced points k - 2 ... k + 2 bounds by convexity how far the exact
+    minimum over the bracket lies below the best point; the result carries
+    it as `chernoff_gap`. The search stops once the spread is at most
+    ROUNDING_ULPS ulps of the points' largest |prefactor_log| + |det_term_log|
+    + |displacement_log|, or else once the bracket is narrower than 1e-10
+    (at most seven rounds). The result is the smallest q over every
+    evaluated point, the first one when several tie. Each state is
     decomposed once, on its first use, and keeps the result.
 
     The search starts from power_overlap's s = 1/2 point, the one
@@ -281,9 +289,12 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
         k = int(np.argmin(points[LOG_ROW]))
         if points[LOG_ROW, k] < best.log_value:
             best = OverlapResult(*points[:, k].tolist())
+        near = points[:, max(k - 2, 0) : k + 3]
+        gap = float(np.ptp(near[LOG_ROW]))
+        floor = ROUNDING_ULPS * np.finfo(float).eps * np.abs(near[PIECE_ROWS]).sum(axis=0).max()
         lo, hi = max(k - 1, 0), min(k + 1, points.shape[1] - 1)
         s_lo, s_hi = points[S_ROW, lo], points[S_ROW, hi]
-        if s_hi - s_lo <= S_TOL:
+        if gap <= floor or s_hi - s_lo <= S_TOL:
             break
         inner = engine(s_lo + (s_hi - s_lo) * ZOOM_FRACTIONS)
         points = np.concatenate([points[:, lo, None], inner, points[:, hi, None]], axis=1)
@@ -295,6 +306,7 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
         grid_points=GRID_POINTS,
         zoom_rounds=rounds,
         bracket_width=float(s_hi - s_lo),
+        chernoff_gap=gap,
     )
     result.bhattacharyya = _bound_from_overlap(half, copies)
     return result

@@ -451,10 +451,14 @@ def test_zoom_search_no_worse_than_golden_section():
 
         reference = _reference_chernoff_log(logq)
         qc = chernoff_bound(absent, present)
+        _, floor = _reference_chernoff(absent, present, 1)
         scale = 1.0 + abs(qc.diagnostics["prefactor_log"]) + abs(qc.diagnostics["det_term_log"])
         assert qc.diagnostics["log_overlap"] <= reference + 1e-15 * scale, (model, scn)
         assert qc.diagnostics["zoom_rounds"] <= 7
-        assert qc.diagnostics["bracket_width"] <= 1e-10
+        assert (
+            qc.diagnostics["bracket_width"] <= bounds.S_TOL
+            or qc.diagnostics["chernoff_gap"] <= floor
+        ), (model, scn)
 
 
 def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
@@ -468,9 +472,14 @@ def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
         assert qc.diagnostics["log_overlap"] <= qb.diagnostics["log_overlap"]
 
 
-def _reference_chernoff(a, b, copies):
+def _reference_chernoff(a, b, copies, stop_rule=True):
     """The list-walking search chernoff_bound replaced: power_overlap's
-    OverlapResults, scanned with Python's min, the bracket carried as results."""
+    OverlapResults, scanned with Python's min, the bracket carried as results.
+
+    Returns the result and the rounding floor of its last round. Without the
+    stop rule it zooms until the bracket is narrower than S_TOL, every round
+    the search can make: the full-zoom search.
+    """
     points = power_overlap(a, b, bounds.CHERNOFF_GRID)
     half = points[bounds.GRID_POINTS // 2]
     best = half
@@ -479,9 +488,14 @@ def _reference_chernoff(a, b, copies):
         k = min(range(len(points)), key=lambda j: points[j].log_value)
         if points[k].log_value < best.log_value:
             best = points[k]
+        near = points[max(k - 2, 0) : k + 3]
+        gap = max(p.log_value for p in near) - min(p.log_value for p in near)
+        floor = bounds.ROUNDING_ULPS * np.finfo(float).eps * max(
+            abs(p.prefactor_log) + abs(p.det_term_log) + abs(p.displacement_log) for p in near
+        )
         lo = points[max(k - 1, 0)]
         hi = points[min(k + 1, len(points) - 1)]
-        if hi.s - lo.s <= bounds.S_TOL:
+        if (stop_rule and gap <= floor) or hi.s - lo.s <= bounds.S_TOL:
             break
         points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS), hi]
         rounds += 1
@@ -491,9 +505,10 @@ def _reference_chernoff(a, b, copies):
         grid_points=bounds.GRID_POINTS,
         zoom_rounds=rounds,
         bracket_width=hi.s - lo.s,
+        chernoff_gap=gap,
     )
     result.bhattacharyya = bounds._bound_from_overlap(half, copies)
-    return result
+    return result, floor
 
 
 def _count_search_calls(monkeypatch):
@@ -532,7 +547,7 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
     compared = 0
     for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(31, 12)):
         try:
-            reference = _reference_chernoff(absent, present, scn.copies)
+            reference, _ = _reference_chernoff(absent, present, scn.copies)
         except ValueError as exc:
             with pytest.raises(ValueError) as ours:
                 chernoff_bound(absent, present, scn.copies)
@@ -556,6 +571,28 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
     assert compared >= 30
 
 
+def test_stopped_search_within_rounding_of_full_zoom():
+    # The stopped search evaluates a prefix of the full-zoom search's points,
+    # so its log q can only be higher, and by no more than the rounding floor.
+    # Rounding lets the full zoom's extra points dip below the true minimum,
+    # so the stopped value can exceed the full-zoom one by more than
+    # chernoff_gap, the spread at the stop; the floor bounds both.
+    engine_calls = []
+    for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(5, 24)):
+        try:
+            full, _ = _reference_chernoff(absent, present, 1, stop_rule=False)
+        except ValueError:
+            continue
+        qc = chernoff_bound(absent, present)
+        _, floor = _reference_chernoff(absent, present, 1)
+        new, full = qc.diagnostics["log_overlap"], full.diagnostics["log_overlap"]
+        assert full <= new <= full + floor, (model, scn)
+        assert qc.diagnostics["chernoff_gap"] <= floor, (model, scn)
+        engine_calls.append(qc.diagnostics["zoom_rounds"] + 1)
+    assert len(engine_calls) >= 60
+    assert np.mean(engine_calls) <= 4 and max(engine_calls) <= 8
+
+
 def test_chernoff_engine_calls(monkeypatch):
     calls = _count_search_calls(monkeypatch)
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
@@ -567,39 +604,75 @@ def test_chernoff_engine_calls(monkeypatch):
     assert calls["overlap"] == [0.5]
 
 
+def _synthetic_engine(monkeypatch, log_q, scale=0.0):
+    """Replace _PairEngine by one whose log q(s) is log_q(s, call index).
+
+    log q is split as prefactor_log = scale and det_term_log = log q - scale,
+    so scale sets the rounding floor. Returns the list of batch sizes and
+    the list of every log q value, both filled call by call.
+    """
+    sizes, evaluated = [], []
+
+    class Synthetic:
+        def __init__(self, state_a, state_b):
+            pass
+
+        def __call__(self, s):
+            values = np.array([log_q(x, len(sizes)) for x in s.tolist()])
+            sizes.append(s.size)
+            evaluated.extend(values.tolist())
+            rows = {"value": np.exp(values), "log_value": values,
+                    "prefactor_log": np.full_like(s, scale), "det_term_log": values - scale,
+                    "displacement_log": np.zeros_like(s), "s": s}
+            return np.stack([rows[name] for name in bounds._FIELDS])
+
+    monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
+    return sizes, evaluated
+
+
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
     # A synthetic engine that puts a rounding-level dip at s = 1/2 in one
     # call, either power_overlap's s = 1/2 start or the grid, and not in the
     # other, as two separate evaluations can differ: the search must still
     # return the dip, so Chernoff <= Bhattacharyya.
     for dip_call in (0, 1):
-        evaluated = []
-        sizes = []
 
-        class Synthetic:
-            def __init__(self, state_a, state_b):
-                pass
+        def log_q(x, call, dip_call=dip_call):
+            return (x - 0.5) ** 2 - 1e-3 - (1e-9 if call == dip_call and x == 0.5 else 0.0)
 
-            def __call__(self, s, dip_call=dip_call, evaluated=evaluated, sizes=sizes):
-                dip = len(sizes) == dip_call
-                sizes.append(s.size)
-                log_q = np.array([
-                    (x - 0.5) ** 2 - 1e-3 - (1e-9 if dip and x == 0.5 else 0.0)
-                    for x in s.tolist()
-                ])
-                evaluated.extend(log_q.tolist())
-                zero = np.zeros_like(s)
-                rows = {"value": np.exp(log_q), "log_value": log_q, "prefactor_log": zero,
-                        "det_term_log": log_q, "displacement_log": zero, "s": s}
-                return np.stack([rows[name] for name in bounds._FIELDS])
-
-        monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
+        sizes, evaluated = _synthetic_engine(monkeypatch, log_q)
         cov = CovarianceMatrix(np.diag([3.0, 3.0]))
         qc = chernoff_bound(cov, cov, 10)
         assert sizes[:2] == [1, bounds.GRID_POINTS]
         assert qc.diagnostics["log_overlap"] == min(evaluated)
         assert qc.s_used == 0.5
         assert qc.value <= qc.bhattacharyya.value
+
+
+def test_flat_log_q_stops_after_the_grid(monkeypatch):
+    # log q varies by 1e-16 over (0, 1), below the floor of 4 ulps of 40:
+    # convexity leaves nothing to find beyond rounding, so no zoom round runs.
+    sizes, evaluated = _synthetic_engine(
+        monkeypatch, lambda x, call: 1e-15 * (x - 0.4) ** 2 - 1e-3, scale=20.0
+    )
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    assert sizes == [1, bounds.GRID_POINTS]  # the s = 1/2 start, then the grid
+    assert qc.diagnostics["zoom_rounds"] == 0
+    assert qc.diagnostics["log_overlap"] == min(evaluated)
+    assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * np.finfo(float).eps * 40.0
+
+
+def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
+    # With curvature 600 the spread stays above the floor (4 ulps of 1e-3)
+    # until the bracket is narrower than S_TOL, which takes all seven rounds.
+    sizes, _ = _synthetic_engine(monkeypatch, lambda x, call: 300.0 * (x - 0.3) ** 2 - 1e-3)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    assert sizes == [1, bounds.GRID_POINTS] + [bounds.ZOOM_POINTS] * 7
+    assert qc.diagnostics["zoom_rounds"] == 7
+    assert qc.diagnostics["bracket_width"] <= bounds.S_TOL
+    assert abs(qc.s_used - 0.3) <= bounds.S_TOL
 
 
 EQUAL_HYPOTHESES = [

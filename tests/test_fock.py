@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -63,6 +64,56 @@ def _stacked_expm_beamsplitter(reflectivity, cutoff):
     from scipy.linalg import expm
 
     return expm(math.acos(math.sqrt(reflectivity)) * _sector_generators(cutoff))
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_sector_eigensystems(cutoff):
+    """30-digit eigenvalues and eigenvectors of each sector's symmetric coupling matrix.
+
+    A sector generator g has couplings c below and -c above its diagonal.
+    With D = diag(i^x), D^H (i g) D = J, the real symmetric matrix with c on
+    both off-diagonals, so one eigensystem of J gives exp(theta g) for every
+    theta. The couplings are square roots of integers.
+    """
+    import mpmath
+
+    systems = []
+    with mpmath.workdps(30):
+        for total, gen in enumerate(_sector_generators(cutoff)):
+            size = _sector_signal_numbers(total, cutoff).size
+            j = mpmath.zeros(size)
+            for x in range(size - 1):
+                j[x + 1, x] = j[x, x + 1] = mpmath.sqrt(round(gen[x + 1, x] ** 2))
+            systems.append(mpmath.eigsy(j))
+    return systems
+
+
+def _mpmath_sector_beamsplitter(reflectivity, cutoff):
+    """Reference: the cyclic-block beamsplitter from the 30-digit eigensystems.
+
+    exp(theta g) = D exp(-i theta J) D^H, so with J = Q diag(lambda) Q^T entry
+    (x, y) is sum_j Q[x, j] Q[y, j] Re(i^(x - y) exp(-i theta lambda_j)), and
+    Re(i^m exp(-i phi)) is cos phi, sin phi, -cos phi, -sin phi for m mod 4 = 0 ... 3.
+    """
+    import mpmath
+
+    d = cutoff + 1
+    out = np.zeros((d, d, d))
+    with mpmath.workdps(30):
+        theta = mpmath.acos(mpmath.sqrt(reflectivity))
+        for total, (lam, q) in enumerate(_mpmath_sector_eigensystems(cutoff)):
+            n = _sector_signal_numbers(total, cutoff)
+            cos = [mpmath.cos(theta * value) for value in lam]
+            sin = [mpmath.sin(theta * value) for value in lam]
+            weights = (cos, sin, [-w for w in cos], [-w for w in sin])
+            rows = q.tolist()
+            weighted = [[[a * b for a, b in zip(row, w)] for row in rows] for w in weights]
+            block = [
+                [mpmath.fdot(rows[x], weighted[(x - y) % 4][y]) for y in range(n.size)]
+                for x in range(n.size)
+            ]
+            out[total % d, n[:, None], n] = np.array(block, dtype=float)
+    return out
 
 
 def _dense_present(n_signal, n_background, reflectivity, cutoff):
@@ -280,20 +331,8 @@ def test_sector_beamsplitter_matches_references(cutoff, kappa):
         n = _sector_signal_numbers(total, cutoff)
         expected[total % d, n[:, None], n] = stacked[total, : n.size, : n.size]
     assert np.max(np.abs(u - expected)) < 1e-12
-    mpmath = pytest.importorskip("mpmath")
-    expected = np.zeros((d, d, d))
-    with mpmath.workdps(30):
-        theta = mpmath.acos(mpmath.sqrt(kappa))
-        for total, gen in enumerate(_sector_generators(cutoff)):
-            n = _sector_signal_numbers(total, cutoff)
-            g = mpmath.zeros(n.size)
-            for x in range(n.size - 1):  # couplings are square roots of integers
-                g[x + 1, x] = mpmath.sqrt(round(gen[x + 1, x] ** 2))
-                g[x, x + 1] = -g[x + 1, x]
-            expected[total % d, n[:, None], n] = np.array(
-                mpmath.expm(theta * g).tolist(), dtype=float
-            )
-    assert np.max(np.abs(u - expected)) < 1e-13
+    pytest.importorskip("mpmath")
+    assert np.max(np.abs(u - _mpmath_sector_beamsplitter(kappa, cutoff))) < 1e-13
 
 
 @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.9])
