@@ -167,6 +167,18 @@ def target_absent_fock(n_signal: float, n_background: float, cutoff: int) -> Foc
     return FockOperator(2, cutoff, m)
 
 
+def _parity_chain(cutoff: int) -> np.ndarray:
+    """B[j, a, b]: block j's coupling of n = 2a to n = 2b + 1, shape (d, ceil(d/2), d // 2)."""
+    d = cutoff + 1
+    group = np.arange(d)[:, None]
+    n = np.arange(cutoff)
+    # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)); N - n = (j - n) mod d is the
+    # background number, 0 at n = j, where sector j ends and sector j + d starts.
+    chain = np.zeros((d, (d + 1) // 2, d // 2))
+    chain[:, (n + 1) // 2, n // 2] = np.sqrt((n + 1) * ((group - n) % d))
+    return chain
+
+
 def _sector_beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
     """exp(theta (a+ b - a b+)) on (signal, background), one block per N mod d.
 
@@ -177,25 +189,27 @@ def _sector_beamsplitter(reflectivity: float, cutoff: int) -> np.ndarray:
 
     theta = arccos(sqrt(kappa)) sends the signal into the output with
     amplitude sqrt(kappa) and the background with sqrt(1 - kappa).
+
+    The generator links n to n +- 1 only: ordered (even, odd) and with signs
+    (-1)^floor(n/2), it is [[0, -B], [B^T, 0]], B = _parity_chain = P S Q^T.
+    Its exponential is [[1 - P (1 - cos) P^T, -P sin Q^T], [Q sin P^T,
+    1 - Q (1 - cos) Q^T]], cos and sin of theta S, from one reduced SVD: a
+    left singular vector beyond Q's has S = 0, where 1 - cos and sin vanish.
     """
-    d = cutoff + 1
-    group = np.arange(d)[:, None]
-    n = np.arange(cutoff)[None, :]
-    # <n+1, N-n-1| a+ b |n, N-n> = sqrt((n+1)(N-n)); N - n = (j - n) mod d is the
-    # background number, 0 at n = j, where sector j ends and sector j + d starts.
-    coupling = np.sqrt((n + 1) * ((group - n) % d))
-    # The generator G = a+ b - a b+ is D (-i T) D^-1, T the symmetric tridiagonal of
-    # couplings and D = diag(i^x). From the real eigh T = w lam w^T,
-    # exp(theta G)[x, y] = Re(i^(x - y) (w exp(-i theta lam) w^T)[x, y]).
-    sym = np.zeros((d, d, d))
-    j = np.arange(cutoff)
-    sym[:, j + 1, j] = sym[:, j, j + 1] = coupling
-    lam, w = np.linalg.eigh(sym)
-    phase = math.acos(math.sqrt(reflectivity)) * lam
-    cos = (w * np.cos(phase)[:, None, :]) @ w.swapaxes(1, 2)
-    sin = (w * np.sin(phase)[:, None, :]) @ w.swapaxes(1, 2)
-    x = np.arange(d)
-    return np.choose(np.subtract.outer(x, x) % 4, [cos, sin, -cos, -sin])
+    left, sigma, right_t = np.linalg.svd(_parity_chain(cutoff), full_matrices=False)
+    d, evens, odds = left.shape
+    half = 0.5 * math.acos(math.sqrt(reflectivity)) * sigma[:, None, :]
+    sign = (-1.0) ** np.arange(evens)[:, None]
+    left, right = left * sign, right_t.swapaxes(1, 2) * sign[:odds]
+    # 1 - cos(x) = 2 sin(x/2)^2 keeps the diagonal blocks' small terms exact.
+    chord = math.sqrt(2.0) * np.sin(half)
+    even, odd = left * chord, right * chord
+    u = np.empty((d, d, d))
+    u[:, 0::2, 0::2] = np.eye(evens) - even @ even.swapaxes(1, 2)
+    u[:, 1::2, 1::2] = np.eye(odds) - odd @ odd.swapaxes(1, 2)
+    u[:, 1::2, 0::2] = (right * np.sin(2.0 * half)) @ left.swapaxes(1, 2)
+    u[:, 0::2, 1::2] = -u[:, 1::2, 0::2].swapaxes(1, 2)
+    return u
 
 
 def _block_layout(cutoff: int):
@@ -249,7 +263,7 @@ def _present_branches(
     i, r = idler[:, :, None], ret[:, :, None]
     b, m = idler[:, None, :], ret[:, None, :]
     branch = amp[i] * np.sqrt(w[m]) * u[(i + m) % d, r, i]
-    # Exact zeros by construction, not by how eigh deflates at the zero coupling.
+    # Exact zeros by construction, not by how the SVD splits at the zero coupling.
     return np.where(r + b == i + m, branch, 0.0)
 
 
