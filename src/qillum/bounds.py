@@ -272,15 +272,17 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     evaluated point, the first one when several tie. Each state is
     decomposed once, on its first use, and keeps the result.
 
-    The grid's s = 1/2 column is the point bhattacharyya_bound gives, bit
-    for bit, since a batch entry equals its one-point call. The search starts
-    from it and carries it as `bhattacharyya`, so the result can never
-    exceed it.
+    The search starts from power_overlap's s = 1/2 point, the one
+    bhattacharyya_bound gives, and carries it as `bhattacharyya`; the result
+    can never exceed it. The grid holds s = 1/2 as well, so the points
+    searched, and their order, do not depend on that start.
     """
-    engine = _PairEngine(_as_state(state_a), _as_state(state_b))
+    a = _as_state(state_a)
+    b = _as_state(state_b)
+    half = power_overlap(a, b, 0.5)
+    engine = _PairEngine(a, b)
     # Columns are evaluated points, rows OverlapResult's fields.
     points = engine(CHERNOFF_GRID)
-    half = OverlapResult(*points[:, GRID_POINTS // 2].tolist())
     best = half
     rounds = 0
     while True:

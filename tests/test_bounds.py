@@ -556,7 +556,7 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
         calls["overlap"].clear()
         calls["engine"].clear()
         qc = chernoff_bound(absent, present, scn.copies)
-        assert calls["overlap"] == []
+        assert calls["overlap"] == [0.5]
         assert len(calls["engine"]) == qc.diagnostics["zoom_rounds"] + 1
         assert (qc.value, qc.q_at_s, qc.s_used, qc.copies) == (
             reference.value, reference.q_at_s, reference.s_used, reference.copies
@@ -600,8 +600,8 @@ def test_chernoff_engine_calls(monkeypatch):
     assert 1 < len(calls["engine"]) <= 8
     assert all(ndim == 1 for ndim in calls["engine"])
     assert len(calls["engine"]) == qc.diagnostics["zoom_rounds"] + 1
-    # the Bhattacharyya point is the grid's s = 1/2 column, not a call of its own
-    assert calls["overlap"] == []
+    # the s = 1/2 start, which the result carries as its Bhattacharyya bound
+    assert calls["overlap"] == [0.5]
 
 
 def _synthetic_engine(monkeypatch, log_q, scale=0.0):
@@ -631,10 +631,10 @@ def _synthetic_engine(monkeypatch, log_q, scale=0.0):
 
 
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
-    # The grid and the first zoom round both evaluate s = 1/2. A synthetic
-    # engine puts a rounding-level dip there in one call, either of the two,
-    # and not in the other, as two separate evaluations can differ: the
-    # search must still return the dip, so Chernoff <= Bhattacharyya.
+    # A synthetic engine that puts a rounding-level dip at s = 1/2 in one
+    # call, either power_overlap's s = 1/2 start or the grid, and not in the
+    # other, as two separate evaluations can differ: the search must still
+    # return the dip, so Chernoff <= Bhattacharyya.
     for dip_call in (0, 1):
 
         def log_q(x, call, dip_call=dip_call):
@@ -643,7 +643,7 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
         sizes, evaluated = _synthetic_engine(monkeypatch, log_q)
         cov = CovarianceMatrix(np.diag([3.0, 3.0]))
         qc = chernoff_bound(cov, cov, 10)
-        assert sizes[:2] == [bounds.GRID_POINTS, bounds.ZOOM_POINTS]
+        assert sizes[:2] == [1, bounds.GRID_POINTS]
         assert qc.diagnostics["log_overlap"] == min(evaluated)
         assert qc.s_used == 0.5
         assert qc.value <= qc.bhattacharyya.value
@@ -657,7 +657,7 @@ def test_flat_log_q_stops_after_the_grid(monkeypatch):
     )
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert sizes == [bounds.GRID_POINTS]
+    assert sizes == [1, bounds.GRID_POINTS]  # the s = 1/2 start, then the grid
     assert qc.diagnostics["zoom_rounds"] == 0
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * np.finfo(float).eps * 40.0
@@ -669,7 +669,7 @@ def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     sizes, _ = _synthetic_engine(monkeypatch, lambda x, call: 300.0 * (x - 0.3) ** 2 - 1e-3)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert sizes == [bounds.GRID_POINTS] + [bounds.ZOOM_POINTS] * 7
+    assert sizes == [1, bounds.GRID_POINTS] + [bounds.ZOOM_POINTS] * 7
     assert qc.diagnostics["zoom_rounds"] == 7
     assert qc.diagnostics["bracket_width"] <= bounds.S_TOL
     assert abs(qc.s_used - 0.3) <= bounds.S_TOL
