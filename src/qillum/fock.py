@@ -96,10 +96,6 @@ class FockOperator:
             raise ValueError("matrix is not symmetric")
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 

@@ -9,12 +9,11 @@ at or above 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-MINOR_TOL = 1e-12
 PHYSICAL_TOL = 1e-9
 PURITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-9
@@ -35,29 +34,32 @@ def symplectic_form(n: int) -> np.ndarray:
 class CovarianceMatrix:
     """Validated real covariance matrix of an n-mode Gaussian state.
 
-    Validation covers symmetry and positive definiteness only; whether the
-    matrix is a bona fide quantum state (symplectic spectrum >= 1) is a
-    separate question answered by is_physical.
+    A 2n x 2n matrix is admitted iff its entries are finite, it is symmetric
+    to 1e-12, and the smallest eigenvalue of one np.linalg.eigh is > 0. The
+    symmetric square root built from that eigensolve is kept as `root`, the
+    V^(1/2) that williamson_decompose starts from. Whether the matrix is a
+    bona fide quantum state (symplectic spectrum >= 1) is a separate question
+    answered by is_physical.
     """
 
     matrix: np.ndarray
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance matrix must be square")
         if m.shape[0] % 2 != 0 or m.shape[0] == 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric to 1e-12")
-        # Leading principal minors: cheap and deterministic at this scale.
-        for k in range(1, m.shape[0] + 1):
-            if np.linalg.det(m[:k, :k]) <= MINOR_TOL:
-                raise ValueError(
-                    f"covariance matrix is not positive definite "
-                    f"(leading minor {k} is <= {MINOR_TOL})"
-                )
+        w, v = np.linalg.eigh(m)
+        if w[0] <= 0:
+            raise ValueError("covariance matrix is not positive definite")
         self.matrix = m
+        self.root = (v * np.sqrt(w)) @ v.T
 
     @property
     def n(self) -> int:
@@ -80,6 +82,8 @@ class GaussianState:
             self.mean = np.zeros(2 * self.cov.n)
         else:
             self.mean = np.asarray(self.mean, dtype=float)
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean vector has non-finite entries")
         if self.mean.shape != (2 * self.cov.n,):
             raise ValueError("mean vector length must be twice the mode count")
 
@@ -140,10 +144,8 @@ class Bipartition:
             raise ValueError("mode index out of range (indices are 0-based)")
 
 
-def _as_matrix(cov) -> np.ndarray:
-    if isinstance(cov, CovarianceMatrix):
-        return cov.matrix
-    return CovarianceMatrix(np.asarray(cov, dtype=float)).matrix
+def _as_cov(cov) -> CovarianceMatrix:
+    return cov if isinstance(cov, CovarianceMatrix) else CovarianceMatrix(cov)
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
@@ -154,7 +156,7 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
     williamson_decompose does not (tests/test_reference.py checks this path
     against a 50-digit reference).
     """
-    m = _as_matrix(cov)
+    m = _as_cov(cov).matrix
     n = m.shape[0] // 2
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ m)
     mods = np.sort(np.abs(ev))
@@ -164,9 +166,10 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 def williamson_decompose(cov) -> WilliamsonDecomposition:
     """Numeric Williamson decomposition with a phase convention.
 
-    Algorithm: with R = cov^(1/2), the Hermitian i R Omega R has eigenvalues
-    +-nu in pairs, nu the symplectic eigenvalues (Serafini, Quantum Continuous
-    Variables, ch. 3). An eigenvector u of +nu gives the real orthonormal pair
+    Algorithm: with R = cov^(1/2), the root kept when cov was admitted, the
+    Hermitian i R Omega R has eigenvalues +-nu in pairs, nu the symplectic
+    eigenvalues (Serafini, Quantum Continuous Variables, ch. 3). An
+    eigenvector u of +nu gives the real orthonormal pair
     (sqrt2 Re u, -sqrt2 Im u), on which R Omega R is [[0, nu], [-nu, 0]].
     Blocks are sorted descending, and each block pair is rotated so the (x, x)
     entry of S is nonnegative and the (x, p) entry vanishes, which keeps S
@@ -180,13 +183,8 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     about eps * max(nu): in a bright state the small eigenvalues lose relative
     digits that symplectic_eigenvalues keeps.
     """
-    m = _as_matrix(cov)
-    n = m.shape[0] // 2
-
-    w, v = np.linalg.eigh(m)
-    if w[0] <= 0:
-        raise ValueError("covariance matrix is not positive definite")
-    root = (v * np.sqrt(w)) @ v.T
+    cov = _as_cov(cov)
+    m, root, n = cov.matrix, cov.root, cov.n
     lam, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
 
     # The spectrum is symmetric about zero: -nu_j must pair with +nu_j.
@@ -223,7 +221,7 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
 
 def partial_transpose(cov, part: Bipartition) -> CovarianceMatrix:
     """Flip the sign of the p rows and columns of every transposed mode."""
-    m = _as_matrix(cov)
+    m = _as_cov(cov).matrix
     if part.n_modes != m.shape[0] // 2:
         raise ValueError("bipartition mode count does not match the covariance")
     out = m.copy()

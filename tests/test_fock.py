@@ -26,9 +26,9 @@ from qillum import (
     tmsv_fock,
     trace_power,
     trace_power_product,
-    two_mode_target_present_cov,
 )
 from qillum.fock import thermal_weights, tmsv_amplitudes
+from qillum.states import two_mode_target_present_cov
 
 
 def _dense_beamsplitter(reflectivity, cutoff):

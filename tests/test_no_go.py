@@ -20,8 +20,8 @@ from qillum import (
     illumination_states,
     power_overlap,
     three_mode_cov,
-    tmsv_cov,
 )
+from qillum.states import tmsv_cov
 
 S_VALUES = [0.1, 0.3, 0.5, 0.7, 0.9]
 

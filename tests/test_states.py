@@ -23,11 +23,9 @@ from qillum import (
     target_present_factorization,
     three_mode_cov,
     tmsv_correlation,
-    tmsv_cov,
-    two_mode_target_absent_cov,
-    two_mode_target_present_cov,
     williamson_decompose,
 )
+from qillum.states import tmsv_cov, two_mode_target_absent_cov, two_mode_target_present_cov
 from qillum.symplectic import Bipartition, log_negativity, symplectic_eigenvalues
 
 

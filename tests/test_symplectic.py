@@ -17,9 +17,9 @@ from qillum import (
     symplectic_eigenvalues,
     symplectic_form,
     tmsv_correlation,
-    tmsv_cov,
     williamson_decompose,
 )
+from qillum.states import tmsv_cov
 from qillum.symplectic import RECONSTRUCTION_TOL
 
 
@@ -41,12 +41,50 @@ def test_covariance_validation():
         CovarianceMatrix(np.ones((3, 3)))  # odd dimension
     with pytest.raises(ValueError):
         CovarianceMatrix(np.ones((2, 4)))
-    bad = np.diag([2.0, 2.0]).astype(float)
-    bad[0, 1] = 1e-6  # asymmetric
-    with pytest.raises(ValueError):
-        CovarianceMatrix(bad)
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "matrix, refusal",
+    [
+        # A pure squeezed state in either quadrature order, and a positive
+        # definite matrix far below vacuum: the sign of the smallest eigenvalue
+        # decides, not the size or order of the entries.
+        (np.diag([1e-13, 1e13]), None),
+        (np.diag([1e13, 1e-13]), None),
+        (1e-3 * np.eye(6), None),
+        (np.diag([1.0, 1.0, 1.0, 0.0]), "is not positive definite"),
+        (np.diag([1.0, 1.0, 1.0, -1.0]), "is not positive definite"),
+        (np.array([[2.0, 1e-6], [0.0, 2.0]]), "is not symmetric to 1e-12"),
+    ],
+    ids=["squeezed-x", "squeezed-p", "small-6x6", "singular", "indefinite", "asymmetric"],
+)
+def test_covariance_admission_rule(matrix, refusal, monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^covariance matrix {refusal}$"):
+            CovarianceMatrix(matrix)
+        # Symmetry is refused before any eigensolve.
+        assert len(solved) == (0 if "symmetric" in refusal else 1)
+        return
+    cov = CovarianceMatrix(matrix)
+    assert np.allclose(cov.root @ cov.root, matrix, rtol=1e-12, atol=0)
+    # One real eigensolve admits the matrix; Williamson adds only its Hermitian one.
+    williamson_decompose(cov)
+    assert solved == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_covariance_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="covariance matrix has non-finite entries"):
+        CovarianceMatrix(np.diag([bad, 1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mean_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="mean vector has non-finite entries"):
+        GaussianState(cov=CovarianceMatrix(np.eye(2)), mean=[bad, 0.0])
 
 
 def test_gaussian_state_mean_length():
