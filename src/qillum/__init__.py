@@ -2,126 +2,9 @@
 
 Symplectic linear algebra, entangled-probe state builders, quantum Chernoff
 and Bhattacharyya discrimination bounds, and a truncated number-basis oracle
-for cross-checking the Gaussian machinery.
+for cross-checking the Gaussian machinery. Import each name from the module
+that defines it: qillum.symplectic, qillum.states, qillum.bounds, qillum.fock
+or qillum.cli.
 """
 
 __version__ = "0.1.0"
-
-from .symplectic import (
-    Bipartition,
-    CovarianceMatrix,
-    GaussianState,
-    WilliamsonDecomposition,
-    is_physical,
-    is_pure,
-    log_negativity,
-    partial_transpose,
-    symplectic_eigenvalues,
-    symplectic_form,
-    williamson_decompose,
-)
-from .states import (
-    AnalyticDomainError,
-    IlluminationScenario,
-    PresentStateFactorization,
-    Probe,
-    illuminate,
-    illumination_probe,
-    illumination_states,
-    max_three_mode_correlation,
-    separability_threshold,
-    target_absent_cov,
-    target_absent_williamson,
-    target_present_cov,
-    target_present_factorization,
-    three_mode_cov,
-    tmsv_correlation,
-)
-from .bounds import (
-    BoundResult,
-    CrossoverResult,
-    ExponentComparison,
-    OverlapResult,
-    bhattacharyya_bound,
-    chernoff_bound,
-    compare_exponents,
-    error_exponent_three_mode,
-    error_exponent_two_mode,
-    find_crossover,
-    illumination_bhattacharyya,
-    illumination_chernoff,
-    power_overlap,
-)
-from .fock import (
-    DimensionCapError,
-    FockOperator,
-    TailBudgetError,
-    helstrom_probability,
-    oracle_overlap,
-    oracle_tail_budget,
-    quadrature_covariance,
-    target_absent_fock,
-    target_present_fock,
-    thermal_fock,
-    thermal_tail,
-    tmsv_fock,
-    trace_power,
-    trace_power_product,
-)
-
-__all__ = [
-    "__version__",
-    "AnalyticDomainError",
-    "Bipartition",
-    "BoundResult",
-    "CovarianceMatrix",
-    "CrossoverResult",
-    "DimensionCapError",
-    "ExponentComparison",
-    "FockOperator",
-    "GaussianState",
-    "IlluminationScenario",
-    "OverlapResult",
-    "PresentStateFactorization",
-    "Probe",
-    "TailBudgetError",
-    "WilliamsonDecomposition",
-    "bhattacharyya_bound",
-    "chernoff_bound",
-    "compare_exponents",
-    "error_exponent_three_mode",
-    "error_exponent_two_mode",
-    "find_crossover",
-    "helstrom_probability",
-    "illumination_bhattacharyya",
-    "illumination_chernoff",
-    "illumination_probe",
-    "illumination_states",
-    "illuminate",
-    "is_physical",
-    "is_pure",
-    "log_negativity",
-    "max_three_mode_correlation",
-    "oracle_overlap",
-    "oracle_tail_budget",
-    "partial_transpose",
-    "power_overlap",
-    "quadrature_covariance",
-    "separability_threshold",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "target_absent_cov",
-    "target_absent_fock",
-    "target_absent_williamson",
-    "target_present_cov",
-    "target_present_fock",
-    "target_present_factorization",
-    "three_mode_cov",
-    "thermal_fock",
-    "thermal_tail",
-    "tmsv_correlation",
-    "tmsv_fock",
-    "trace_power",
-    "trace_power_product",
-    "williamson_decompose",
-]

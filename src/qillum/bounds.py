@@ -355,27 +355,6 @@ def coherent_exponent_coefficient(n_signal: float) -> float:
 
 
 @dataclass
-class ExponentComparison:
-    """Row of a probe-comparison sweep; ratio > 1 favors the three-mode probe."""
-
-    n_signal: float
-    gamma2: float
-    gamma3: float
-    ratio: float
-
-
-def compare_exponents(n_signal: float) -> ExponentComparison:
-    g2 = error_exponent_two_mode(n_signal)
-    g3 = error_exponent_three_mode(n_signal)
-    return ExponentComparison(
-        n_signal=n_signal,
-        gamma2=g2,
-        gamma3=g3,
-        ratio=g3 / g2 if g2 > 0 else math.nan,
-    )
-
-
-@dataclass
 class CrossoverResult:
     n_signal: float
     residual: float

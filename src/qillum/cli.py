@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .bounds import (
     coherent_exponent_coefficient,
-    compare_exponents,
     error_exponent_three_mode,
     error_exponent_two_mode,
     find_crossover,
@@ -57,6 +56,9 @@ EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
+# Most sweep rows: 100 rows with every extra take about a quarter second, so
+# the cap allows a run of about four minutes.
+SWEEP_COUNT_CAP = 100_000
 # Configuration keys a command does not read, each with the one value it runs
 # (None: none). Setting such a key to anything else, by flag, QI_* variable or
 # config file, is refused; oracle-check checks the two-mode pair only. The
@@ -111,6 +113,8 @@ def _read_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(3, f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(2, f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -305,13 +309,14 @@ def _render_bounds(rows: list) -> str:
 def _sweep_row(resolved: dict, parameter: str, extras: list, value: float) -> dict:
     setting = max(1, int(round(value))) if parameter == "M" else value
     scenario = _scenario(resolved, **{PARAM_FIELDS[parameter]: setting})
-    gammas = compare_exponents(scenario.n_signal)
+    gamma2 = error_exponent_two_mode(scenario.n_signal)
+    gamma3 = error_exponent_three_mode(scenario.n_signal)
     row = {
         "sweep_value": value,
         "n_s": scenario.n_signal,
-        "gamma2": gammas.gamma2,
-        "gamma3": gammas.gamma3,
-        "ratio": gammas.ratio,
+        "gamma2": gamma2,
+        "gamma3": gamma3,
+        "ratio": gamma3 / gamma2 if gamma2 > 0 else math.nan,
     }
     results = {}
     if "chernoff3" in extras:
@@ -419,6 +424,8 @@ def cmd_sweep(args, resolved: dict):
     # argparse already holds --param and --spacing to their choices.
     if args.count < 2:
         raise CliError(2, "sweep needs at least 2 grid points")
+    if args.count > SWEEP_COUNT_CAP:
+        raise CliError(4, f"sweep count {args.count} > cap {SWEEP_COUNT_CAP}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise CliError(2, "sweep start and stop must be finite")
     if not args.start < args.stop:
@@ -427,7 +434,7 @@ def cmd_sweep(args, resolved: dict):
         raise CliError(2, "log spacing requires a positive start")
     if args.param == "M" and args.start < 1:
         raise CliError(2, "copy-count sweeps must start at 1 or above")
-    requested = ["qb_coherent" if e == "qbCoherent" else e for e in args.extras.split(",") if e]
+    requested = [e for e in args.extras.split(",") if e]
     bad = [e for e in requested if e not in EXTRA_ORDER]
     if bad:
         raise CliError(2, f"unknown extras {bad}; choose from {EXTRA_ORDER}")

@@ -95,10 +95,6 @@ class FockOperator:
         if np.max(np.abs(self.matrix - self.matrix.T)) > HERMITICITY_TOL:
             raise ValueError("matrix is not symmetric")
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
 
 def _as_array(op) -> np.ndarray:
     return op.matrix if isinstance(op, FockOperator) else np.asarray(op, dtype=float)

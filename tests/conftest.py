@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from qillum import IlluminationScenario, symplectic_form
+from qillum.states import IlluminationScenario
+from qillum.symplectic import symplectic_form
 
 
 def max_three_mode_correlation_small_asymptotic(n_signal: float) -> float:

@@ -17,33 +17,39 @@ from conftest import (
     max_three_mode_correlation_large_asymptotic,
     max_three_mode_correlation_small_asymptotic,
 )
-from qillum import (
-    Bipartition,
-    IlluminationScenario,
+from qillum.bounds import (
     error_exponent_three_mode,
     error_exponent_two_mode,
     find_crossover,
     illumination_bhattacharyya,
     illumination_chernoff,
-    illumination_states,
-    is_physical,
-    log_negativity,
-    max_three_mode_correlation,
+    power_overlap,
+)
+from qillum.cli import main
+from qillum.fock import (
+    helstrom_probability,
     oracle_overlap,
     oracle_tail_budget,
-    partial_transpose,
-    power_overlap,
+    target_absent_fock,
+    target_present_fock,
+)
+from qillum.states import (
+    IlluminationScenario,
+    illumination_states,
+    max_three_mode_correlation,
     target_absent_cov,
     target_absent_williamson,
     target_present_cov,
     target_present_factorization,
-    target_present_fock,
-    target_absent_fock,
-    helstrom_probability,
+)
+from qillum.symplectic import (
+    Bipartition,
+    is_physical,
+    log_negativity,
+    partial_transpose,
     symplectic_eigenvalues,
     williamson_decompose,
 )
-from qillum.cli import main
 
 
 def test_criterion_01_crossover_location():

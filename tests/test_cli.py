@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import qillum
-from qillum import IlluminationScenario, __version__, bounds, illumination_bhattacharyya
+from qillum import __version__, bounds, cli
+from qillum.bounds import illumination_bhattacharyya
 from qillum.cli import main
+from qillum.states import IlluminationScenario
 
 FLOAT12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -180,6 +182,10 @@ def test_sweep_validation_exit_codes(capsys):
     assert run(capsys, "sweep", "--start", "1.0", "--stop", "0.5")[0] == 2
     assert run(capsys, "sweep", "--start", "0", "--spacing", "log")[0] == 2
     assert run(capsys, "sweep", "--extras", "nope")[0] == 2
+    # the count cap refuses before the grid is allocated
+    assert run(capsys, "sweep", "--count", "100000000000", "--spacing", "linear") == (
+        4, "", "error: sweep count 100000000000 > cap 100000\n"
+    )
 
 
 def test_sweep_files_deterministic(tmp_path, capsys):
@@ -551,8 +557,7 @@ REFUSALS = [
     (["sweep", "--start", "0"], {}, "log spacing requires a positive start"),
     (["sweep", "--param", "M", "--start", "0.5", "--stop", "9", "--spacing", "linear"], {},
      "copy-count sweeps must start at 1 or above"),
-    (["sweep", "--extras", "qb2,nope,qbCoherent,zz"], {},
-     f"unknown extras ['nope', 'zz']; choose from {EXTRAS}"),
+    (["sweep", "--extras", "qb2,nope,zz"], {}, f"unknown extras ['nope', 'zz']; choose from {EXTRAS}"),
     (["oracle-check", "--s-grid", "x"], {}, "bad s grid 'x'"),
     (["oracle-check", "--s-grid", "0,0.5"], {}, "s grid values must lie strictly inside (0, 1)"),
     (["oracle-check", "--s-grid", ","], {}, "s grid values must lie strictly inside (0, 1)"),
@@ -565,6 +570,7 @@ REFUSALS = [
     (["oracle-check", "--cutoff", "-3", "--ns", "1e-6", "--nb", "1e-6", "--kappa", "0.1"], {},
      "cutoff must be at least 1"),
     (["oracle-check", "--cutoff", "0"], {}, "cutoff must be at least 1"),
+    (["sweep", "--extras", "qbCoherent"], {}, f"unknown extras ['qbCoherent']; choose from {EXTRAS}"),
 ]
 
 
@@ -584,6 +590,11 @@ def test_file_refusals_print_one_exact_line(tmp_path, capsys):
     ):
         cfg.write_text(text, encoding="utf-8")
         assert run(capsys, "bounds", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+    cfg.write_bytes(b"\xff")
+    assert run(capsys, "bounds", "--config", str(cfg)) == (2, "", (
+        f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    ))
     absent = tmp_path / "absent.cfg"
     assert run(capsys, "bounds", "--config", str(absent)) == (
         3, "", f"error: cannot read config {absent}: No such file or directory\n"
@@ -593,6 +604,17 @@ def test_file_refusals_print_one_exact_line(tmp_path, capsys):
         assert run(capsys, "sweep", "--count", "3", *argv) == (
             3, "", f"error: cannot write {missing}: No such file or directory\n"
         )
+
+
+def test_sweep_row_ratio():
+    resolved = {key: default for key, (_, default, _) in cli.KEYS.items()}
+    row = cli._sweep_row(resolved, "nS", [], 0.05)
+    assert row["gamma2"] == bounds.error_exponent_two_mode(0.05)
+    assert row["gamma3"] == bounds.error_exponent_three_mode(0.05)
+    assert row["ratio"] == row["gamma3"] / row["gamma2"]
+    # no signal, no exponent: the ratio is undefined
+    row = cli._sweep_row(resolved, "nS", [], 0.0)
+    assert row["gamma2"] == row["gamma3"] == 0.0 and math.isnan(row["ratio"])
 
 
 @pytest.mark.parametrize(
@@ -620,7 +642,8 @@ def test_non_finite_inputs_are_refused(argv, message, capsys):
 def test_bounds_asymptote_is_taken_at_the_probe_correlation(model, ns, capsys):
     # At half the maximal correlation and n_b = 1e6 the printed exponent sits
     # on the asymptote of that probe, not of the maximally correlated one.
-    cmax = {"three-mode": qillum.max_three_mode_correlation, "two-mode": qillum.tmsv_correlation}
+    cmax = {"three-mode": qillum.states.max_three_mode_correlation,
+            "two-mode": qillum.states.tmsv_correlation}
     argv = ["bounds", "--model", model, "--ns", repr(ns), "--nb", "1e6", "--kappa", "0.1",
             "--format", "json"]
     code, out, _ = run(capsys, *argv, "--c", repr(0.5 * cmax[model](ns)))

@@ -13,15 +13,15 @@ import math
 import numpy as np
 
 from conftest import beamsplitter_symplectic, random_symplectic
-from qillum import (
+from qillum.bounds import power_overlap
+from qillum.states import (
     IlluminationScenario,
     Probe,
     illuminate,
     illumination_states,
-    power_overlap,
     three_mode_cov,
+    tmsv_cov,
 )
-from qillum.states import tmsv_cov
 
 S_VALUES = [0.1, 0.3, 0.5, 0.7, 0.9]
 

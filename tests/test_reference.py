@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import box_scenarios
-from qillum import (
-    Bipartition,
-    illumination_bhattacharyya,
-    illumination_states,
-    partial_transpose,
-    symplectic_eigenvalues,
-)
+from qillum.bounds import illumination_bhattacharyya
+from qillum.states import illumination_states
+from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp

@@ -9,7 +9,7 @@ from conftest import (
     max_three_mode_correlation_large_asymptotic,
     max_three_mode_correlation_small_asymptotic,
 )
-from qillum import (
+from qillum.states import (
     AnalyticDomainError,
     IlluminationScenario,
     illuminate,
@@ -23,10 +23,16 @@ from qillum import (
     target_present_factorization,
     three_mode_cov,
     tmsv_correlation,
+    tmsv_cov,
+    two_mode_target_absent_cov,
+    two_mode_target_present_cov,
+)
+from qillum.symplectic import (
+    Bipartition,
+    log_negativity,
+    symplectic_eigenvalues,
     williamson_decompose,
 )
-from qillum.states import tmsv_cov, two_mode_target_absent_cov, two_mode_target_present_cov
-from qillum.symplectic import Bipartition, log_negativity, symplectic_eigenvalues
 
 
 def scenario(ns=0.2, nb=5.0, kappa=0.01, copies=1, c=None):

@@ -4,23 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_symplectic, box_scenarios, random_cov, random_symplectic
-from qillum import (
+from qillum.states import illumination_states, tmsv_correlation, tmsv_cov
+from qillum.symplectic import (
+    RECONSTRUCTION_TOL,
     Bipartition,
     CovarianceMatrix,
     GaussianState,
     WilliamsonDecomposition,
-    illumination_states,
     is_physical,
     is_pure,
     log_negativity,
     partial_transpose,
     symplectic_eigenvalues,
     symplectic_form,
-    tmsv_correlation,
     williamson_decompose,
 )
-from qillum.states import tmsv_cov
-from qillum.symplectic import RECONSTRUCTION_TOL
 
 
 def test_symplectic_form_blocks():
