@@ -346,7 +346,8 @@ def error_exponent_three_mode(n_signal: float, correlation: float | None = None)
     s = 2.0 * ns + 1.0
     c = max_three_mode_correlation(ns) if correlation is None else correlation
     nu = math.sqrt(s * s - c * c)
-    return 0.5 * c * c * s * (1.0 - math.sqrt(nu * nu - 1.0) / nu)
+    # 1 - sqrt(nu^2 - 1) / nu, without the cancellation that zeroes it at large nu
+    return 0.5 * c * c * s * (1.0 / (nu * nu * (1.0 + math.sqrt(1.0 - 1.0 / (nu * nu)))))
 
 
 def coherent_exponent_coefficient(n_signal: float) -> float:

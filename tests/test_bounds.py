@@ -226,6 +226,21 @@ def test_exponent_small_signal_limits():
     )
 
 
+@pytest.mark.parametrize("ns", [0.01, 1e6, 1e7, 1e8, 1e9])
+def test_three_mode_exponent_keeps_its_digits_at_large_signal(ns):
+    # 1 - sqrt(nu^2 - 1) / nu cancels to 0 from nu ~ 1e8; at the same c the
+    # 50-digit value agrees to rounding, and the coefficient tends to n_s / 6.
+    mpmath = pytest.importorskip("mpmath")
+    c = max_three_mode_correlation(ns)
+    with mpmath.workdps(50):
+        s, c_mp = 2 * mpmath.mpf(ns) + 1, mpmath.mpf(c)
+        nu = mpmath.sqrt(s * s - c_mp * c_mp)
+        expected = float(c_mp**2 * s * (1 - mpmath.sqrt(nu * nu - 1) / nu) / 2)
+    assert error_exponent_three_mode(ns) == pytest.approx(expected, rel=1e-14)
+    if ns >= 1e6:
+        assert error_exponent_three_mode(ns) == pytest.approx(ns / 6.0, rel=1e-6)
+
+
 def test_exponent_ratio_across_the_crossover():
     # the crossover sits at n_s ~ 0.295: the three-mode probe wins below it
     ratios = [error_exponent_three_mode(ns) / error_exponent_two_mode(ns) for ns in (0.01, 0.1, 1.0)]

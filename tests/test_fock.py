@@ -370,6 +370,63 @@ def test_parity_chain_singular_values_are_the_block_spectrum(cutoff):
             assert np.min(np.abs(sigma[j] - m)) < 1e-12
 
 
+def _uncached_branches(n_signal, n_background, reflectivity, cutoff):
+    """_present_branches from a fresh chain SVD and a per-call fancy-index gather."""
+    left, sigma, right_t = np.linalg.svd(fock._parity_chain(cutoff), full_matrices=False)
+    d, evens, odds = left.shape
+    half = 0.5 * math.acos(math.sqrt(reflectivity)) * sigma[:, None, :]
+    sign = (-1.0) ** np.arange(evens)[:, None]
+    left, right = left * sign, right_t.swapaxes(1, 2) * sign[:odds]
+    chord = math.sqrt(2.0) * np.sin(half)
+    even, odd = left * chord, right * chord
+    u = np.empty((d, d, d))
+    u[:, 0::2, 0::2] = np.eye(evens) - even @ even.swapaxes(1, 2)
+    u[:, 1::2, 1::2] = np.eye(odds) - odd @ odd.swapaxes(1, 2)
+    u[:, 1::2, 0::2] = (right * np.sin(2.0 * half)) @ left.swapaxes(1, 2)
+    u[:, 0::2, 1::2] = -u[:, 1::2, 0::2].swapaxes(1, 2)
+    amp = tmsv_amplitudes(n_signal, cutoff)
+    w = thermal_weights(n_background / (1.0 - reflectivity), cutoff)
+    i = np.arange(d)[None, :, None]
+    r = (i + np.arange(d)[:, None, None]) % d
+    b, m = i.swapaxes(1, 2), r.swapaxes(1, 2)
+    branch = amp[i] * np.sqrt(w[m]) * u[(i + m) % d, r, i]
+    return np.where(r + b == i + m, branch, 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 14, 24])
+def test_cached_factors_are_read_only_and_shared(cutoff):
+    factors = fock._chain_factors(cutoff)
+    gather = fock._branch_gather(cutoff)
+    assert fock._chain_factors(cutoff) is factors
+    assert fock._branch_gather(cutoff) is gather
+    d = cutoff + 1
+    assert gather.dtype == np.min_scalar_type(d**3 - 1) and gather.shape == (d, d, d)
+    for array in (*factors, gather):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 14, 24])
+def test_cached_branches_match_the_uncached_build_bit_for_bit(cutoff):
+    # kappa_1, kappa_2, kappa_1: a cache that kept anything of kappa would show.
+    ns, nb = 0.15, 0.4
+    for first, second in [(1e-3, 0.3), (0.3, 0.49), (0.49, 1e-3)]:
+        for kappa in (first, second, first):
+            got = fock._present_branches(ns, nb, kappa, cutoff)
+            assert got.tobytes() == _uncached_branches(ns, nb, kappa, cutoff).tobytes()
+
+
+def test_dimension_cap_is_checked_before_the_caches():
+    def sizes():
+        return [f.cache_info().currsize for f in (fock._chain_factors, fock._branch_gather)]
+
+    oracle_overlap(0.1, 0.3, 0.1, 0.5, 20)
+    before = sizes()
+    with pytest.raises(DimensionCapError):
+        oracle_overlap(0.1, 0.3, 0.1, 0.5, 64)
+    assert sizes() == before
+
+
 def test_oracle_overlap_matches_dense_reference():
     # The dense expm route shares no block code with the oracle.
     rng = np.random.default_rng(20261018)
