@@ -329,7 +329,8 @@ def error_exponent_two_mode(n_signal: float, correlation: float | None = None) -
     if ns == 0:
         return 0.0
     root = math.sqrt(ns * (1.0 + ns))
-    return ns * (1.0 + ns) * (1.0 + ns - root) / (1.0 + ns + root)
+    # 1 + nS - root, written as (1 + nS) / (1 + nS + root): it cancels to 0 at large nS
+    return ns * (1.0 + ns) / (1.0 + ns + root) * (1.0 + ns) / (1.0 + ns + root)
 
 
 def error_exponent_three_mode(n_signal: float, correlation: float | None = None) -> float:

@@ -243,9 +243,7 @@ def illumination_probe(scenario: IlluminationScenario, model: str) -> Probe:
     return Probe(excess=symmetric_excess(scenario.n_signal, correlation, modes))
 
 
-def illuminate(
-    probe: Probe, scenario: IlluminationScenario, reflectivity: float
-) -> GaussianState:
+def illuminate(probe: Probe, scenario: IlluminationScenario, reflectivity) -> GaussianState:
     """The probe after its mode 0 crossed the scenario's thermal-loss channel.
 
     A beamsplitter of reflectivity kappa mixes the signal with thermal light
@@ -256,26 +254,27 @@ def illuminate(
     photon number scales by kappa, and the vacuum is added back elsewhere.
     Nothing divides by 1 - kappa, so kappa = 1 is exact, and kappa = 0 gives
     the target-absent state. The excess form keeps every entry equal, bit for
-    bit, to the covariances written out entry by entry.
+    bit, to the covariances written out entry by entry. An array of k values
+    gives one stacked state, each entry equal to its scalar call.
     """
-    root = math.sqrt(reflectivity)
-    excess = probe.excess.copy()
-    excess[:2] *= root
-    excess[:, :2] *= root
-    cov = excess + np.eye(len(excess))
-    cov[0, 0] = cov[1, 1] = reflectivity * probe.excess[0, 0] + scenario.background_variance
-    mean = np.zeros(len(excess))
-    mean[0] = 2.0 * math.sqrt(reflectivity * probe.coherent_photons)
+    kappa = np.asarray(reflectivity, dtype=float)
+    scale = np.ones(kappa.shape + probe.excess.shape[:1])
+    scale[..., :2] = np.sqrt(kappa)[..., None]
+    cov = probe.excess * scale[..., :, None] * scale[..., None, :] + np.eye(scale.shape[-1])
+    cov[..., 0, 0] = cov[..., 1, 1] = kappa * probe.excess[0, 0] + scenario.background_variance
+    mean = np.zeros(cov.shape[:-1])
+    mean[..., 0] = 2.0 * np.sqrt(kappa * probe.coherent_photons)
     return GaussianState(cov=CovarianceMatrix(cov), mean=mean)
 
 
 def illumination_states(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> tuple[GaussianState, GaussianState]:
-    """Target-absent and target-present states for the requested probe model."""
-    probe = illumination_probe(scenario, model)
-    absent = illuminate(probe, scenario, 0.0)
-    return absent, illuminate(probe, scenario, scenario.reflectivity)
+    """Target-absent and target-present states, built, admitted and decomposed as one stack."""
+    pair = illuminate(illumination_probe(scenario, model), scenario, [0, scenario.reflectivity])
+    absent, present = pair[0], pair[1]
+    absent.williamson, present.williamson = pair.williamson[0], pair.williamson[1]
+    return absent, present
 
 
 def _hypothesis_cov(
@@ -309,14 +308,9 @@ def two_mode_target_present_cov(scenario: IlluminationScenario) -> CovarianceMat
 
 def _block_sorted(symplectic: np.ndarray, nus: np.ndarray) -> WilliamsonDecomposition:
     """Permute 2x2 column blocks so the eigenvalue list is descending."""
-    n = len(nus)
-    order = sorted(range(n), key=lambda j: -nus[j])
-    cols = []
-    for j in order:
-        cols.extend([2 * j, 2 * j + 1])
-    return WilliamsonDecomposition(
-        symplectic=symplectic[:, cols], nu=np.array([nus[j] for j in order])
-    )
+    order = np.argsort(-nus, kind="stable")
+    cols = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    return WilliamsonDecomposition(symplectic=symplectic[:, cols], nu=nus[order])
 
 
 def target_absent_williamson(scenario: IlluminationScenario) -> WilliamsonDecomposition:

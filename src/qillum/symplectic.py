@@ -9,7 +9,7 @@ at or above 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -19,27 +19,49 @@ PURITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-9
 
 
+@functools.cache
 def symplectic_form(n: int) -> np.ndarray:
-    """Standard form Omega = direct sum of n blocks [[0, 1], [-1, 0]]."""
+    """Standard form Omega = direct sum of n blocks [[0, 1], [-1, 0]]; read-only, one per n."""
     if n < 1:
         raise ValueError("mode count must be at least 1")
-    omega = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
+    inside = np.tile([1.0, 0.0], n)[:-1]  # the superdiagonal: 1 within a block, 0 between
+    omega = np.diag(inside, 1) - np.diag(inside, -1)
+    omega.flags.writeable = False
     return omega
 
 
+def _refuse(bad, message: str, value=None, recheck=()) -> None:
+    """Refuse a stack as its entries checked in turn would be: at the first flagged one, r.
+
+    value[r] fills the message's {}; recheck = (check, *stacks) first runs check on the
+    entries before r, so that their refusal by a check still ahead comes first.
+    """
+    if np.count_nonzero(bad):
+        r = int(np.argmax(np.ravel(bad)))
+        if r and recheck:
+            recheck[0](*(None if a is None else a[:r] for a in recheck[1:]))
+        raise ValueError(message.format(None if value is None else np.ravel(value)[r]))
+
+
+class _Stack:
+    """obj[i] is entry i of a checked stack: every attribute indexed, not checked again."""
+
+    def __getitem__(self, index):
+        row = object.__new__(type(self))
+        row.__dict__ = {name: value[index] for name, value in vars(self).items()}
+        return row
+
+
 @dataclass
-class CovarianceMatrix:
-    """Validated real covariance matrix of an n-mode Gaussian state.
+class CovarianceMatrix(_Stack):
+    """Validated real covariance matrix of an n-mode Gaussian state, or a (k, 2n, 2n) stack.
 
     A 2n x 2n matrix is admitted iff its entries are finite, it is symmetric
-    to 1e-12, and the smallest eigenvalue of one np.linalg.eigh is > 0. The
-    symmetric square root built from that eigensolve is kept as `root`, the
-    V^(1/2) that williamson_decompose starts from. Whether the matrix is a
-    bona fide quantum state (symplectic spectrum >= 1) is a separate question
-    answered by is_physical.
+    to 1e-12, and the smallest eigenvalue of np.linalg.eigh is > 0; a stack
+    takes one batched eigh. The symmetric square root built from that
+    eigensolve is kept as `root`, the V^(1/2) that williamson_decompose starts
+    from. Whether the matrix is a bona fide quantum state (symplectic spectrum
+    >= 1) is a separate question answered by is_physical.
     """
 
     matrix: np.ndarray
@@ -47,28 +69,29 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix has non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        stack = m if m.ndim == 3 else m[None]
+        again = (CovarianceMatrix, m)
+        finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        _refuse(~finite, "covariance matrix has non-finite entries", recheck=again)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError("covariance matrix must be square")
-        if m.shape[0] % 2 != 0 or m.shape[0] == 0:
+        if m.shape[-1] % 2 != 0 or m.size == 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric to 1e-12")
-        w, v = np.linalg.eigh(m)
-        if w[0] <= 0:
-            raise ValueError("covariance matrix is not positive definite")
+        asymmetric = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
+        _refuse(asymmetric, "covariance matrix is not symmetric to 1e-12", recheck=again)
+        w, v = np.linalg.eigh(stack)
+        _refuse(w[:, 0] <= 0, "covariance matrix is not positive definite")
         self.matrix = m
-        self.root = (v * np.sqrt(w)) @ v.T
+        self.root = ((v * np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)).reshape(m.shape)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
 
 @dataclass
-class GaussianState:
-    """Covariance matrix plus quadrature mean vector.
+class GaussianState(_Stack):
+    """Covariance matrix plus quadrature mean vector, or a stack of both.
 
     A coherent amplitude alpha displaces the mean to (2 Re alpha, 2 Im alpha)
     in this convention.
@@ -78,13 +101,11 @@ class GaussianState:
     mean: np.ndarray = None
 
     def __post_init__(self):
-        if self.mean is None:
-            self.mean = np.zeros(2 * self.cov.n)
-        else:
-            self.mean = np.asarray(self.mean, dtype=float)
+        shape = self.cov.matrix.shape[:-1]
+        self.mean = np.zeros(shape) if self.mean is None else np.asarray(self.mean, dtype=float)
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("mean vector has non-finite entries")
-        if self.mean.shape != (2 * self.cov.n,):
+        if self.mean.shape != shape:
             raise ValueError("mean vector length must be twice the mode count")
 
     @property
@@ -93,37 +114,47 @@ class GaussianState:
 
     @functools.cached_property
     def williamson(self) -> WilliamsonDecomposition:
-        """Williamson decomposition of cov, computed on first use and kept."""
+        """Williamson decomposition of cov, computed on first use and kept; it may be set."""
         return williamson_decompose(self.cov)
 
 
 @dataclass
-class WilliamsonDecomposition:
-    """Symplectic S and eigenvalues nu with cov = S (direct sum nu_j I2) S^T."""
+class WilliamsonDecomposition(_Stack):
+    """Symplectic S and eigenvalues nu with cov = S (direct sum nu_j I2) S^T, or stacks of both.
+
+    Checked: nu sorted descending, S symplectic and, given `matrix`, S and nu reconstructing it.
+    """
 
     symplectic: np.ndarray
     nu: np.ndarray
+    matrix: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, matrix):
         self.symplectic = np.asarray(self.symplectic, dtype=float)
         self.nu = np.asarray(self.nu, dtype=float)
-        n = self.nu.shape[0]
-        if self.symplectic.shape != (2 * n, 2 * n):
+        n = self.nu.shape[-1]
+        if self.symplectic.shape != self.nu.shape[:-1] + (2 * n, 2 * n):
             raise ValueError("symplectic matrix shape does not match nu")
-        if np.any(np.diff(self.nu) > 0):
-            raise ValueError("symplectic eigenvalues must be sorted descending")
-        omega = symplectic_form(n)
-        err = np.max(np.abs(self.symplectic @ omega @ self.symplectic.T - omega))
-        if err > RECONSTRUCTION_TOL:
-            raise ValueError(f"matrix is not symplectic (S Omega S^T residual {err:.3e})")
+        again = (WilliamsonDecomposition, self.symplectic, self.nu, matrix)
+        unsorted = (self.nu[..., 1:] > self.nu[..., :-1]).any(axis=-1)
+        _refuse(unsorted, "symplectic eigenvalues must be sorted descending", recheck=again)
+        sym, omega = self.symplectic, symplectic_form(n)
+        err = np.abs(sym @ omega @ sym.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
+        message = "matrix is not symplectic (S Omega S^T residual {:.3e})"
+        _refuse(err > RECONSTRUCTION_TOL, message, err, again)
+        if matrix is not None:
+            resid = np.abs(self.reconstruct() - matrix).max(axis=(-2, -1))
+            scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+            message = "decomposition failed to reconstruct (residual {:.3e})"
+            _refuse(resid > RECONSTRUCTION_TOL * scale, message, resid)
 
     @property
     def n(self) -> int:
-        return self.nu.shape[0]
+        return self.nu.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        d = np.repeat(self.nu, 2)
-        return (self.symplectic * d) @ self.symplectic.T
+        d = np.repeat(self.nu, 2, axis=-1)[..., None, :]
+        return (self.symplectic * d) @ self.symplectic.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -164,7 +195,7 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 
 
 def williamson_decompose(cov) -> WilliamsonDecomposition:
-    """Numeric Williamson decomposition with a phase convention.
+    """Numeric Williamson decomposition with a phase convention, of a matrix or a stack.
 
     Algorithm: with R = cov^(1/2), the root kept when cov was admitted, the
     Hermitian i R Omega R has eigenvalues +-nu in pairs, nu the symplectic
@@ -177,7 +208,9 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     its own mode's x or p row. Within a group of degenerate eigenvalues, and
     for a block with no weight on its own mode, S is fixed only up to a
     passive rotation and can differ between LAPACK builds; each group's share
-    S diag(nu) S^T, and so q(s), does not depend on that choice.
+    S diag(nu) S^T, and so q(s), does not depend on that choice. A (k, 2n, 2n)
+    stack takes one batched eigh and one pass of each step, and each of its
+    entries equals its own call bit for bit.
 
     The eigensolve is backward stable, so nu carries an absolute error of
     about eps * max(nu): in a bright state the small eigenvalues lose relative
@@ -188,35 +221,29 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     lam, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
 
     # The spectrum is symmetric about zero: -nu_j must pair with +nu_j.
-    stray = np.max(np.abs(lam[:n] + lam[::-1][:n]))
-    if stray > 1e-8 * max(1.0, np.max(np.abs(lam))):
-        raise ValueError(f"could not pair the symplectic spectrum (residual {stray:.3e})")
+    stray = np.abs(lam[..., :n] + lam[..., : n - 1 : -1]).max(axis=-1)
+    unpaired = stray > 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=-1))
+    message = "could not pair the symplectic spectrum (residual {:.3e})"
+    _refuse(unpaired, message, stray, (williamson_decompose, cov))
 
     # eigh sorts ascending, so the +nu half read backwards is the descending sort.
-    nus = lam[n:][::-1]
-    top = u[:, n:][:, ::-1] * np.sqrt(2.0)
-    q = np.stack([top.real, -top.imag], axis=2).reshape(2 * n, 2 * n)
+    nus = lam[..., n:][..., ::-1]
+    # Columns (sqrt2 Re u, -sqrt2 Im u) are the float view of sqrt2 conj(u).
+    q = (u[..., n:][..., ::-1] * np.sqrt(2.0)).conj().view(float)
+    s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2, axis=-1)[..., None, :]
 
-    s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2)
-
-    for j in range(n):
-        c0, c1 = s[:, 2 * j].copy(), s[:, 2 * j + 1].copy()
-        a, b = s[2 * j, 2 * j], s[2 * j, 2 * j + 1]
-        r = np.hypot(a, b)
-        if r < 1e-12:
-            # x-row of this block is numerically empty; anchor on the p-row.
-            a, b = s[2 * j + 1, 2 * j], s[2 * j + 1, 2 * j + 1]
-            r = np.hypot(a, b)
-        if r < 1e-12:
-            continue
-        s[:, 2 * j] = (a * c0 + b * c1) / r
-        s[:, 2 * j + 1] = (-b * c0 + a * c1) / r
-
-    dec = WilliamsonDecomposition(symplectic=s, nu=nus)
-    resid = np.max(np.abs(dec.reconstruct() - m))
-    if resid > RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(m))):
-        raise ValueError(f"decomposition failed to reconstruct (residual {resid:.3e})")
-    return dec
+    # Block j is anchored on its x row 2j or, where that is numerically empty, its
+    # p row 2j + 1; blocks[..., row, col, j] is entry (2j + row, 2j + col) of S.
+    blocks = s.reshape(*s.shape[:-2], n, 2, n, 2).diagonal(axis1=-4, axis2=-2)
+    x_empty = np.hypot(blocks[..., 0, 0, :], blocks[..., 0, 1, :]) < 1e-12
+    anchor = np.where(x_empty[..., None, :], blocks[..., 1, :, :], blocks[..., 0, :, :])
+    a, b = anchor[..., 0, None, :], anchor[..., 1, None, :]
+    r = np.hypot(a, b)
+    turn, r = r >= 1e-12, np.maximum(r, 1e-12)  # a block left as is divides by no zero
+    x, p = s[..., 0::2], s[..., 1::2]
+    for view, turned in zip((x, p), ((a * x + b * p) / r, (-b * x + a * p) / r)):
+        np.copyto(view, turned, where=turn)
+    return WilliamsonDecomposition(symplectic=s, nu=nus, matrix=m)
 
 
 def partial_transpose(cov, part: Bipartition) -> CovarianceMatrix:
@@ -224,11 +251,9 @@ def partial_transpose(cov, part: Bipartition) -> CovarianceMatrix:
     m = _as_cov(cov).matrix
     if part.n_modes != m.shape[0] // 2:
         raise ValueError("bipartition mode count does not match the covariance")
-    out = m.copy()
-    for mode in part.transposed:
-        out[2 * mode + 1, :] *= -1.0
-        out[:, 2 * mode + 1] *= -1.0
-    return CovarianceMatrix(out)
+    sign = np.ones(len(m))
+    sign[2 * np.array(part.transposed) + 1] = -1.0
+    return CovarianceMatrix(m * sign[:, None] * sign)
 
 
 def log_negativity(cov, part: Bipartition) -> float:

@@ -187,8 +187,9 @@ def test_each_state_is_decomposed_once(monkeypatch):
     absent, present = illumination_states(scn, "three-mode")
     chernoff_bound(absent, present)  # a grid call and several zoom calls
     power_overlap(absent, present, [0.3, 0.6])
-    assert len(calls) == 2
-    assert calls[0] is absent.cov and calls[1] is present.cov
+    # One decomposition of the (2, 6, 6) stack; each state holds its row.
+    assert len(calls) == 1 and calls[0].matrix.shape == (2, 6, 6)
+    assert np.array_equal(calls[0].matrix, [absent.cov.matrix, present.cov.matrix])
 
 
 def test_exponent_coefficients_reference_values():
@@ -239,6 +240,20 @@ def test_three_mode_exponent_keeps_its_digits_at_large_signal(ns):
     assert error_exponent_three_mode(ns) == pytest.approx(expected, rel=1e-14)
     if ns >= 1e6:
         assert error_exponent_three_mode(ns) == pytest.approx(ns / 6.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("ns", [0.01, 1.0, 1e7, 1e8, 1e16])
+def test_two_mode_exponent_keeps_its_digits_at_large_signal(ns):
+    # 1 + n_s - sqrt(n_s (1 + n_s)) cancels to 0 at n_s = 1e16; the 50-digit
+    # value of the same formula agrees to rounding, and it tends to n_s / 4.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        n = mpmath.mpf(ns)
+        root = mpmath.sqrt(n * (1 + n))
+        expected = float(n * (1 + n) * (1 + n - root) / (1 + n + root))
+    assert error_exponent_two_mode(ns) == pytest.approx(expected, rel=1e-14)
+    if ns >= 1e7:
+        assert error_exponent_two_mode(ns) == pytest.approx(ns / 4.0, rel=1e-6)
 
 
 def test_exponent_ratio_across_the_crossover():

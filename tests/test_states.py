@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    box_scenarios,
     max_three_mode_correlation_large_asymptotic,
     max_three_mode_correlation_small_asymptotic,
 )
 from qillum.states import (
+    MODELS,
     AnalyticDomainError,
     IlluminationScenario,
     illuminate,
@@ -388,6 +390,40 @@ def test_hypothesis_states_are_one_channel():
     c = max_three_mode_correlation(0.3)
     assert full[0, 0] == 2.0 * 0.3 + scn.background_variance
     assert full[0, 2] == c and full[1, 3] == -c and full[0, 4] == c
+
+
+def test_pair_rows_equal_their_single_builds():
+    # One (2, 2n, 2n) stack is built, admitted and decomposed; each state's
+    # row equals the state built and decomposed alone, bit for bit.
+    for scn in box_scenarios(1718, 30):
+        for model in MODELS:
+            probe = illumination_probe(scn, model)
+            for state, kappa in zip(illumination_states(scn, model), (0.0, scn.reflectivity)):
+                alone = illuminate(probe, scn, kappa)
+                assert np.array_equal(state.cov.matrix, alone.cov.matrix)
+                assert np.array_equal(state.cov.root, alone.cov.root)
+                assert np.array_equal(state.mean, alone.mean)
+                dec = williamson_decompose(alone.cov)
+                assert np.array_equal(state.williamson.nu, dec.nu)
+                assert np.array_equal(state.williamson.symplectic, dec.symplectic)
+
+
+@pytest.mark.parametrize(
+    "nb, refusal",
+    [(1e308, "has non-finite entries"), (1e16, "is not positive definite")],
+    ids=["absent-refused", "present-refused"],
+)
+def test_refused_pair_reports_the_sequential_error(nb, refusal):
+    # At n_b = 1e308 the background variance overflows in both states and the
+    # absent one is reported; at 1e16 only the present one fails its eigh.
+    scn = scenario(ns=0.01, nb=nb, kappa=0.01)
+    probe = illumination_probe(scn, "three-mode")
+    with pytest.raises(ValueError, match=f"^covariance matrix {refusal}$") as single:
+        for kappa in (0.0, scn.reflectivity):
+            illuminate(probe, scn, kappa).williamson
+    with pytest.raises(ValueError) as pair:
+        illumination_states(scn, "three-mode")
+    assert str(pair.value) == str(single.value)
 
 
 def test_probe_correlation_per_model():

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_symplectic, box_scenarios, random_cov, random_symplectic
-from qillum.states import illumination_states, tmsv_correlation, tmsv_cov
+from qillum.bounds import chernoff_bound
+from qillum.states import (
+    illuminate,
+    illumination_probe,
+    illumination_states,
+    tmsv_correlation,
+    tmsv_cov,
+)
 from qillum.symplectic import (
     RECONSTRUCTION_TOL,
     Bipartition,
@@ -71,6 +78,102 @@ def test_covariance_admission_rule(matrix, refusal, monkeypatch):
     # One real eigensolve admits the matrix; Williamson adds only its Hermitian one.
     williamson_decompose(cov)
     assert solved == [np.float64, np.complex128]
+
+
+def test_symplectic_form_is_built_once_and_read_only():
+    omega = symplectic_form(3)
+    assert symplectic_form(3) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
+
+
+def _pair_stacks():
+    """The (2, 2n, 2n) hypothesis-pair covariances of box draws, for every model."""
+    for scn in box_scenarios(1717, 30):
+        for model in ("three-mode", "two-mode", "coherent"):
+            probe = illumination_probe(scn, model)
+            yield illuminate(probe, scn, [0.0, scn.reflectivity]).cov.matrix
+
+
+def test_stacked_rows_equal_their_single_calls():
+    for stack in _pair_stacks():
+        cov = CovarianceMatrix(stack)
+        dec = williamson_decompose(cov)
+        assert cov.root.shape == dec.symplectic.shape == stack.shape
+        for i, matrix in enumerate(stack):
+            single = CovarianceMatrix(matrix)
+            assert np.array_equal(cov[i].matrix, single.matrix)
+            assert np.array_equal(cov[i].root, single.root)
+            alone = williamson_decompose(single)
+            assert np.array_equal(dec[i].nu, alone.nu)
+            assert np.array_equal(dec[i].symplectic, alone.symplectic)
+            assert np.array_equal(williamson_decompose(cov[i]).symplectic, alone.symplectic)
+
+
+def _first_refusal(matrices):
+    """The message of the first matrix refused when each is admitted and decomposed in turn."""
+    try:
+        for matrix in matrices:
+            williamson_decompose(CovarianceMatrix(matrix))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+GOOD = np.diag([3.0, 3.0, 2.0, 2.0])
+NON_FINITE = np.diag([np.inf, 3.0, 2.0, 2.0])
+ASYMMETRIC = GOOD + np.triu(np.full((4, 4), 1e-6), 1)
+SINGULAR = np.diag([3.0, 3.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(NON_FINITE, GOOD), (GOOD, NON_FINITE), (SINGULAR, NON_FINITE), (ASYMMETRIC, SINGULAR),
+     (SINGULAR, ASYMMETRIC), (GOOD, SINGULAR), (GOOD, ASYMMETRIC)],
+    ids=["absent-non-finite", "present-non-finite", "singular-before-non-finite",
+         "asymmetric-before-singular", "singular-before-asymmetric", "present-singular",
+         "present-asymmetric"],
+)
+def test_stack_admission_refuses_like_its_matrices_in_turn(pair):
+    # The first refused matrix decides, with its own first failing check, even
+    # where a later matrix fails a check that comes earlier in the rule.
+    expected = _first_refusal(pair)
+    assert expected is not None
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        CovarianceMatrix(np.stack(pair))
+
+
+def test_stack_decomposition_refuses_like_its_matrices_in_turn():
+    thermal = np.stack([GOOD, np.diag([5.0, 5.0, 1.5, 1.5])])
+    good = williamson_decompose(thermal)
+    doubled = good.symplectic.copy()
+    doubled[1] *= 2.0
+    cases = [
+        # matrix 0 fails only to reconstruct, matrix 1 is not symplectic:
+        # matrix 0's last check comes before matrix 1's earlier one
+        (doubled, good.nu, thermal + [[[1e-3]], [[0.0]]], "decomposition failed to reconstruct"),
+        (doubled, good.nu, thermal, "matrix is not symplectic"),
+        (good.symplectic, good.nu[:, ::-1], thermal, "must be sorted descending"),
+    ]
+    for symplectic, nu, matrix, refusal in cases:
+        with pytest.raises(ValueError, match=refusal) as single:
+            for i in range(2):
+                WilliamsonDecomposition(symplectic[i], nu[i], matrix[i])
+        with pytest.raises(ValueError) as stacked:
+            WilliamsonDecomposition(symplectic, nu, matrix)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_one_real_and_one_complex_eigh_per_pair(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
+    scn = box_scenarios(5, 1)[0]
+    for model in ("three-mode", "two-mode", "coherent"):
+        solved.clear()
+        chernoff_bound(*illumination_states(scn, model))
+        assert solved == [np.float64, np.complex128], model
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -210,6 +313,20 @@ def test_williamson_matches_schur_reference():
             assert np.max(np.abs(share[0] - share[1])) <= 1e-9 * scale
             start = j + 1
     assert anchored >= 300
+
+
+def test_williamson_anchors_a_block_without_x_weight_on_its_p_row():
+    # Columns (p0 + x1, p1) and (x0 + p1, p0) are symplectic pairs; the first
+    # has no weight on x0, so block 0 is rotated by its p row: (p, p) vanishes.
+    s0 = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                   [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    m = (s0 * [3.0, 3.0, 1.5, 1.5]) @ s0.T
+    dec = williamson_decompose(m)
+    assert np.allclose(dec.nu, [3.0, 1.5], rtol=1e-12)
+    assert np.max(np.abs(dec.symplectic[0, :2])) < 1e-12
+    assert dec.symplectic[1, 1] == 0.0 and dec.symplectic[1, 0] > 0.0
+    stacked = williamson_decompose(np.stack([np.diag([5.0, 5.0, 2.0, 2.0]), m]))
+    assert np.array_equal(stacked[1].symplectic, dec.symplectic)
 
 
 def test_williamson_refuses_unpaired_spectrum(monkeypatch):
