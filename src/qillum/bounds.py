@@ -312,43 +312,44 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     return result
 
 
+def _idler_exponent(n_signal: float, idlers: int, correlation_sq: float) -> float:
+    """Large-background exponent coefficient gamma_k of a symmetric k-idler probe.
+
+    A Fourier transform over the idlers, one unitary under both hypotheses,
+    leaves a single idler coupled to the return mode, with variances
+    S +- (k - 1)c and correlation sqrt(k) c. So gamma_k =
+    k c^2 S / (4 nu^2 (1 + sqrt((nu^2 - 1) / nu^2))), where
+    nu^2 - 1 = 4 nS (1 + nS) - (k - 1)^2 c^2 is taken directly and nothing cancels.
+    """
+    if n_signal < 0:
+        raise ValueError("photon number must be nonnegative")
+    excess = 4.0 * n_signal * (1.0 + n_signal) - (idlers - 1) ** 2 * correlation_sq
+    nu_sq = 1.0 + excess
+    s = 2.0 * n_signal + 1.0
+    return idlers * (correlation_sq / nu_sq) * s / (4.0 * (1.0 + math.sqrt(excess / nu_sq)))
+
+
 def error_exponent_two_mode(n_signal: float, correlation: float | None = None) -> float:
     """Large-background exponent coefficient of the two-mode squeezed probe.
 
     The per-copy Chernoff exponent approaches kappa * gamma / n_background
-    with this gamma; it exceeds the coherent-probe coefficient n_signal / 4
-    by a factor approaching 4 as n_signal -> 0. A correlation c below the
-    maximal 2*sqrt(nS(1+nS)) gives c^2 (S - sqrt(S^2 - 1)) / 4, written as
-    c^2 (sqrt(1+nS) - sqrt(nS))^2 / 4 to avoid the cancellation.
+    with this gamma, the one-idler gamma_k at correlation c or, when None, at
+    the maximal c^2 = 4 nS (1 + nS). It exceeds the coherent-probe
+    coefficient n_signal / 4 by a factor approaching 4 as n_signal -> 0.
     """
-    ns = n_signal
-    if ns < 0:
-        raise ValueError("photon number must be nonnegative")
-    if correlation is not None:
-        return 0.25 * correlation**2 * (math.sqrt(1.0 + ns) - math.sqrt(ns)) ** 2
-    if ns == 0:
-        return 0.0
-    root = math.sqrt(ns * (1.0 + ns))
-    # 1 + nS - root, written as (1 + nS) / (1 + nS + root): it cancels to 0 at large nS
-    return ns * (1.0 + ns) / (1.0 + ns + root) * (1.0 + ns) / (1.0 + ns + root)
+    if correlation is None:
+        return _idler_exponent(n_signal, 1, 4.0 * n_signal * (1.0 + n_signal))
+    return _idler_exponent(n_signal, 1, correlation * correlation)
 
 
 def error_exponent_three_mode(n_signal: float, correlation: float | None = None) -> float:
     """Large-background exponent coefficient of the symmetric three-mode probe.
 
-    c^2 S (1 - sqrt(nu^2 - 1) / nu) / 2 with nu = sqrt(S^2 - c^2), at the given
-    correlation c or, when None, at the maximal (det V = 1) amplitude.
+    The two-idler gamma_k at correlation c or, when None, at the maximal
+    (det V = 1) amplitude.
     """
-    ns = n_signal
-    if ns < 0:
-        raise ValueError("photon number must be nonnegative")
-    if ns == 0:
-        return 0.0
-    s = 2.0 * ns + 1.0
-    c = max_three_mode_correlation(ns) if correlation is None else correlation
-    nu = math.sqrt(s * s - c * c)
-    # 1 - sqrt(nu^2 - 1) / nu, without the cancellation that zeroes it at large nu
-    return 0.5 * c * c * s * (1.0 / (nu * nu * (1.0 + math.sqrt(1.0 - 1.0 / (nu * nu)))))
+    c = max_three_mode_correlation(n_signal) if correlation is None else correlation
+    return _idler_exponent(n_signal, 2, c * c)
 
 
 def coherent_exponent_coefficient(n_signal: float) -> float:

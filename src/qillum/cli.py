@@ -330,11 +330,13 @@ def _sweep_row(resolved: dict, parameter: str, extras: list, value: float) -> di
     return row
 
 
-def _render_csv(extras: list, rows: list) -> str:
-    header = ["n_s", "gamma2", "gamma3", "ratio"] + extras
-    lines = [",".join(header)]
+def _render_csv(param: str, extras: list, rows: list) -> str:
+    # The swept value leads each row; an nS sweep's value is its n_s column.
+    lead = [] if param == "nS" else ["sweep_value"]
+    keys = lead + ["n_s", "gamma2", "gamma3", "ratio"] + extras
+    lines = [",".join(param if key == "sweep_value" else key for key in keys)]
     for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in header))
+        lines.append(",".join(_fmt(row[key]) for key in keys))
     return "\n".join(lines) + "\n"
 
 
@@ -454,7 +456,7 @@ def cmd_sweep(args, resolved: dict):
         "spacing": args.spacing,
         "extras": extras,
     }
-    return config, rows, {"rows": len(rows)}, functools.partial(_render_csv, extras)
+    return config, rows, {"rows": len(rows)}, functools.partial(_render_csv, args.param, extras)
 
 
 def cmd_crossover(args, resolved: dict):

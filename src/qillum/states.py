@@ -132,61 +132,30 @@ def tmsv_cov(n_signal: float) -> CovarianceMatrix:
     return CovarianceMatrix(excess + np.eye(4))
 
 
-def _cubic_residual(x: float, t: float) -> float:
-    # Cancellation-free rewrite in t = S^2 - 1 = 4 nS (1 + nS); the raw
-    # constant term S^6 - 1 wipes out all significant digits near nS ~ 1e-4.
-    s2 = 1.0 + t
-    return 4.0 * x**3 - 9.0 * s2 * x * x + 6.0 * s2 * s2 * x - t * (3.0 + t * (3.0 + t))
-
-
-def _cubic_slope(x: float, t: float) -> float:
-    s2 = 1.0 + t
-    return 12.0 * x * x - 18.0 * s2 * x + 6.0 * s2 * s2
-
-
 def max_three_mode_correlation(n_signal: float) -> float:
     """Correlation amplitude where the symmetric three-mode probe has det V = 1.
 
-    Square root of the unique real root in (0, S^2/2) of the determinant cubic
-    of the probe covariance. Bracketed Newton with bisection fallback,
-    converging to |dx| < 1e-15 * S^2 with two polish steps. This is the
-    paper's (and the default) correlation, but not a physical one: the probe
-    is a quantum state only for c <= sqrt(nS(1 + nS)), which lies below this
-    root for every nS > 0 (see three_mode_cov).
+    c^2 is the root x in (0, S^2/2) of (S^2 - 4x)(S^2 - x)^2 = 1, which in
+    v = 2(S^2 - x)/S^2 - 1/2 reads 4v^3 - 3v = 1 + 8/S^6: v = cosh(2 psi/3)
+    with psi = asinh(2/S^3), and v = 3/2 at psi0 = asinh 2, so
+    x = S^2 sinh((psi0 + psi)/3) sinh((psi0 - psi)/3). This is the paper's (and the
+    default) correlation, but not a physical one: the probe is a quantum
+    state only for c <= sqrt(nS(1 + nS)), which lies below this root for
+    every nS > 0 (see three_mode_cov).
     """
     if n_signal < 0:
         raise ValueError("photon number must be nonnegative")
-    if n_signal == 0:
-        return 0.0
-    t = 4.0 * n_signal * (1.0 + n_signal)
-    s2 = 1.0 + t
-
-    lo, hi = 0.0, 0.5 * s2
-    x = 2.0 * n_signal * (1.0 - (4.0 / 3.0) * n_signal * n_signal)
-    x = min(max(x, lo), hi)
-    for _ in range(200):
-        fx = _cubic_residual(x, t)
-        if fx > 0:
-            hi = x
-        elif fx < 0:
-            lo = x
-        else:
-            break
-        slope = _cubic_slope(x, t)
-        step = fx / slope if slope != 0 else 0.0
-        xn = x - step
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) < 1e-15 * s2:
-            x = xn
-            for _ in range(2):
-                slope = _cubic_slope(x, t)
-                if slope == 0:
-                    break
-                x -= _cubic_residual(x, t) / slope
-            break
-        x = xn
-    return math.sqrt(max(x, 0.0))
+    s = 2.0 * n_signal + 1.0
+    r = 1.0 / s
+    r2 = r * r
+    r3 = r2 * r
+    # psi0 - psi = asinh(2 (1 - r^6) / (sqrt(1 + 4 r^6) + sqrt(5) r^3)), with
+    # 1 - r^6 = (1 - r^2)(1 + r^2 + r^4) and 1 - r^2 = 2 nS r (1 + r): nothing
+    # cancels near nS = 0, and no power of S overflows at large nS.
+    gap = 2.0 * n_signal * r * (1.0 + r) * (1.0 + r2 + r2 * r2)
+    delta = math.asinh(2.0 * gap / (math.sqrt(1.0 + 4.0 * r3 * r3) + math.sqrt(5.0) * r3))
+    total = math.asinh(2.0) + math.asinh(2.0 * r3)
+    return s * math.sqrt(math.sinh(total / 3.0) * math.sinh(delta / 3.0))
 
 
 def separability_threshold(n_signal: float) -> float:

@@ -20,6 +20,24 @@ def max_three_mode_correlation_large_asymptotic(n_signal: float) -> float:
     return n_signal + 0.5 - n_signal ** -5.0 / 72.0
 
 
+def max_three_mode_correlation_mp(n_signal: float, start: float):
+    """The det V = 1 correlation as a 60-digit mpmath number.
+
+    Newton steps on the determinant cubic, written in t = S^2 - 1 so that no
+    digit cancels, from a start within a few ulps of the root.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        t = 4 * mpmath.mpf(n_signal) * (1 + mpmath.mpf(n_signal))
+        s2 = 1 + t
+        x = mpmath.mpf(start) ** 2
+        for _ in range(6):
+            residual = 4 * x**3 - 9 * s2 * x**2 + 6 * s2**2 * x - t * (3 + t * (3 + t))
+            x -= residual / (12 * x**2 - 18 * s2 * x + 6 * s2**2)
+        return mpmath.sqrt(x)
+
+
 def rotation_symplectic(n: int, j: int, theta: float) -> np.ndarray:
     s = np.eye(2 * n)
     c, sn = np.cos(theta), np.sin(theta)

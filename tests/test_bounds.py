@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_scenarios, random_cov
+from conftest import box_scenarios, max_three_mode_correlation_mp, random_cov
 from qillum import bounds, symplectic
 from qillum.bounds import (
     bhattacharyya_bound,
@@ -254,6 +254,27 @@ def test_two_mode_exponent_keeps_its_digits_at_large_signal(ns):
     assert error_exponent_two_mode(ns) == pytest.approx(expected, rel=1e-14)
     if ns >= 1e7:
         assert error_exponent_two_mode(ns) == pytest.approx(ns / 4.0, rel=1e-6)
+
+
+def test_exponent_coefficients_match_50_digit_references():
+    # Each default coefficient against its textbook form at 50 digits, the
+    # three-mode one at the 60-digit det V = 1 root: 300 seeded n_s from 1e-4
+    # to 1e4, and three far above.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(18)
+    worst2 = worst3 = 0.0
+    for ns in [*10.0 ** rng.uniform(-4.0, 4.0, 300), 1e6, 1e9, 1e16]:
+        ns = float(ns)
+        c = max_three_mode_correlation_mp(ns, max_three_mode_correlation(ns))
+        with mpmath.workdps(50):
+            s = 2 * mpmath.mpf(ns) + 1
+            gamma2 = (s * s - 1) * (s - mpmath.sqrt(s * s - 1)) / 4
+            nu = mpmath.sqrt(s * s - c * c)
+            gamma3 = c * c * s * (1 - mpmath.sqrt(nu * nu - 1) / nu) / 2
+            worst2 = max(worst2, float(abs(error_exponent_two_mode(ns) / gamma2 - 1)))
+            worst3 = max(worst3, float(abs(error_exponent_three_mode(ns) / gamma3 - 1)))
+    assert worst2 <= 5e-16
+    assert worst3 <= 2e-15
 
 
 def test_exponent_ratio_across_the_crossover():

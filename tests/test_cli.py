@@ -224,8 +224,23 @@ def test_sweep_other_parameter(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    values = {line.split(",")[0] for line in lines[1:]}
+    values = {line.split(",")[1] for line in lines[1:]}
     assert len(values) == 1  # n_s column stays fixed while nB sweeps
+
+
+@pytest.mark.parametrize(
+    "param,start,stop", [("nB", "10", "1000"), ("kappa", "0.1", "0.2"), ("M", "1", "100")]
+)
+def test_sweep_csv_leads_with_the_swept_value(param, start, stop, capsys):
+    argv = ["sweep", "--param", param, "--start", start, "--stop", stop, "--count", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == f"{param},n_s,gamma2,gamma3,ratio"
+    code, report, _ = run(capsys, *argv, "--format", "json")
+    swept = [row["sweep_value"] for row in json.loads(report)["rows"]]
+    assert len(set(swept)) == 3
+    assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(swept, rel=1e-11)
 
 
 def test_unwritable_output_exit_3(tmp_path, capsys):
@@ -615,6 +630,24 @@ def test_sweep_row_ratio():
     # no signal, no exponent: the ratio is undefined
     row = cli._sweep_row(resolved, "nS", [], 0.0)
     assert row["gamma2"] == row["gamma3"] == 0.0 and math.isnan(row["ratio"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_signal_far_above_the_box_is_refused_or_printed_without_a_traceback(capsys):
+    # The det V = 1 correlation has no power of S to overflow: bounds refuses
+    # states whose entries are out of range (exit 2, for both entangled
+    # models), and the sweep's coefficients keep their limits n_s / 4 and n_s / 6.
+    for argv in (["--ns", "1e52"], ["--ns", "1e52", "--model", "two-mode"], ["--ns", "1e160"]):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
+    code, out, err = run(capsys, "sweep", "--start", "1e60", "--stop", "1e100", "--count", "5")
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == pytest.approx([1e60, 1e70, 1e80, 1e90, 1e100], rel=1e-11)
+    for ns, gamma2, gamma3, ratio in rows:
+        assert gamma2 == pytest.approx(ns / 4.0, rel=1e-11)
+        assert gamma3 == pytest.approx(ns / 6.0, rel=1e-11)
+        assert ratio == pytest.approx(2.0 / 3.0, rel=1e-11)
 
 
 @pytest.mark.parametrize(

@@ -8,20 +8,24 @@ three-mode probe's advantage exists only at its unphysical det V = 1
 correlation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
-from conftest import beamsplitter_symplectic, random_symplectic
+from conftest import beamsplitter_symplectic, box_scenarios, random_symplectic
 from qillum.bounds import power_overlap
 from qillum.states import (
     IlluminationScenario,
     Probe,
     illuminate,
     illumination_states,
+    max_three_mode_correlation,
     three_mode_cov,
     tmsv_cov,
 )
+from qillum.symplectic import CovarianceMatrix
 
 S_VALUES = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -91,3 +95,34 @@ def test_tmsv_with_a_vacuum_idler_is_the_two_mode_probe():
         s = beamsplitter_symplectic(3, 1, 2, rng.uniform(0.0, 2.0 * math.pi))
         gaps, scales = _gap(s @ v @ s.T, scn)
         assert (np.abs(gaps) <= 1e-13 * scales).all(), (scn, gaps / scales)
+
+
+@pytest.mark.parametrize("correlation", ["paper", "physical"])
+def test_idler_beamsplitter_reduces_the_three_mode_pair_to_two_modes(correlation):
+    # A 50:50 beamsplitter on the idlers is one unitary under both hypotheses,
+    # so it leaves q(s) alone. Mode a = (i1 + i2)/sqrt2 gets variances
+    # (S + c, S - c) and correlation +-sqrt2 c; mode b decouples and is the
+    # same state under both, so q(s) of the (return, a) pair is the 6x6 one.
+    s_values = [0.3, 0.5, 0.8]
+    bs = beamsplitter_symplectic(3, 1, 2, math.pi / 4)
+    for scn in box_scenarios(9, 120):
+        ns = scn.n_signal
+        c = max_three_mode_correlation(ns) if correlation == "paper" else math.sqrt(ns + ns * ns)
+        scn = dataclasses.replace(scn, correlation=c)
+        pair = illumination_states(scn, "three-mode")
+        full = power_overlap(*pair, s_values)
+        absent, present = (bs @ state.cov.matrix @ bs.T for state in pair)
+        for v in (absent, present):
+            assert np.abs(v[:4, 4:]).max() <= 4e-16 * np.abs(v).max()
+            big, small = scn.signal_variance + c, scn.signal_variance - c
+            assert np.diag(v)[2:] == pytest.approx([big, small, small, big], rel=1e-15)
+            assert (v[2, 3], v[4, 5]) == (0.0, 0.0)
+        assert np.array_equal(absent[4:, 4:], present[4:, 4:])
+        assert np.abs(absent[:2, 2:4]).max() <= 4e-16 * np.abs(absent).max()
+        xp = math.sqrt(2.0 * scn.reflectivity) * c * np.array([1.0, -1.0])
+        assert np.diag(present[:2, 2:4]) == pytest.approx(xp, rel=1e-14)
+        reduced = power_overlap(CovarianceMatrix(absent[:4, :4]),
+                                CovarianceMatrix(present[:4, :4]), s_values)
+        for a, b in zip(full, reduced):
+            scale = abs(a.prefactor_log) + abs(a.det_term_log)
+            assert abs(a.log_value - b.log_value) <= 2e-15 * scale, (scn, a, b)

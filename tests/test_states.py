@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     box_scenarios,
     max_three_mode_correlation_large_asymptotic,
+    max_three_mode_correlation_mp,
     max_three_mode_correlation_small_asymptotic,
 )
 from qillum.states import (
@@ -113,6 +114,25 @@ def test_max_correlation_properties(ns):
     cq2 = tmsv_correlation(ns)
     c = math.sqrt(x)
     assert 0.5 * cq2 < c < cq2
+
+
+def test_max_correlation_matches_a_60_digit_root():
+    # The closed form, over 315 seeded n_s from 1e-8 to 1e8, against Newton's
+    # root of the determinant cubic at 60 digits.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for ns in 10.0 ** rng.uniform(-8.0, 8.0, 315):
+        c = max_three_mode_correlation(float(ns))
+        reference = max_three_mode_correlation_mp(float(ns), c)
+        worst = max(worst, float(abs(c - reference) / reference))
+    assert worst <= 4.5e-16
+
+
+@pytest.mark.parametrize("ns", [1e52, 1e100, 1e160, 1e300])
+def test_max_correlation_has_no_overflow_at_huge_signal(ns):
+    # c tends to S / 2 = n_s + 1/2, and no power of S is formed on the way.
+    assert max_three_mode_correlation(ns) == pytest.approx(ns, rel=4e-16)
 
 
 def test_series_helpers_track_the_solver():
