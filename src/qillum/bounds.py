@@ -324,6 +324,8 @@ def _idler_exponent(n_signal: float, idlers: int, correlation_sq: float) -> floa
     if n_signal < 0:
         raise ValueError("photon number must be nonnegative")
     excess = 4.0 * n_signal * (1.0 + n_signal) - (idlers - 1) ** 2 * correlation_sq
+    if not math.isfinite(excess):  # inf or inf - inf once 4 nS (1 + nS) overflows
+        raise ValueError(f"n_signal {n_signal:g} overflows the exponent coefficient")
     nu_sq = 1.0 + excess
     s = 2.0 * n_signal + 1.0
     return idlers * (correlation_sq / nu_sq) * s / (4.0 * (1.0 + math.sqrt(excess / nu_sq)))

@@ -28,7 +28,7 @@ from .bounds import (
     illumination_chernoff,
     power_overlap,
 )
-from .fock import DimensionCapError, TailBudgetError, oracle_overlap, oracle_tail_budget
+from .fock import DimensionCapError, oracle_overlap, oracle_tail_budget
 from .states import (
     IlluminationScenario,
     illumination_states,
@@ -596,7 +596,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (TailBudgetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {str(exc).splitlines()[0]}", file=sys.stderr)
         return 2
     except OSError as exc:

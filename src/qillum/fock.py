@@ -48,22 +48,22 @@ import functools
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 DIMENSION_CAP = 4096
 HERMITICITY_TOL = 1e-12
 TAIL_LIMIT = 1e-8
+MODE_COUNT = 2  # every state here is on the (return, idler) pair
 
 
 class DimensionCapError(RuntimeError):
     """Requested truncation needs a matrix larger than the supported cap."""
 
-    def __init__(self, mode_count: int, cutoff: int):
-        self.dimension = (cutoff + 1) ** mode_count
+    def __init__(self, cutoff: int):
+        self.dimension = (cutoff + 1) ** MODE_COUNT
         super().__init__(
-            f"{mode_count}-mode cutoff {cutoff} needs dimension "
+            f"{MODE_COUNT}-mode cutoff {cutoff} needs dimension "
             f"{self.dimension} > cap {DIMENSION_CAP}"
         )
 
@@ -79,33 +79,19 @@ class TailBudgetError(ValueError):
         )
 
 
-def _check_dimension(mode_count: int, cutoff: int):
+def _check_dimension(cutoff: int):
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if (cutoff + 1) ** mode_count > DIMENSION_CAP:
-        raise DimensionCapError(mode_count, cutoff)
+    if (cutoff + 1) ** MODE_COUNT > DIMENSION_CAP:
+        raise DimensionCapError(cutoff)
 
 
-@dataclass
-class FockOperator:
-    """Hermitian operator on a truncated multimode number basis."""
-
-    mode_count: int
-    cutoff: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _check_dimension(self.mode_count, self.cutoff)
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        dim = (self.cutoff + 1) ** self.mode_count
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim} for this truncation")
-        if np.max(np.abs(self.matrix - self.matrix.T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not symmetric")
-
-
-def _as_array(op) -> np.ndarray:
-    return op.matrix if isinstance(op, FockOperator) else np.asarray(op, dtype=float)
+def _operator(op) -> np.ndarray:
+    """op as a float matrix; refuses one that is not square and symmetric."""
+    m = np.asarray(op, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.abs(m - m.T).max() > HERMITICITY_TOL:
+        raise ValueError(f"operator must be a symmetric square matrix, got shape {m.shape}")
+    return m
 
 
 def thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
@@ -127,11 +113,6 @@ def thermal_tail(nbar: float, cutoff: int) -> float:
     return (nbar / (nbar + 1.0)) ** (cutoff + 1)
 
 
-def thermal_fock(nbar: float, cutoff: int) -> FockOperator:
-    _check_dimension(1, cutoff)
-    return FockOperator(1, cutoff, np.diag(thermal_weights(nbar, cutoff)))
-
-
 def tmsv_amplitudes(n_signal: float, cutoff: int) -> np.ndarray:
     """Schmidt coefficients of the two-mode squeezed vacuum on |n, n>."""
     if n_signal < 0:
@@ -146,25 +127,13 @@ def tmsv_amplitudes(n_signal: float, cutoff: int) -> np.ndarray:
     )
 
 
-def tmsv_fock(n_signal: float, cutoff: int) -> FockOperator:
-    """Two-mode squeezed vacuum, mode order (signal, idler)."""
-    _check_dimension(2, cutoff)
-    amp = tmsv_amplitudes(n_signal, cutoff)
-    d = cutoff + 1
-    psi = np.zeros((d, d))
-    np.fill_diagonal(psi, amp)
-    vec = psi.reshape(d * d)
-    return FockOperator(2, cutoff, np.outer(vec, vec))
-
-
-def target_absent_fock(n_signal: float, n_background: float, cutoff: int) -> FockOperator:
+def target_absent_fock(n_signal: float, n_background: float, cutoff: int) -> np.ndarray:
     """No target: thermal return times the thermal idler marginal. Order (return, idler)."""
-    _check_dimension(2, cutoff)
-    m = np.kron(
+    _check_dimension(cutoff)
+    return np.kron(
         np.diag(thermal_weights(n_background, cutoff)),
         np.diag(thermal_weights(n_signal, cutoff)),
     )
-    return FockOperator(2, cutoff, m)
 
 
 def _parity_chain(cutoff: int) -> np.ndarray:
@@ -280,7 +249,7 @@ def _present_branches(
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
-    _check_dimension(2, cutoff)
+    _check_dimension(cutoff)
     d = cutoff + 1
     branches = np.zeros((d, d, d))
     if reflectivity == 0.0:
@@ -314,7 +283,7 @@ def _scatter_blocks(blocks: np.ndarray, cutoff: int) -> np.ndarray:
 
 def target_present_fock(
     n_signal: float, n_background: float, reflectivity: float, cutoff: int
-) -> FockOperator:
+) -> np.ndarray:
     """Target present: signal mixed with background on a beamsplitter.
 
     The background is taken thermal with n_background / (1 - reflectivity)
@@ -330,7 +299,7 @@ def target_present_fock(
         return target_absent_fock(n_signal, n_background, cutoff)
     branches = _present_branches(n_signal, n_background, reflectivity, cutoff)
     blocks = branches @ branches.transpose(0, 2, 1)
-    return FockOperator(2, cutoff, _scatter_blocks(blocks, cutoff))
+    return _scatter_blocks(blocks, cutoff)
 
 
 def _eigen_clean(m: np.ndarray):
@@ -341,20 +310,12 @@ def _eigen_clean(m: np.ndarray):
     return np.clip(vals, 0.0, None), vecs
 
 
-def trace_power(op, p: float) -> float:
-    """Tr[m^p] by diagonalization; tiny negative eigenvalues are clipped."""
-    if p <= 0:
-        raise ValueError("power must be positive")
-    vals, _ = _eigen_clean(_as_array(op))
-    return float(np.sum(vals**p))
-
-
 def trace_power_product(op_a, op_b, s: float) -> float:
     """Tr[a^s b^(1-s)] through the eigenbases of both operators."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly inside (0, 1)")
-    a = _as_array(op_a)
-    b = _as_array(op_b)
+    a = _operator(op_a)
+    b = _operator(op_b)
     if a.shape != b.shape:
         raise ValueError("operators must share a truncation")
     va, ua = _eigen_clean(a)
@@ -365,7 +326,7 @@ def trace_power_product(op_a, op_b, s: float) -> float:
 
 def helstrom_probability(op_a, op_b) -> float:
     """Single-copy minimum error probability (1 - |a - b|_1 / 2) / 2."""
-    diff = _as_array(op_a) - _as_array(op_b)
+    diff = _operator(op_a) - _operator(op_b)
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return 0.5 * (1.0 - 0.5 * trace_norm)
 
@@ -382,7 +343,7 @@ def oracle_tail_budget(
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    dim = (cutoff + 1) ** 2
+    dim = (cutoff + 1) ** MODE_COUNT
     absent = thermal_tail(n_background, cutoff) + thermal_tail(n_signal, cutoff)
     present = thermal_tail(n_signal, cutoff)  # Schmidt weights are thermal
     if 0.0 < reflectivity < 1.0:
@@ -418,7 +379,7 @@ def oracle_overlap(
     reflectivity 1 too: the background input n_background / (1 - kappa) is
     then not finite, so no Fock state matches the Gaussian present state.
     """
-    _check_dimension(2, cutoff)
+    _check_dimension(cutoff)
     s_values = np.atleast_1d(np.asarray(s, dtype=float))
     if s_values.ndim != 1 or not np.all((s_values > 0.0) & (s_values < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
@@ -454,10 +415,9 @@ def quadrature_covariance(op) -> np.ndarray:
     <R_j R_k + R_k R_j> / 2 - <R_j><R_k> with R = (x1, p1, x2, p2) and
     vacuum variance 1.
     """
-    m = _as_array(op)
-    dim = m.shape[0]
-    d = int(round(math.sqrt(dim)))
-    if d * d != dim:
+    m = _operator(op)
+    d = math.isqrt(m.shape[0])
+    if d * d != m.shape[0]:
         raise ValueError("expected a two-mode operator")
     low = np.zeros((d, d))
     n = np.arange(1, d)

@@ -109,7 +109,10 @@ def tmsv_correlation(n_signal: float) -> float:
     """Off-diagonal amplitude 2*sqrt(nS(1+nS)) of the two-mode squeezed vacuum."""
     if n_signal < 0:
         raise ValueError("photon number must be nonnegative")
-    return 2.0 * math.sqrt(n_signal * (1.0 + n_signal))
+    product = n_signal * (1.0 + n_signal)
+    if not math.isfinite(product):
+        raise ValueError(f"n_signal {n_signal:g} overflows the two-mode correlation")
+    return 2.0 * math.sqrt(product)
 
 
 def symmetric_excess(n_signal: float, correlation: float, modes: int) -> np.ndarray:

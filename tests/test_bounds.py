@@ -217,6 +217,17 @@ def test_exponent_coefficients_at_the_maximal_correlation(ns):
     assert error_exponent_two_mode(ns, 0.0) == error_exponent_three_mode(ns, 0.0) == 0.0
 
 
+def test_exponent_coefficients_refuse_an_overflowing_signal():
+    # 4 n_s (1 + n_s) overflows near n_s = 6.7e153; past it n_signal is
+    # refused by name instead of giving nan.
+    assert error_exponent_two_mode(1e153) == pytest.approx(2.5e152, rel=1e-12)
+    for exponent in (error_exponent_two_mode, error_exponent_three_mode):
+        with pytest.raises(ValueError, match="^n_signal 1e\\+160 overflows"):
+            exponent(1e160)
+    with pytest.raises(ValueError, match="^n_signal 1e\\+155 overflows"):
+        tmsv_correlation(1e155)
+
+
 def test_exponent_small_signal_limits():
     ns = 1e-5
     assert error_exponent_two_mode(ns) == pytest.approx(

@@ -637,9 +637,24 @@ def test_signal_far_above_the_box_is_refused_or_printed_without_a_traceback(caps
     # The det V = 1 correlation has no power of S to overflow: bounds refuses
     # states whose entries are out of range (exit 2, for both entangled
     # models), and the sweep's coefficients keep their limits n_s / 4 and n_s / 6.
-    for argv in (["--ns", "1e52"], ["--ns", "1e52", "--model", "two-mode"], ["--ns", "1e160"]):
+    # Once 4 n_s (1 + n_s) overflows (n_s ~ 6.7e153) the exponent coefficients
+    # refuse n_signal by name, and so does the two-mode correlation once
+    # n_s (1 + n_s) does (n_s ~ 1.3e154).
+    for argv in (
+        ["--ns", "1e52"],
+        ["--ns", "1e52", "--model", "two-mode"],
+        ["--ns", "1e160"],
+        ["--ns", "1e160", "--model", "two-mode"],
+    ):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
+    for argv in (
+        ["--start", "1e150", "--stop", "1e300", "--count", "4"],
+        ["--param", "nB", "--ns", "1e160", "--start", "1", "--stop", "10", "--count", "2"],
+    ):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error: n_signal ") and "overflows" in err, (argv, err)
     code, out, err = run(capsys, "sweep", "--start", "1e60", "--stop", "1e100", "--count", "5")
     assert (code, err) == (0, "")
     rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]

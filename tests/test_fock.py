@@ -10,7 +10,6 @@ from qillum import bounds, fock
 from qillum.bounds import power_overlap
 from qillum.fock import (
     DimensionCapError,
-    FockOperator,
     TailBudgetError,
     helstrom_probability,
     oracle_overlap,
@@ -18,12 +17,9 @@ from qillum.fock import (
     quadrature_covariance,
     target_absent_fock,
     target_present_fock,
-    thermal_fock,
     thermal_tail,
     thermal_weights,
     tmsv_amplitudes,
-    tmsv_fock,
-    trace_power,
     trace_power_product,
 )
 from qillum.states import IlluminationScenario, illumination_states, two_mode_target_present_cov
@@ -136,59 +132,46 @@ def test_thermal_weights_geometric():
     assert thermal_tail(0.0, 10) == 0.0
 
 
-def test_thermal_fock_trace_matches_tail():
-    op = thermal_fock(1.5, 40)
-    assert np.trace(op.matrix) == pytest.approx(1.0 - thermal_tail(1.5, 40), rel=1e-13)
-
-
-def test_tmsv_fock_is_rank_one():
-    op = tmsv_fock(0.3, 12)
-    vals = np.linalg.eigvalsh(op.matrix)
-    assert vals[-1] == pytest.approx(np.trace(op.matrix), rel=1e-12)
-    assert np.all(vals[:-1] < 1e-13)
-
-
 def test_tmsv_amplitudes_are_thermal_weights():
     amp = tmsv_amplitudes(0.4, 20)
     assert np.allclose(amp**2, thermal_weights(0.4, 20), rtol=1e-13)
 
 
 def test_dimension_cap():
-    # one mode may go deep, two modes are capped at 63
-    thermal_fock(1.0, 400)
+    # two modes are capped at cutoff 63
     target_absent_fock(0.1, 0.1, 63)
-    with pytest.raises(DimensionCapError):
-        thermal_fock(1.0, 5000)
-    with pytest.raises(DimensionCapError):
+    message = "^2-mode cutoff 64 needs dimension 4225 > cap 4096$"
+    with pytest.raises(DimensionCapError, match=message):
         target_absent_fock(0.1, 0.1, 64)
     with pytest.raises(ValueError):
-        thermal_fock(1.0, 0)
+        target_absent_fock(0.1, 0.1, 0)
 
 
 def test_fock_operator_validation():
-    with pytest.raises(ValueError):
-        FockOperator(1, 3, np.ones((3, 3)))  # wrong shape
+    # every consumer of an operator refuses a matrix of the wrong shape, one
+    # that is not square, and one asymmetric beyond HERMITICITY_TOL
     bad = np.eye(4)
     bad[0, 1] = 1e-6
-    with pytest.raises(ValueError):
-        FockOperator(1, 3, bad)
-
-
-def test_trace_power_thermal_closed_form():
-    # Tr[rho^p] for a thermal state is a truncated geometric sum
-    nbar, cutoff, p = 1.2, 400, 0.37
-    w = thermal_weights(nbar, cutoff)
-    assert trace_power(thermal_fock(nbar, cutoff), p) == pytest.approx(
-        float(np.sum(w**p)), rel=1e-13
-    )
+    good = np.eye(4)
+    for op in (np.ones((3, 3)), np.ones((3, 4)), bad):
+        with pytest.raises(ValueError):
+            trace_power_product(op, good, 0.5)
+        with pytest.raises(ValueError):
+            trace_power_product(good, op, 0.5)
+        with pytest.raises(ValueError):
+            helstrom_probability(op, good)
+        with pytest.raises(ValueError):
+            helstrom_probability(good, op)
+        with pytest.raises(ValueError):
+            quadrature_covariance(op)
 
 
 def test_trace_power_product_thermal_vs_gaussian():
     # single thermal mode, deep cutoff: matrix power agrees with the
     # covariance-based engine
     n1, n2, cutoff = 1.0, 2.0, 200
-    a = thermal_fock(n1, cutoff)
-    b = thermal_fock(n2, cutoff)
+    a = np.diag(thermal_weights(n1, cutoff))
+    b = np.diag(thermal_weights(n2, cutoff))
     ga = CovarianceMatrix(np.diag([2 * n1 + 1.0] * 2))
     gb = CovarianceMatrix(np.diag([2 * n2 + 1.0] * 2))
     for s in (0.3, 0.5, 0.7):
@@ -198,15 +181,15 @@ def test_trace_power_product_thermal_vs_gaussian():
 
 
 def test_trace_power_product_symmetry_and_validation():
-    a = thermal_fock(0.5, 30)
-    b = thermal_fock(1.5, 30)
+    a = np.diag(thermal_weights(0.5, 30))
+    b = np.diag(thermal_weights(1.5, 30))
     assert trace_power_product(a, b, 0.3) == pytest.approx(
         trace_power_product(b, a, 0.7), rel=1e-12
     )
     with pytest.raises(ValueError):
         trace_power_product(a, b, 1.0)
     with pytest.raises(ValueError):
-        trace_power_product(a, thermal_fock(1.0, 20), 0.5)
+        trace_power_product(a, np.diag(thermal_weights(1.0, 20)), 0.5)
     with pytest.raises(ValueError):
         trace_power_product(np.diag([1.0, -1e-3]), np.eye(2), 0.5)
 
@@ -226,7 +209,7 @@ def test_power_trace_closed_form_consistency():
 def test_present_state_construction():
     ns, nb, kappa, cutoff = 0.1, 0.3, 0.1, 20
     op = target_present_fock(ns, nb, kappa, cutoff)
-    assert np.trace(op.matrix) == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(op) == pytest.approx(1.0, abs=1e-10)
     cov = quadrature_covariance(op)
     scn = IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
     expected = two_mode_target_present_cov(scn).matrix
@@ -236,9 +219,11 @@ def test_present_state_construction():
 def test_present_state_edge_reflectivities():
     ns, nb, cutoff = 0.2, 0.4, 15
     zero = target_present_fock(ns, nb, 0.0, cutoff)
-    assert np.array_equal(zero.matrix, target_absent_fock(ns, nb, cutoff).matrix)
+    assert np.array_equal(zero, target_absent_fock(ns, nb, cutoff))
+    # at kappa = 1 the return is the signal: the pure two-mode squeezed vacuum
     one = target_present_fock(ns, nb, 1.0, cutoff)
-    assert np.array_equal(one.matrix, tmsv_fock(ns, cutoff).matrix)
+    vec = np.diag(tmsv_amplitudes(ns, cutoff)).reshape(-1)
+    assert np.array_equal(one, np.outer(vec, vec))
     with pytest.raises(ValueError):
         target_present_fock(ns, nb, 1.2, cutoff)
 
@@ -299,7 +284,7 @@ def test_quadrature_covariance_of_product_state():
 @pytest.mark.parametrize("cutoff", [2, 5, 10])
 def test_sector_construction_matches_dense_reference(cutoff, kappa):
     ns, nb = 0.15, 0.4
-    blocked = target_present_fock(ns, nb, kappa, cutoff).matrix
+    blocked = target_present_fock(ns, nb, kappa, cutoff)
     assert np.max(np.abs(blocked - _dense_present(ns, nb, kappa, cutoff))) < 1e-13
     # entries coupling different return-minus-idler numbers are exactly zero
     d = cutoff + 1

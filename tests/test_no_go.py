@@ -25,7 +25,7 @@ from qillum.states import (
     three_mode_cov,
     tmsv_cov,
 )
-from qillum.symplectic import CovarianceMatrix
+from qillum.symplectic import CovarianceMatrix, symplectic_eigenvalues, williamson_decompose
 
 S_VALUES = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -126,3 +126,38 @@ def test_idler_beamsplitter_reduces_the_three_mode_pair_to_two_modes(correlation
         for a, b in zip(full, reduced):
             scale = abs(a.prefactor_log) + abs(a.det_term_log)
             assert abs(a.log_value - b.log_value) <= 2e-15 * scale, (scn, a, b)
+
+
+def _reduced_spectrum(v: np.ndarray, signal_variance: float, c: float) -> np.ndarray:
+    """Symplectic eigenvalues of a three-mode state from determinants, descending.
+
+    v is the state after the 50:50 idler beamsplitter: mode b is alone with
+    variances (S - c, S + c), and the (return, a) block [[A, C], [C^T, B]]
+    has nu+^2 nu-^2 = det V and nu+^2 + nu-^2 = det A + det B + 2 det C.
+    """
+    nu_b = math.sqrt((signal_variance - c) * (signal_variance + c))
+    block = v[:4, :4]
+    det = np.linalg.det
+    delta = det(block[:2, :2]) + det(block[2:, 2:]) + 2.0 * det(block[:2, 2:])
+    det_v = det(block)
+    plus = delta + math.sqrt(delta * delta - 4.0 * det_v)
+    return np.sort([math.sqrt(plus / 2.0), nu_b, math.sqrt(2.0 * det_v / plus)])[::-1]
+
+
+@pytest.mark.parametrize("correlation", ["paper", "physical"])
+def test_three_mode_spectrum_matches_its_determinant_form(correlation):
+    # The reference shares no code with either solver: the idler beamsplitter
+    # splits off mode b, and the (return, a) pair's two eigenvalues are the
+    # roots of nu^4 - Delta nu^2 + det V.
+    bs = beamsplitter_symplectic(3, 1, 2, math.pi / 4)
+    for scn in box_scenarios(11, 300):
+        ns = scn.n_signal
+        c = max_three_mode_correlation(ns) if correlation == "paper" else math.sqrt(ns + ns * ns)
+        scn = dataclasses.replace(scn, correlation=c)
+        for state in illumination_states(scn, "three-mode"):
+            v = state.cov.matrix
+            expected = _reduced_spectrum(bs @ v @ bs.T, scn.signal_variance, c)
+            relative = np.abs(symplectic_eigenvalues(v) / expected - 1.0)
+            assert relative.max() <= 1e-12, (scn, relative)
+            absolute = np.abs(williamson_decompose(v).nu - expected)
+            assert absolute.max() <= 1e-12 * expected[0], (scn, absolute / expected[0])
