@@ -107,14 +107,6 @@ def _as_state(obj) -> GaussianState:
     return GaussianState(cov=CovarianceMatrix(np.asarray(obj, dtype=float)))
 
 
-def _forward_solve(chol: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """L^-1 d for every lower-triangular L of a (k, m, m) stack, row by row."""
-    y = np.zeros(chol.shape[:2])
-    for i in range(chol.shape[1]):
-        y[:, i] = (d[i] - (chol[:, i, :i] * y[:, :i]).sum(axis=1)) / chol[:, i, i]
-    return y
-
-
 class _PairEngine:
     """q(s) for one pair of states: the per-pair work once, then any batch of s.
 
@@ -124,9 +116,15 @@ class _PairEngine:
     together: the power maps elementwise on a (k, 2n) array, the combined
     covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a (k, 2n, 2n)
     stack from one batched product, one Cholesky factorization of the stack
-    and, for displaced states, one batched triangular solve. Every stacked
-    operation acts on each s separately, so an entry does not depend on the
-    rest of its batch.
+    and, for displaced states, one batched solve. Every stacked operation
+    acts on each s separately, so an entry does not depend on the rest of
+    its batch.
+
+    The displacement term d^T M^-1 d is read as 2 d.x - x^T M x at the
+    solved x ~ M^-1 d, with x^T M x summed mode by mode from S^T x. The
+    rounded M, which the solve sees, then enters only at second order in
+    the error of x: the term keeps its digits when M is ill-conditioned,
+    where |L^-1 d|^2 loses about cond(M) ulps.
 
     A call returns a (6, k) array whose rows are OverlapResult's fields in
     order (LOG_ROW and S_ROW name the two the search reads). Two states equal
@@ -157,7 +155,8 @@ class _PairEngine:
         prefactor_log = n * math.log(2.0) + log_trace.sum(axis=1)
 
         # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
-        combined = (self.sym * variance.repeat(2, axis=1)[:, None, :]) @ self.sym.T
+        lam = variance.repeat(2, axis=1)
+        combined = (self.sym * lam[:, None, :]) @ self.sym.T
         try:
             chol = np.linalg.cholesky(combined)
         except np.linalg.LinAlgError as exc:
@@ -165,7 +164,10 @@ class _PairEngine:
         det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
         if self.displaced:
-            displacement_log = -0.5 * (_forward_solve(chol, self.d) ** 2).sum(axis=1)
+            rhs = np.broadcast_to(self.d[:, None], combined.shape[:2] + (1,))
+            x = np.linalg.solve(combined, rhs)[..., 0]
+            t = (x[:, None, :] @ self.sym)[:, 0]
+            displacement_log = 0.5 * (lam * t * t).sum(axis=1) - (x * self.d).sum(axis=1)
         else:
             displacement_log = np.zeros_like(s)
         if self.equal:
