@@ -30,18 +30,23 @@ from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 # chernoff_bound's search: a grid holding s = 1/2 exactly, then zoom rounds of
 # ZOOM_POINTS interior points until log q around the best point is flat to
 # ROUNDING_ULPS ulps of its log pieces, or the bracket is narrower than S_TOL.
-# Each round shrinks the two-step bracket 19-fold, so seven rounds take the
-# grid's 1/16 bracket below 1e-10 and a search makes at most eight engine calls.
+# Each engine call may add a window of ZOOM_POINTS points placed by curvature;
+# the even zoom points alone shrink the two-step bracket at least 19-fold per
+# round, so seven rounds take the grid's 1/16 bracket below 1e-10 and a search
+# makes at most eight engine calls.
 GRID_POINTS = 33
 ZOOM_POINTS = 37
 S_TOL = 1e-10
 ROUNDING_ULPS = 4
+EPS = float(np.finfo(float).eps)
 # linspace lands one ulp below 1/2 at the grid's midpoint, so it is set exactly.
 CHERNOFF_GRID = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
 CHERNOFF_GRID[GRID_POINTS // 2] = 0.5
 CHERNOFF_GRID.flags.writeable = False
 # Interior points of a zoom round, as fractions of its bracket.
 ZOOM_FRACTIONS = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+# A window's points, in steps from its centre.
+WINDOW_OFFSETS = np.arange(ZOOM_POINTS) - ZOOM_POINTS // 2
 
 
 def _check_eigenvalues(nu) -> np.ndarray:
@@ -257,34 +262,87 @@ def bhattacharyya_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     return _bound_from_overlap(power_overlap(state_a, state_b, 0.5), copies)
 
 
+def _rounding_floor(pieces) -> float:
+    """ROUNDING_ULPS ulps of the largest |prefactor_log| + |det_term_log| + |displacement_log|."""
+    return ROUNDING_ULPS * EPS * float(np.abs(pieces).sum(axis=0).max())
+
+
+def _evenly_spaced(s: np.ndarray) -> bool:
+    """Whether the increasing points s have equal steps, up to the rounding of s itself."""
+    steps = np.diff(s)
+    return float(steps.max() - steps.min()) <= 8.0 * EPS * float(s[-1])
+
+
+def _window(centre: float, c2: float, floor: float, s_lo: float, s_hi: float):
+    """ZOOM_POINTS points spaced h = sqrt(floor / c2) / 4 about centre, or None.
+
+    Near a minimum at centre with log q ~ log q* + c2 (s - s*)^2, any five
+    neighbouring points of the window spread by about floor / 4 or less. None
+    unless c2 > 0, h keeps the rounded points distinct and the window lies
+    strictly inside (s_lo, s_hi).
+    """
+    if not c2 > 0.0:
+        return None
+    h = 0.25 * math.sqrt(floor / c2)
+    reach = h * (ZOOM_POINTS // 2)
+    if not (EPS < h and s_lo < centre - reach and centre + reach < s_hi):
+        return None
+    return centre + h * WINDOW_OFFSETS
+
+
+def _vertex_window(three: np.ndarray, floor: float):
+    """The window at the vertex of the parabola through three (s, log q) columns, inside them."""
+    (s0, s1, s2), (f0, f1, f2) = three[S_ROW].tolist(), three[LOG_ROW].tolist()
+    slope = (f1 - f0) / (s1 - s0)
+    c2 = ((f2 - f1) / (s2 - s1) - slope) / (s2 - s0)
+    if not c2 > 0.0:
+        return None
+    return _window(0.5 * (s0 + s1) - slope / (2.0 * c2), c2, floor, s0, s2)
+
+
 def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
-    """min over s of q(s), by a batched grid and batched zoom rounds.
+    """min over s of q(s), by a batched grid and batched zoom rounds placed by curvature.
 
     log q(s) is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so
     the minimum lies within one step of the smallest value on any grid. The
     33-point grid is one _PairEngine call; each zoom round spreads 37 points
-    over the two steps around the smallest value so far, in one call. After
-    each call, with k the smallest point, the spread of log q over the evenly
-    spaced points k - 2 ... k + 2 bounds by convexity how far the exact
-    minimum over the bracket lies below the best point; the result carries
-    it as `chernoff_gap`. The search stops once the spread is at most
-    ROUNDING_ULPS ulps of the points' largest |prefactor_log| + |det_term_log|
-    + |displacement_log|, or else once the bracket is narrower than 1e-10
-    (at most seven rounds). The result is the smallest q over every
-    evaluated point, the first one when several tie. Each state is
-    decomposed once, on its first use, and keeps the result.
+    evenly over the bracket, the two steps around the smallest value so far,
+    in one call. After each call, with k the smallest point, the spread of
+    log q over the points k - 2 ... k + 2 bounds by convexity how far the
+    exact minimum over the bracket lies below the best point, provided they
+    are evenly spaced; the result carries it as `chernoff_gap`. The search
+    stops once evenly spaced points spread by at most ROUNDING_ULPS ulps of
+    their largest |prefactor_log| + |det_term_log| + |displacement_log|, or
+    else once the bracket is narrower than 1e-10 (at most seven rounds). The
+    result is the smallest q over every evaluated point, the first one when
+    several tie. Each state is decomposed once, on its first use, and keeps
+    the result.
+
+    Each call also evaluates a window of 37 points spaced so that five of
+    them spread by about a quarter of that floor (_window), which lets most
+    searches stop after their first call. log q is 0 at s = 0 and s = 1, so
+    the grid's window sits at 1/2 with half-curvature -4 log q(1/2); a zoom
+    round's sits at the vertex of the parabola through the best point and
+    its neighbours. A window is skipped unless its curvature is positive and
+    it lies strictly inside its bracket (for the grid, the two grid steps
+    around 1/2).
 
     The search starts from power_overlap's s = 1/2 point, the one
     bhattacharyya_bound gives, and carries it as `bhattacharyya`; the result
-    can never exceed it. The grid holds s = 1/2 as well, so the points
-    searched, and their order, do not depend on that start.
+    can never exceed it.
     """
     a = _as_state(state_a)
     b = _as_state(state_b)
     half = power_overlap(a, b, 0.5)
     engine = _PairEngine(a, b)
+    mid = GRID_POINTS // 2
+    s = CHERNOFF_GRID
+    floor = _rounding_floor([half.prefactor_log, half.det_term_log, half.displacement_log])
+    window = _window(0.5, -4.0 * half.log_value, floor, s[mid - 1], s[mid + 1])
+    if window is not None:  # its centre is the grid's 1/2
+        s = np.concatenate([s[:mid], window, s[mid + 1 :]])
     # Columns are evaluated points, rows OverlapResult's fields.
-    points = engine(CHERNOFF_GRID)
+    points = engine(s)
     best = half
     rounds = 0
     while True:
@@ -293,12 +351,17 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
             best = OverlapResult(*points[:, k].tolist())
         near = points[:, max(k - 2, 0) : k + 3]
         gap = float(np.ptp(near[LOG_ROW]))
-        floor = ROUNDING_ULPS * np.finfo(float).eps * np.abs(near[PIECE_ROWS]).sum(axis=0).max()
+        floor = _rounding_floor(near[PIECE_ROWS])
         lo, hi = max(k - 1, 0), min(k + 1, points.shape[1] - 1)
         s_lo, s_hi = points[S_ROW, lo], points[S_ROW, hi]
-        if gap <= floor or s_hi - s_lo <= S_TOL:
+        if (gap <= floor and _evenly_spaced(near[S_ROW])) or s_hi - s_lo <= S_TOL:
             break
-        inner = engine(s_lo + (s_hi - s_lo) * ZOOM_FRACTIONS)
+        s = s_lo + (s_hi - s_lo) * ZOOM_FRACTIONS
+        window = _vertex_window(points[:, lo : hi + 1], floor) if hi - lo == 2 else None
+        if window is not None:
+            s = np.sort(np.concatenate([s, window]))
+            s = s[np.concatenate([[True], s[1:] > s[:-1]])]
+        inner = engine(s)
         points = np.concatenate([points[:, lo, None], inner, points[:, hi, None]], axis=1)
         rounds += 1
 

@@ -265,6 +265,11 @@ def _asymptotic_exponent(scenario: IlluminationScenario, model: str) -> float:
     return scenario.reflectivity * gamma / scenario.n_background
 
 
+def _log10_bound(bound) -> float:
+    # log10(q^M / 2) from log q, finite where the bound itself underflows to 0.
+    return (bound.copies * bound.diagnostics["log_overlap"] - math.log(2.0)) / math.log(10.0)
+
+
 # Each command takes the parsed arguments and the resolved configuration and
 # returns (config extras, rows, diagnostics, text renderer of the rows); _run
 # emits either the JSON report or the renderer's text.
@@ -284,6 +289,8 @@ def cmd_bounds(args, resolved: dict):
         "correlation": scenario.probe_correlation(model),
         "bhattacharyya_bound": qb.value,
         "chernoff_bound": qc.value,
+        "log10_bhattacharyya_bound": _log10_bound(qb),
+        "log10_chernoff_bound": _log10_bound(qc),
         "optimal_s": qc.s_used,
         "exponent_per_copy_qb": qb.diagnostics["exponent_per_copy"],
         "exponent_per_copy_qc": qc.diagnostics["exponent_per_copy"],

@@ -577,16 +577,54 @@ def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
         assert qc.diagnostics["log_overlap"] <= qb.diagnostics["log_overlap"]
 
 
-def _reference_chernoff(a, b, copies, stop_rule=True):
-    """The list-walking search chernoff_bound replaced: power_overlap's
-    OverlapResults, scanned with Python's min, the bracket carried as results.
+EPS = np.finfo(float).eps
+HALF_SPAN = bounds.ZOOM_POINTS // 2
 
-    Returns the result and the rounding floor of its last round. Without the
-    stop rule it zooms until the bracket is narrower than S_TOL, every round
-    the search can make: the full-zoom search.
+
+def _reference_floor(near) -> float:
+    return bounds.ROUNDING_ULPS * EPS * max(
+        abs(p.prefactor_log) + abs(p.det_term_log) + abs(p.displacement_log) for p in near
+    )
+
+
+def _reference_window(centre, c2, floor, lo, hi) -> list:
+    """A window's s values, 37 steps of sqrt(floor / c2) / 4; empty where it is skipped."""
+    if not c2 > 0.0:
+        return []
+    h = 0.25 * math.sqrt(floor / c2)
+    if not (EPS < h and lo < centre - HALF_SPAN * h and centre + HALF_SPAN * h < hi):
+        return []
+    return [centre + h * j for j in range(-HALF_SPAN, HALF_SPAN + 1)]
+
+
+def _reference_vertex_window(p0, p1, p2, floor) -> list:
+    """The window at the vertex of the parabola through three OverlapResults."""
+    slope = (p1.log_value - p0.log_value) / (p1.s - p0.s)
+    c2 = ((p2.log_value - p1.log_value) / (p2.s - p1.s) - slope) / (p2.s - p0.s)
+    if not c2 > 0.0:
+        return []
+    return _reference_window(0.5 * (p0.s + p1.s) - slope / (2.0 * c2), c2, floor, p0.s, p2.s)
+
+
+def _reference_even(near) -> bool:
+    steps = [q.s - p.s for p, q in zip(near, near[1:])]
+    return max(steps) - min(steps) <= 8.0 * EPS * near[-1].s
+
+
+def _reference_chernoff(a, b, copies):
+    """chernoff_bound in list form: power_overlap's OverlapResults scanned with
+    Python's min, each batch merged as a sorted set, the bracket carried as results.
+
+    It places the same points, so every field must agree with chernoff_bound
+    exactly. Returns the result and the rounding floor of its last round.
     """
-    points = power_overlap(a, b, bounds.CHERNOFF_GRID)
-    half = points[bounds.GRID_POINTS // 2]
+    half = power_overlap(a, b, 0.5)
+    grid = bounds.CHERNOFF_GRID.tolist()
+    mid = bounds.GRID_POINTS // 2
+    window = _reference_window(
+        0.5, -4.0 * half.log_value, _reference_floor([half]), grid[mid - 1], grid[mid + 1]
+    )
+    points = power_overlap(a, b, sorted({*grid, *window}))
     best = half
     rounds = 0
     while True:
@@ -595,14 +633,15 @@ def _reference_chernoff(a, b, copies, stop_rule=True):
             best = points[k]
         near = points[max(k - 2, 0) : k + 3]
         gap = max(p.log_value for p in near) - min(p.log_value for p in near)
-        floor = bounds.ROUNDING_ULPS * np.finfo(float).eps * max(
-            abs(p.prefactor_log) + abs(p.det_term_log) + abs(p.displacement_log) for p in near
-        )
+        floor = _reference_floor(near)
         lo = points[max(k - 1, 0)]
         hi = points[min(k + 1, len(points) - 1)]
-        if (stop_rule and gap <= floor) or hi.s - lo.s <= bounds.S_TOL:
+        if (gap <= floor and _reference_even(near)) or hi.s - lo.s <= bounds.S_TOL:
             break
-        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS), hi]
+        zoom = (lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS).tolist()
+        inner = 0 < k < len(points) - 1
+        window = _reference_vertex_window(*points[k - 1 : k + 2], floor) if inner else []
+        points = [lo, *power_overlap(a, b, sorted({*zoom, *window})), hi]
         rounds += 1
     result = bounds._bound_from_overlap(
         best,
@@ -614,6 +653,21 @@ def _reference_chernoff(a, b, copies, stop_rule=True):
     )
     result.bhattacharyya = bounds._bound_from_overlap(half, copies)
     return result, floor
+
+
+def _full_zoom(a, b) -> float:
+    """The smallest log q of the grid and even zoom rounds alone, zoomed until
+    the bracket is narrower than S_TOL: the search's rounding reference."""
+    points = power_overlap(a, b, bounds.CHERNOFF_GRID)
+    best = min(p.log_value for p in points)
+    while True:
+        k = min(range(len(points)), key=lambda j: points[j].log_value)
+        lo = points[max(k - 1, 0)]
+        hi = points[min(k + 1, len(points) - 1)]
+        if hi.s - lo.s <= bounds.S_TOL:
+            return best
+        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS), hi]
+        best = min(best, *(p.log_value for p in points))
 
 
 def _count_search_calls(monkeypatch):
@@ -649,7 +703,7 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
     # The array search evaluates the same s points in the same order as the
     # reference, so every field must agree exactly, refusals included.
     calls = _count_search_calls(monkeypatch)
-    compared = 0
+    compared, zoomed = 0, 0
     for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(31, 12)):
         try:
             reference, _ = _reference_chernoff(absent, present, scn.copies)
@@ -673,38 +727,42 @@ def test_chernoff_matches_list_walking_reference(monkeypatch):
         assert qc.bhattacharyya == reference.bhattacharyya, (model, scn)
         assert qc == reference
         compared += 1
+        zoomed += qc.diagnostics["zoom_rounds"] > 0
     assert compared >= 30
+    assert zoomed >= 3  # the vertex windows of the zoom rounds are compared too
 
 
 def test_stopped_search_within_rounding_of_full_zoom():
-    # The stopped search evaluates a prefix of the full-zoom search's points,
-    # so its log q can only be higher, and by no more than the rounding floor.
-    # Rounding lets the full zoom's extra points dip below the true minimum,
-    # so the stopped value can exceed the full-zoom one by more than
-    # chernoff_gap, the spread at the stop; the floor bounds both.
+    # Every evaluated q is a valid bound, and rounding lets any of them dip
+    # below the exact minimum, so the stopped search may land on either side
+    # of the even zoom run to S_TOL: both lie within the rounding floor of
+    # the minimum, and of each other.
     engine_calls = []
-    for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(5, 24)):
+    for model, scn, absent, present, _, _ in _model_pairs(box_scenarios(5, 200)):
         try:
-            full, _ = _reference_chernoff(absent, present, 1, stop_rule=False)
+            full = _full_zoom(absent, present)
         except ValueError:
             continue
         qc = chernoff_bound(absent, present)
         _, floor = _reference_chernoff(absent, present, 1)
-        new, full = qc.diagnostics["log_overlap"], full.diagnostics["log_overlap"]
-        assert full <= new <= full + floor, (model, scn)
+        stopped = qc.diagnostics["log_overlap"]
+        assert abs(stopped - full) <= floor, (model, scn, (stopped - full) / floor)
         assert qc.diagnostics["chernoff_gap"] <= floor, (model, scn)
-        engine_calls.append(qc.diagnostics["zoom_rounds"] + 1)
-    assert len(engine_calls) >= 60
-    assert np.mean(engine_calls) <= 4 and max(engine_calls) <= 8
+        assert qc.value <= qc.bhattacharyya.value, (model, scn)
+        assert stopped <= qc.bhattacharyya.diagnostics["log_overlap"], (model, scn)
+        engine_calls.append(qc.diagnostics["zoom_rounds"] + 1)  # the start not counted
+    assert len(engine_calls) >= 500
+    assert np.mean(engine_calls) <= 1.6 and max(engine_calls) <= 8
 
 
 def test_chernoff_engine_calls(monkeypatch):
     calls = _count_search_calls(monkeypatch)
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
     qc = illumination_chernoff(scn, "three-mode")
-    assert 1 < len(calls["engine"]) <= 8
+    # the grid's call, whose window at 1/2 certifies the minimum
+    assert len(calls["engine"]) == 1
+    assert qc.diagnostics["zoom_rounds"] == 0
     assert all(ndim == 1 for ndim in calls["engine"])
-    assert len(calls["engine"]) == qc.diagnostics["zoom_rounds"] + 1
     # the s = 1/2 start, which the result carries as its Bhattacharyya bound
     assert calls["overlap"] == [0.5]
 
@@ -713,18 +771,20 @@ def _synthetic_engine(monkeypatch, log_q, scale=0.0):
     """Replace _PairEngine by one whose log q(s) is log_q(s, call index).
 
     log q is split as prefactor_log = scale and det_term_log = log q - scale,
-    so scale sets the rounding floor. Returns the list of batch sizes and
-    the list of every log q value, both filled call by call.
+    so scale sets the rounding floor. Returns the list of s batches, the
+    list of their log q arrays and the list of every log q value, all filled
+    call by call.
     """
-    sizes, evaluated = [], []
+    batches, logs, evaluated = [], [], []
 
     class Synthetic:
         def __init__(self, state_a, state_b):
             pass
 
         def __call__(self, s):
-            values = np.array([log_q(x, len(sizes)) for x in s.tolist()])
-            sizes.append(s.size)
+            values = np.array([log_q(x, len(batches)) for x in s.tolist()])
+            batches.append(s.copy())
+            logs.append(values)
             evaluated.extend(values.tolist())
             rows = {"value": np.exp(values), "log_value": values,
                     "prefactor_log": np.full_like(s, scale), "det_term_log": values - scale,
@@ -732,7 +792,23 @@ def _synthetic_engine(monkeypatch, log_q, scale=0.0):
             return np.stack([rows[name] for name in bounds._FIELDS])
 
     monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
-    return sizes, evaluated
+    return batches, logs, evaluated
+
+
+def _check_batches(batches, logs):
+    """Each search batch after the start rises strictly, so it repeats no s,
+    and lies strictly inside its bracket: (0, 1) for the grid, then the
+    neighbours of the best point among the batch before and its bracket ends."""
+    lo, hi = (0.0, None), (1.0, None)
+    for call in range(1, len(batches)):
+        s = batches[call]
+        assert (np.diff(s) > 0).all(), call
+        assert lo[0] < s[0] and s[-1] < hi[0], call
+        points = list(zip(s.tolist(), logs[call].tolist()))
+        if call > 1:
+            points = [lo, *points, hi]
+        k = min(range(len(points)), key=lambda j: points[j][1])
+        lo, hi = points[max(k - 1, 0)], points[min(k + 1, len(points) - 1)]
 
 
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
@@ -745,39 +821,134 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
         def log_q(x, call, dip_call=dip_call):
             return (x - 0.5) ** 2 - 1e-3 - (1e-9 if call == dip_call and x == 0.5 else 0.0)
 
-        sizes, evaluated = _synthetic_engine(monkeypatch, log_q)
+        batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q)
         cov = CovarianceMatrix(np.diag([3.0, 3.0]))
         qc = chernoff_bound(cov, cov, 10)
-        assert sizes[:2] == [1, bounds.GRID_POINTS]
+        # the grid and a window about its own 1/2
+        assert [b.size for b in batches[:2]] == [1, bounds.GRID_POINTS + bounds.ZOOM_POINTS - 1]
+        assert np.count_nonzero(batches[1] == 0.5) == 1
         assert qc.diagnostics["log_overlap"] == min(evaluated)
         assert qc.s_used == 0.5
         assert qc.value <= qc.bhattacharyya.value
+        _check_batches(batches, logs)
 
 
 def test_flat_log_q_stops_after_the_grid(monkeypatch):
     # log q varies by 1e-16 over (0, 1), below the floor of 4 ulps of 40:
     # convexity leaves nothing to find beyond rounding, so no zoom round runs.
-    sizes, evaluated = _synthetic_engine(
-        monkeypatch, lambda x, call: 1e-15 * (x - 0.4) ** 2 - 1e-3, scale=20.0
-    )
+    def log_q(x, call):
+        return 1e-15 * (x - 0.4) ** 2 - 1e-3
+
+    batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q, scale=20.0)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert sizes == [1, bounds.GRID_POINTS]  # the s = 1/2 start, then the grid
+    # the s = 1/2 start, then the grid with its window at 1/2
+    assert [b.size for b in batches] == [1, bounds.GRID_POINTS + bounds.ZOOM_POINTS - 1]
     assert qc.diagnostics["zoom_rounds"] == 0
     assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * np.finfo(float).eps * 40.0
+    assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * EPS * 40.0
+    _check_batches(batches, logs)
 
 
 def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
-    # With curvature 600 the spread stays above the floor (4 ulps of 1e-3)
-    # until the bracket is narrower than S_TOL, which takes all seven rounds.
-    sizes, _ = _synthetic_engine(monkeypatch, lambda x, call: 300.0 * (x - 0.3) ** 2 - 1e-3)
+    # With curvature 600, 150000 times what log q(1/2) suggests, the spread
+    # stays above the floor (4 ulps of 1e-3) until a round's vertex window
+    # resolves the minimum, or until the bracket is narrower than S_TOL.
+    def log_q(x, call):
+        return 300.0 * (x - 0.3) ** 2 - 1e-3
+
+    batches, logs, _ = _synthetic_engine(monkeypatch, log_q)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert sizes == [1, bounds.GRID_POINTS] + [bounds.ZOOM_POINTS] * 7
-    assert qc.diagnostics["zoom_rounds"] == 7
-    assert qc.diagnostics["bracket_width"] <= bounds.S_TOL
+    floor = bounds.ROUNDING_ULPS * EPS * 1e-3
+    assert 1 <= qc.diagnostics["zoom_rounds"] <= 7
+    assert len(batches) == qc.diagnostics["zoom_rounds"] + 2
+    assert qc.diagnostics["bracket_width"] <= bounds.S_TOL or qc.diagnostics["chernoff_gap"] <= floor
     assert abs(qc.s_used - 0.3) <= bounds.S_TOL
+    # The last window's centre lands on the zoom's midpoint, evaluated once.
+    assert batches[-1].size == 2 * bounds.ZOOM_POINTS - 1
+    _check_batches(batches, logs)
+
+
+def test_kinked_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
+    # |s - 0.3| is convex but has no curvature to place a window by: the
+    # spread stays above the floor, and the even zoom alone brings the
+    # bracket below S_TOL within the seven-round cap.
+    def log_q(x, call):
+        return abs(x - 0.3) - 1e-3
+
+    batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    assert qc.diagnostics["zoom_rounds"] <= 7
+    assert qc.diagnostics["bracket_width"] <= bounds.S_TOL
+    assert qc.diagnostics["chernoff_gap"] > bounds.ROUNDING_ULPS * EPS * 1e-3
+    assert qc.diagnostics["log_overlap"] == min(evaluated)
+    assert abs(qc.s_used - 0.3) <= bounds.S_TOL
+    _check_batches(batches, logs)
+
+
+def test_exact_parabola_certifies_after_one_window_round(monkeypatch):
+    # log q = (s - 0.3)^2 - 0.09 is 0 at s = 0 like a true log q, but its
+    # minimum is far from 1/2, so the grid's window misses it. The parabola
+    # through the grid's best point and its neighbours is exact, so the first
+    # round's vertex window sits on 0.3 and certifies the minimum.
+    def log_q(x, call):
+        return (x - 0.3) ** 2 - 0.09
+
+    batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    floor = bounds.ROUNDING_ULPS * EPS * 0.09
+    assert qc.diagnostics["zoom_rounds"] == 1
+    assert [b.size for b in batches] == [
+        1, bounds.GRID_POINTS + bounds.ZOOM_POINTS - 1, 2 * bounds.ZOOM_POINTS
+    ]
+    assert qc.diagnostics["chernoff_gap"] <= floor
+    assert qc.diagnostics["log_overlap"] == min(evaluated)
+    assert abs(qc.s_used - 0.3) <= 1e-8
+    _check_batches(batches, logs)
+
+
+def test_spread_certifies_only_evenly_spaced_points(monkeypatch):
+    # log q falls by 1e-14 from 1/2 to 0.51 and is flat beyond. The grid's
+    # first point past 0.51 is the best, and with the window's last two points
+    # and the next two grid points it spreads by 1e-14, below the floor of
+    # 4 ulps of 40; but their steps are uneven, so the search zooms once and
+    # stops on evenly spaced zoom points.
+    def log_q(x, call):
+        return -1e-3 + 1e-12 * max(0.0, 0.51 - x)
+
+    batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q, scale=20.0)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    assert batches[1].size == bounds.GRID_POINTS + bounds.ZOOM_POINTS - 1
+    assert qc.diagnostics["zoom_rounds"] == 1
+    assert qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * EPS * 40.0
+    assert qc.diagnostics["log_overlap"] == min(evaluated) == -1e-3
+    _check_batches(batches, logs)
+
+
+@pytest.mark.parametrize("centre", [0.5, 0.3, 0.02])
+@pytest.mark.parametrize("curvature", [1e-6, 1.0, 100.0])
+def test_quartic_log_q_stops_within_the_round_cap(monkeypatch, centre, curvature):
+    # A quartic has no curvature at its minimum, so the curvature read off
+    # log q(1/2) or off a parabola is wrong by orders of magnitude. The search
+    # must still stop within seven rounds, at a value within the floor of
+    # the true minimum -1e-3.
+    def log_q(x, call):
+        return curvature * (x - centre) ** 4 - 1e-3
+
+    batches, logs, evaluated = _synthetic_engine(monkeypatch, log_q)
+    cov = CovarianceMatrix(np.diag([3.0, 3.0]))
+    qc = chernoff_bound(cov, cov)
+    floor = bounds.ROUNDING_ULPS * EPS * 1e-3
+    assert qc.diagnostics["zoom_rounds"] <= 7
+    assert len(batches) == qc.diagnostics["zoom_rounds"] + 2
+    assert qc.diagnostics["log_overlap"] == min(evaluated)
+    assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
+    assert qc.diagnostics["bracket_width"] <= bounds.S_TOL or qc.diagnostics["chernoff_gap"] <= floor
+    _check_batches(batches, logs)
 
 
 EQUAL_HYPOTHESES = [

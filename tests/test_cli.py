@@ -486,6 +486,54 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert lines[-1] == "[]"
 
 
+NO_NUMPY_MA = """
+import contextlib, io, sys
+from qillum.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for model in ("three-mode", "two-mode", "coherent"):
+        assert main(["bounds", "--model", model]) == 0, model
+    # optimal_s 0.504: the search zooms, with windows at the parabola's vertex
+    assert main(["bounds", "--ns", "0.1", "--nb", "1", "--kappa", "0.1"]) == 0
+    assert main(["sweep", "--count", "5", "--extras", "chernoff3"]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+
+
+def test_chernoff_runs_load_no_numpy_ma():
+    """The Chernoff search merges its batches without np.unique, which imports numpy.ma."""
+    src = str(Path(qillum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", NO_NUMPY_MA], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bounds_print_log10_where_the_bound_underflows(capsys):
+    # At 1e6 copies both bounds underflow to 0; their log10 stays finite and
+    # is (copies * log q - ln 2) / ln 10 of the printed exponents.
+    argv = ["bounds", "--ns", "0.1", "--nb", "1", "--kappa", "0.1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert fields["bhattacharyya_bound"] == fields["chernoff_bound"] == "0.00000000000e+00"
+    assert FLOAT12.match(fields["log10_bhattacharyya_bound"])
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (row,) = json.loads(out)["rows"]
+    for name, suffix in (("bhattacharyya", "qb"), ("chernoff", "qc")):
+        expected = -(row["copies"] * row[f"exponent_per_copy_{suffix}"] + math.log(2.0))
+        expected /= math.log(10.0)
+        assert row[f"log10_{name}_bound"] == pytest.approx(expected, rel=1e-14)
+        assert float(fields[f"log10_{name}_bound"]) == pytest.approx(expected, rel=1e-11)
+    assert -1681.0 < row["log10_chernoff_bound"] <= row["log10_bhattacharyya_bound"] < -1680.0
+    # Where the bound does not underflow, it is the log10 of the printed
+    # value, q**copies / 2, which carries about copies ulps of q.
+    code, out, _ = run(capsys, "bounds", "--format", "json")
+    (row,) = json.loads(out)["rows"]
+    for name in ("bhattacharyya", "chernoff"):
+        printed = math.log10(row[f"{name}_bound"])
+        assert row[f"log10_{name}_bound"] == pytest.approx(printed, abs=row["copies"] * 1e-15)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
