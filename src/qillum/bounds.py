@@ -18,14 +18,18 @@ bright, weakly reflecting regime is kappa * gamma / n_background.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
-import numpy as np
-
+from . import _NumpyOnFirstUse
 from .states import IlluminationScenario, illumination_states, max_three_mode_correlation
 from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
+
+np = _NumpyOnFirstUse(globals())
 
 # chernoff_bound's search: a grid holding s = 1/2 exactly, then zoom rounds of
 # ZOOM_POINTS interior points until log q around the best point is flat to
@@ -38,15 +42,30 @@ GRID_POINTS = 33
 ZOOM_POINTS = 37
 S_TOL = 1e-10
 ROUNDING_ULPS = 4
-EPS = float(np.finfo(float).eps)
-# linspace lands one ulp below 1/2 at the grid's midpoint, so it is set exactly.
-CHERNOFF_GRID = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
-CHERNOFF_GRID[GRID_POINTS // 2] = 0.5
-CHERNOFF_GRID.flags.writeable = False
-# Interior points of a zoom round, as fractions of its bracket.
-ZOOM_FRACTIONS = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
-# A window's points, in steps from its centre.
-WINDOW_OFFSETS = np.arange(ZOOM_POINTS) - ZOOM_POINTS // 2
+EPS = sys.float_info.epsilon
+
+
+class _SearchPoints(NamedTuple):
+    """The search's fixed s arrays, read-only."""
+
+    grid: np.ndarray  # GRID_POINTS from 1e-6 to 1 - 1e-6, s = 1/2 set exactly
+    zoom_fractions: np.ndarray  # a zoom round's interior points, as fractions of its bracket
+    window_offsets: np.ndarray  # a window's points, in steps from its centre
+
+
+@functools.cache
+def _search_points() -> _SearchPoints:
+    """Built on first use, so importing the module loads no numpy."""
+    grid = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
+    grid[GRID_POINTS // 2] = 0.5  # linspace lands one ulp below 1/2
+    points = _SearchPoints(
+        grid,
+        np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1),
+        np.arange(ZOOM_POINTS) - ZOOM_POINTS // 2,
+    )
+    for array in points:
+        array.flags.writeable = False
+    return points
 
 
 def _check_eigenvalues(nu) -> np.ndarray:
@@ -287,7 +306,7 @@ def _window(centre: float, c2: float, floor: float, s_lo: float, s_hi: float):
     reach = h * (ZOOM_POINTS // 2)
     if not (EPS < h and s_lo < centre - reach and centre + reach < s_hi):
         return None
-    return centre + h * WINDOW_OFFSETS
+    return centre + h * _search_points().window_offsets
 
 
 def _vertex_window(three: np.ndarray, floor: float):
@@ -336,7 +355,8 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     half = power_overlap(a, b, 0.5)
     engine = _PairEngine(a, b)
     mid = GRID_POINTS // 2
-    s = CHERNOFF_GRID
+    fixed = _search_points()
+    s = fixed.grid
     floor = _rounding_floor([half.prefactor_log, half.det_term_log, half.displacement_log])
     window = _window(0.5, -4.0 * half.log_value, floor, s[mid - 1], s[mid + 1])
     if window is not None:  # its centre is the grid's 1/2
@@ -356,7 +376,7 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
         s_lo, s_hi = points[S_ROW, lo], points[S_ROW, hi]
         if (gap <= floor and _evenly_spaced(near[S_ROW])) or s_hi - s_lo <= S_TOL:
             break
-        s = s_lo + (s_hi - s_lo) * ZOOM_FRACTIONS
+        s = s_lo + (s_hi - s_lo) * fixed.zoom_fractions
         window = _vertex_window(points[:, lo : hi + 1], floor) if hi - lo == 2 else None
         if window is not None:
             s = np.sort(np.concatenate([s, window]))

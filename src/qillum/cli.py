@@ -16,9 +16,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import __version__
+from . import _NumpyOnFirstUse, __version__
 from .bounds import (
     coherent_exponent_coefficient,
     error_exponent_three_mode,
@@ -28,7 +26,6 @@ from .bounds import (
     illumination_chernoff,
     power_overlap,
 )
-from .fock import DimensionCapError, oracle_overlap, oracle_tail_budget
 from .states import (
     IlluminationScenario,
     illumination_states,
@@ -39,6 +36,8 @@ from .states import (
     three_mode_cov,
 )
 from .symplectic import Bipartition, is_physical, is_pure, log_negativity, symplectic_eigenvalues
+
+np = _NumpyOnFirstUse(globals())
 
 # The six scenario keys, each a --flag, a QI_* variable and a config-file key,
 # echoed in every JSON config: (type or choices, default, help).
@@ -531,8 +530,15 @@ def cmd_oracle_check(args, resolved: dict):
         raise CliError(2, "s grid values must lie strictly inside (0, 1)")
     scenario = _scenario(resolved, copies=1)
     ns, nb, kappa = scenario.n_signal, scenario.n_background, scenario.reflectivity
-    budget = oracle_tail_budget(ns, nb, kappa, args.cutoff)["budget"]
-    oracle_values = oracle_overlap(ns, nb, kappa, s_values, args.cutoff)
+    # Imported here, not at the top: no other command needs the oracle, so
+    # their runs skip loading (and, without cached bytecode, compiling) it.
+    from .fock import DimensionCapError, oracle_overlap, oracle_tail_budget
+
+    try:
+        budget = oracle_tail_budget(ns, nb, kappa, args.cutoff)["budget"]
+        oracle_values = oracle_overlap(ns, nb, kappa, s_values, args.cutoff)
+    except DimensionCapError as exc:
+        raise CliError(4, str(exc)) from exc
     absent, present = illumination_states(scenario, "two-mode")
     gaussian_values = [ov.value for ov in power_overlap(absent, present, s_values)]
     rows = []
@@ -600,9 +606,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"error: {str(exc).splitlines()[0]}", file=sys.stderr)
         return 2

@@ -49,7 +49,9 @@ import math
 import sys
 from collections.abc import Sequence
 
-import numpy as np
+from . import _NumpyOnFirstUse
+
+np = _NumpyOnFirstUse(globals())
 
 DIMENSION_CAP = 4096
 HERMITICITY_TOL = 1e-12

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _NumpyOnFirstUse
 from .symplectic import CovarianceMatrix, GaussianState, WilliamsonDecomposition
+
+np = _NumpyOnFirstUse(globals())
 
 CORRELATION_SLACK = 1e-12
 MODELS = ("three-mode", "two-mode", "coherent")
@@ -67,6 +68,10 @@ class IlluminationScenario:
         if int(self.copies) != self.copies or self.copies < 1:
             raise ValueError("copies must be a positive integer")
         self.copies = int(self.copies)
+        try:  # the bounds take copies * log q in floats
+            float(self.copies)
+        except OverflowError:
+            raise ValueError("copies must be at most the largest float, about 1.8e308") from None
         if self.correlation is not None and self.correlation < 0:
             raise ValueError("correlation amplitude must be nonnegative")
 

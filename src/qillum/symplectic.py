@@ -11,7 +11,9 @@ from __future__ import annotations
 import functools
 from dataclasses import InitVar, dataclass, field
 
-import numpy as np
+from . import _NumpyOnFirstUse
+
+np = _NumpyOnFirstUse(globals())
 
 SYMMETRY_TOL = 1e-12
 PHYSICAL_TOL = 1e-9

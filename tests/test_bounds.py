@@ -455,7 +455,7 @@ REFERENCE_GRID = [
 
 
 def test_batched_overlap_entries_equal_scalar_calls():
-    s_values = [*bounds.CHERNOFF_GRID, 0.123456789, 0.5 + 1e-11]
+    s_values = [*bounds._search_points().grid, 0.123456789, 0.5 + 1e-11]
     for _, _, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(7, 6)):
         many = power_overlap(absent, present, s_values)
         assert len(many) == len(s_values)
@@ -467,7 +467,7 @@ def test_batched_overlap_entries_equal_scalar_calls():
 def test_displaced_batch_entries_equal_scalar_calls():
     # The illumination models displace one mode at most; correlated states
     # of 2 and 3 modes, displaced in every quadrature, cover the wider solve.
-    s_values = [*bounds.CHERNOFF_GRID, 0.123456789]
+    s_values = [*bounds._search_points().grid, 0.123456789]
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 2, 3):
         a = GaussianState(cov=CovarianceMatrix(random_cov(n, rng)[0]), mean=rng.normal(size=2 * n))
@@ -619,7 +619,8 @@ def _reference_chernoff(a, b, copies):
     exactly. Returns the result and the rounding floor of its last round.
     """
     half = power_overlap(a, b, 0.5)
-    grid = bounds.CHERNOFF_GRID.tolist()
+    fixed = bounds._search_points()
+    grid = fixed.grid.tolist()
     mid = bounds.GRID_POINTS // 2
     window = _reference_window(
         0.5, -4.0 * half.log_value, _reference_floor([half]), grid[mid - 1], grid[mid + 1]
@@ -638,7 +639,7 @@ def _reference_chernoff(a, b, copies):
         hi = points[min(k + 1, len(points) - 1)]
         if (gap <= floor and _reference_even(near)) or hi.s - lo.s <= bounds.S_TOL:
             break
-        zoom = (lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS).tolist()
+        zoom = (lo.s + (hi.s - lo.s) * fixed.zoom_fractions).tolist()
         inner = 0 < k < len(points) - 1
         window = _reference_vertex_window(*points[k - 1 : k + 2], floor) if inner else []
         points = [lo, *power_overlap(a, b, sorted({*zoom, *window})), hi]
@@ -658,7 +659,8 @@ def _reference_chernoff(a, b, copies):
 def _full_zoom(a, b) -> float:
     """The smallest log q of the grid and even zoom rounds alone, zoomed until
     the bracket is narrower than S_TOL: the search's rounding reference."""
-    points = power_overlap(a, b, bounds.CHERNOFF_GRID)
+    fixed = bounds._search_points()
+    points = power_overlap(a, b, fixed.grid)
     best = min(p.log_value for p in points)
     while True:
         k = min(range(len(points)), key=lambda j: points[j].log_value)
@@ -666,7 +668,7 @@ def _full_zoom(a, b) -> float:
         hi = points[min(k + 1, len(points) - 1)]
         if hi.s - lo.s <= bounds.S_TOL:
             return best
-        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * bounds.ZOOM_FRACTIONS), hi]
+        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * fixed.zoom_fractions), hi]
         best = min(best, *(p.log_value for p in points))
 
 

@@ -486,6 +486,61 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert lines[-1] == "[]"
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(qillum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["symplectic", "states", "bounds", "fock", "cli"])
+def test_import_loads_no_numpy(module):
+    """numpy's import is most of a spawned run; each module defers it to its first matrix."""
+    proc = _fresh_python(f"import sys, qillum.{module}\n"
+                         "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+SCALAR_RUNS_WITHOUT_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from qillum.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    assert main(["crossover"]) == 0
+    assert main(["crossover", "--format", "json"]) == 0
+    assert main(["--version"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["crossover", "--ns", "0.1"]) == 2
+    assert main(["bounds", "--kappa", "2"]) == 2
+    assert main(["bounds", "--ns", "x"]) == 2
+print(out.getvalue().splitlines()[0])
+"""
+
+MATRIX_RUNS_LOAD_NUMPY = """
+import contextlib, io, sys
+import qillum.bounds
+from qillum.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["bounds"]) == 0
+    # the stand-in has made way for numpy itself
+    assert qillum.bounds.np is sys.modules["numpy"]
+    assert "qillum.fock" not in sys.modules, "bounds imported the oracle"
+    assert main(["oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "15"]) == 0
+    assert "qillum.fock" in sys.modules
+"""
+
+
+def test_scalar_commands_run_without_numpy():
+    proc = _fresh_python(SCALAR_RUNS_WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("crossover_n_s: 0.295355\n")
+
+
+def test_matrix_commands_load_numpy_and_only_oracle_check_loads_fock():
+    proc = _fresh_python(MATRIX_RUNS_LOAD_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+
+
 NO_NUMPY_MA = """
 import contextlib, io, sys
 from qillum.cli import main
@@ -501,10 +556,7 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 
 def test_chernoff_runs_load_no_numpy_ma():
     """The Chernoff search merges its batches without np.unique, which imports numpy.ma."""
-    src = str(Path(qillum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", NO_NUMPY_MA], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_python(NO_NUMPY_MA)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -642,6 +694,23 @@ def test_refusals_print_one_exact_line(argv, env, message, capsys, monkeypatch):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_copies_past_the_float_range_are_refused_from_every_source(tmp_path, capsys,
+                                                                   monkeypatch):
+    # The bounds take copies * log q in floats: a copy count float() cannot
+    # convert exits 2 by name, not 1 with an OverflowError traceback.
+    huge = "1" + "0" * 400
+    refused = (2, "", "error: copies must be at most the largest float, about 1.8e308\n")
+    assert run(capsys, "bounds", "--copies", huge) == refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"copies={huge}\n", encoding="utf-8")
+    assert run(capsys, "bounds", "--config", str(cfg)) == refused
+    monkeypatch.setenv("QI_COPIES", huge)
+    assert run(capsys, "sweep", "--count", "2", "--extras", "qb2") == refused
+    # 1e308 still converts, and prints
+    code, out, err = run(capsys, "bounds", "--copies", "1" + "0" * 308)
+    assert (code, err) == (0, "") and "bhattacharyya_bound: 0.00000000000e+00" in out
 
 
 def test_file_refusals_print_one_exact_line(tmp_path, capsys):
