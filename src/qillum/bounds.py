@@ -18,12 +18,10 @@ bright, weakly reflecting regime is kappa * gamma / n_background.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from . import _NumpyOnFirstUse
 from .states import IlluminationScenario, illumination_states, max_three_mode_correlation
@@ -31,41 +29,10 @@ from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
 np = _NumpyOnFirstUse(globals())
 
-# chernoff_bound's search: a grid holding s = 1/2 exactly, then zoom rounds of
-# ZOOM_POINTS interior points until log q around the best point is flat to
-# ROUNDING_ULPS ulps of its log pieces, or the bracket is narrower than S_TOL.
-# Each engine call may add a window of ZOOM_POINTS points placed by curvature;
-# the even zoom points alone shrink the two-step bracket at least 19-fold per
-# round, so seven rounds take the grid's 1/16 bracket below 1e-10 and a search
-# makes at most eight engine calls.
-GRID_POINTS = 33
-ZOOM_POINTS = 37
-S_TOL = 1e-10
+S_TOL = 1e-10  # chernoff_bound's stop rules, in its docstring
 ROUNDING_ULPS = 4
+MAX_CALLS = 32
 EPS = sys.float_info.epsilon
-
-
-class _SearchPoints(NamedTuple):
-    """The search's fixed s arrays, read-only."""
-
-    grid: np.ndarray  # GRID_POINTS from 1e-6 to 1 - 1e-6, s = 1/2 set exactly
-    zoom_fractions: np.ndarray  # a zoom round's interior points, as fractions of its bracket
-    window_offsets: np.ndarray  # a window's points, in steps from its centre
-
-
-@functools.cache
-def _search_points() -> _SearchPoints:
-    """Built on first use, so importing the module loads no numpy."""
-    grid = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
-    grid[GRID_POINTS // 2] = 0.5  # linspace lands one ulp below 1/2
-    points = _SearchPoints(
-        grid,
-        np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1),
-        np.arange(ZOOM_POINTS) - ZOOM_POINTS // 2,
-    )
-    for array in points:
-        array.flags.writeable = False
-    return points
 
 
 def _check_eigenvalues(nu) -> np.ndarray:
@@ -107,7 +74,7 @@ def _power_maps(x: np.ndarray, logs: tuple, p: np.ndarray) -> tuple[np.ndarray, 
 
 @dataclass
 class OverlapResult:
-    """One evaluation of q(s) with its log-space pieces."""
+    """One evaluation of q(s) with its log-space pieces and the slope of log q."""
 
     value: float
     log_value: float
@@ -115,12 +82,8 @@ class OverlapResult:
     det_term_log: float
     displacement_log: float
     s: float
-
-
-# _PairEngine returns OverlapResult's fields as rows, in this order.
-_FIELDS = [f.name for f in fields(OverlapResult)]
-LOG_ROW, S_ROW = _FIELDS.index("log_value"), _FIELDS.index("s")
-PIECE_ROWS = [_FIELDS.index(f) for f in ("prefactor_log", "det_term_log", "displacement_log")]
+    slope: float  # d/ds log q
+    slope_scale: float  # the sum of the slope's terms' magnitudes, which its rounding scales with
 
 
 def _as_state(obj) -> GaussianState:
@@ -132,29 +95,29 @@ def _as_state(obj) -> GaussianState:
 
 
 class _PairEngine:
-    """q(s) for one pair of states: the per-pair work once, then any batch of s.
+    """q(s) and d/ds log q for one pair of states: the per-pair work once, then any batch of s.
 
     Construction checks the mode counts and both spectra and keeps what does
-    not depend on s: the clipped eigenvalues with their _mode_logs, [S_A | S_B]
-    and the mean difference. A call evaluates a 1-D array of s values
-    together: the power maps elementwise on a (k, 2n) array, the combined
-    covariances S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a (k, 2n, 2n)
-    stack from one batched product, one Cholesky factorization of the stack
-    and, for displaced states, one batched solve. Every stacked operation
-    acts on each s separately, so an entry does not depend on the rest of
-    its batch.
+    not depend on s. A call evaluates a 1-D array of s values together: the
+    power maps on a (k, 2n) array, the combined covariances
+    M = S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a (k, 2n, 2n) stack,
+    their Cholesky factors L and, for displaced states, one batched solve;
+    an entry does not depend on the rest of its batch. The displacement term
+    d^T M^-1 d is read as 2 d.x - x^T M x at the solved x, summed mode by
+    mode from t = S^T x, so the rounding of an ill-conditioned M enters only
+    at second order.
 
-    The displacement term d^T M^-1 d is read as 2 d.x - x^T M x at the
-    solved x ~ M^-1 d, with x^T M x summed mode by mode from S^T x. The
-    rounded M, which the solve sees, then enters only at second order in
-    the error of x: the term keeps its digits when M is ill-conditioned,
-    where |L^-1 d|^2 loses about cond(M) ulps.
+    With r = (nu - 1)/(nu + 1) and lambda a mode's variance at power p (s on
+    A's modes, 1 - s on B's, whose derivatives enter negated), d lambda/dp =
+    1/2 log r (lambda^2 - 1) and d(log trace)/dp = log 2 - log(nu + 1) +
+    1/2 log r (lambda - 1), both 0 on a vacuum mode. The det term's slope is
+    -1/2 sum_j lambda'_j |L^-1 S_j|^2 and the displacement term's
+    1/2 sum_j lambda'_j t_j^2, over the columns S_j of [S_A | S_B];
+    slope_scale sums the magnitudes of all these terms.
 
-    A call returns a (6, k) array whose rows are OverlapResult's fields in
-    order (LOG_ROW and S_ROW name the two the search reads). Two states equal
-    entry for entry, in covariance and mean, give q = 1 exactly: every log
-    piece is 0 rather than a rounding residue. States that differ only by
-    rounding are not caught by this rule.
+    A call returns OverlapResult's fields as the rows of an (8, k) array.
+    Covariances equal entry for entry give prefactor and det pieces, and
+    slopes, of exactly 0 rather than a rounding residue, whatever the means.
     """
 
     def __init__(self, a: GaussianState, b: GaussianState):
@@ -165,18 +128,22 @@ class _PairEngine:
         self.n = a.n
         self.nu = _check_eigenvalues(np.concatenate([da.nu, db.nu]))
         self.logs = _mode_logs(self.nu)
+        # d/ds of a mode's log trace and variance (class docstring), signed as p is s or 1 - s.
+        self.sign = np.repeat([1.0, -1.0], self.n)
+        self.log_half = self.sign * self.logs[1]
+        self.half_log_ratio = self.sign * np.where(self.nu > 1.0, 0.5 * self.logs[0], 0.0)
         self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
         self.d = b.mean - a.mean
         self.displaced = bool(self.d.any())
-        self.equal = not self.displaced and bool((a.cov.matrix == b.cov.matrix).all())
+        self.equal_cov = bool((a.cov.matrix == b.cov.matrix).all())
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        n = self.n
-        p = np.empty((s.size, 2 * n))
-        p[:, :n] = s[:, None]
-        p[:, n:] = 1.0 - s[:, None]
+        p = np.where(self.sign > 0.0, s[:, None], 1.0 - s[:, None])
         variance, log_trace = _power_maps(self.nu, self.logs, p)
-        prefactor_log = n * math.log(2.0) + log_trace.sum(axis=1)
+        prefactor_log = self.n * math.log(2.0) + log_trace.sum(axis=1)
+        trace_slopes = self.log_half + self.half_log_ratio * (variance - 1.0)
+        # Half of d lambda/ds, once per column: the weight of the det and displacement slopes.
+        weights = (0.5 * self.half_log_ratio * (variance * variance - 1.0)).repeat(2, axis=1)
 
         # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
         lam = variance.repeat(2, axis=1)
@@ -185,23 +152,28 @@ class _PairEngine:
             chol = np.linalg.cholesky(combined)
         except np.linalg.LinAlgError as exc:
             raise ValueError("combined covariance is not positive definite") from exc
-        det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        if self.equal_cov:
+            # Checked like any pair above, but these pieces cancel exactly.
+            prefactor_log = det_term_log = np.zeros_like(s)
+            trace_slopes, w_sq = np.zeros_like(trace_slopes), 0.0
+        else:
+            det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            whitened = np.linalg.inv(chol) @ self.sym  # the columns L^-1 S_j
+            w_sq = (whitened * whitened).sum(axis=1)
 
+        t_sq, displacement_log = 0.0, np.zeros_like(s)
         if self.displaced:
             rhs = np.broadcast_to(self.d[:, None], combined.shape[:2] + (1,))
             x = np.linalg.solve(combined, rhs)[..., 0]
             t = (x[:, None, :] @ self.sym)[:, 0]
+            t_sq = t * t
             displacement_log = 0.5 * (lam * t * t).sum(axis=1) - (x * self.d).sum(axis=1)
-        else:
-            displacement_log = np.zeros_like(s)
-        if self.equal:
-            # Checked like any pair above, but q is 1 whatever the rounding says.
-            prefactor_log = det_term_log = np.zeros_like(s)
 
         log_value = prefactor_log + det_term_log + displacement_log
-        return np.array(
-            [np.exp(log_value), log_value, prefactor_log, det_term_log, displacement_log, s]
-        )
+        slope = trace_slopes.sum(axis=1) + (weights * (t_sq - w_sq)).sum(axis=1)
+        scale = np.abs(trace_slopes).sum(axis=1) + (np.abs(weights) * (t_sq + w_sq)).sum(axis=1)
+        return np.array([np.exp(log_value), log_value, prefactor_log, det_term_log,
+                         displacement_log, s, slope, scale])
 
 
 def power_overlap(
@@ -281,118 +253,76 @@ def bhattacharyya_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     return _bound_from_overlap(power_overlap(state_a, state_b, 0.5), copies)
 
 
-def _rounding_floor(pieces) -> float:
-    """ROUNDING_ULPS ulps of the largest |prefactor_log| + |det_term_log| + |displacement_log|."""
-    return ROUNDING_ULPS * EPS * float(np.abs(pieces).sum(axis=0).max())
-
-
-def _evenly_spaced(s: np.ndarray) -> bool:
-    """Whether the increasing points s have equal steps, up to the rounding of s itself."""
-    steps = np.diff(s)
-    return float(steps.max() - steps.min()) <= 8.0 * EPS * float(s[-1])
-
-
-def _window(centre: float, c2: float, floor: float, s_lo: float, s_hi: float):
-    """ZOOM_POINTS points spaced h = sqrt(floor / c2) / 4 about centre, or None.
-
-    Near a minimum at centre with log q ~ log q* + c2 (s - s*)^2, any five
-    neighbouring points of the window spread by about floor / 4 or less. None
-    unless c2 > 0, h keeps the rounded points distinct and the window lies
-    strictly inside (s_lo, s_hi).
-    """
-    if not c2 > 0.0:
-        return None
-    h = 0.25 * math.sqrt(floor / c2)
-    reach = h * (ZOOM_POINTS // 2)
-    if not (EPS < h and s_lo < centre - reach and centre + reach < s_hi):
-        return None
-    return centre + h * _search_points().window_offsets
-
-
-def _vertex_window(three: np.ndarray, floor: float):
-    """The window at the vertex of the parabola through three (s, log q) columns, inside them."""
-    (s0, s1, s2), (f0, f1, f2) = three[S_ROW].tolist(), three[LOG_ROW].tolist()
-    slope = (f1 - f0) / (s1 - s0)
-    c2 = ((f2 - f1) / (s2 - s1) - slope) / (s2 - s0)
-    if not c2 > 0.0:
-        return None
-    return _window(0.5 * (s0 + s1) - slope / (2.0 * c2), c2, floor, s0, s2)
+def _tangent_floor(lo: OverlapResult | None, hi: OverlapResult | None) -> tuple[float, float]:
+    """(s, log q) where the tangents at lo and hi cross, or at s = 0 or 1 if one is None."""
+    if lo is None or hi is None:
+        end, p = (0.0, hi) if lo is None else (1.0, lo)
+        return end, p.log_value + p.slope * (end - p.s)
+    cross = hi.log_value - lo.log_value + lo.slope * lo.s - hi.slope * hi.s
+    cross /= lo.slope - hi.slope
+    return cross, lo.log_value + lo.slope * (cross - lo.s)
 
 
 def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
-    """min over s of q(s), by a batched grid and batched zoom rounds placed by curvature.
+    """min over s of q(s), by a search on the slope of log q, one s per engine call.
 
-    log q(s) is convex in s (Audenaert et al., PRL 98, 160501 (2007)), so
-    the minimum lies within one step of the smallest value on any grid. The
-    33-point grid is one _PairEngine call; each zoom round spreads 37 points
-    evenly over the bracket, the two steps around the smallest value so far,
-    in one call. After each call, with k the smallest point, the spread of
-    log q over the points k - 2 ... k + 2 bounds by convexity how far the
-    exact minimum over the bracket lies below the best point, provided they
-    are evenly spaced; the result carries it as `chernoff_gap`. The search
-    stops once evenly spaced points spread by at most ROUNDING_ULPS ulps of
-    their largest |prefactor_log| + |det_term_log| + |displacement_log|, or
-    else once the bracket is narrower than 1e-10 (at most seven rounds). The
-    result is the smallest q over every evaluated point, the first one when
-    several tie. Each state is decomposed once, on its first use, and keeps
-    the result.
-
-    Each call also evaluates a window of 37 points spaced so that five of
-    them spread by about a quarter of that floor (_window), which lets most
-    searches stop after their first call. log q is 0 at s = 0 and s = 1, so
-    the grid's window sits at 1/2 with half-curvature -4 log q(1/2); a zoom
-    round's sits at the vertex of the parabola through the best point and
-    its neighbours. A window is skipped unless its curvature is positive and
-    it lies strictly inside its bracket (for the grid, the two grid steps
-    around 1/2).
-
-    The search starts from power_overlap's s = 1/2 point, the one
-    bhattacharyya_bound gives, and carries it as `bhattacharyya`; the result
-    can never exceed it.
+    log q(s) is convex (Audenaert et al., PRL 98, 160501 (2007)): its slope's
+    sign brackets the minimum and its tangents bound it from below. The
+    search starts from power_overlap's s = 1/2, the bhattacharyya_bound point
+    it carries as `bhattacharyya`; the bracket is (0, 1) narrowed to the
+    nearest points of negative (lo) and nonnegative (hi) slope. While an end
+    is 0 or 1, Newton steps go toward it, on the curvature of the parabola
+    that is 0 there (as log q is), then on the secant of the last two slopes,
+    doubled while the slope keeps its sign. Then each step goes to the
+    minimum of the cubic through both ends' values and slopes, or to the
+    tangents' crossing after a cubic step that did not halve `chernoff_gap`,
+    the best value's height above the tangents. It stops once the slope is
+    within ROUNDING_ULPS ulps of slope_scale, the gap within ROUNDING_ULPS
+    ulps of the largest |prefactor_log| + |det_term_log| + |displacement_log|
+    among the best point and the ends, the bracket below S_TOL, or after
+    MAX_CALLS calls. The result is the smallest q evaluated, the first of ties.
     """
-    a = _as_state(state_a)
-    b = _as_state(state_b)
+    a, b = _as_state(state_a), _as_state(state_b)
     half = power_overlap(a, b, 0.5)
     engine = _PairEngine(a, b)
-    mid = GRID_POINTS // 2
-    fixed = _search_points()
-    s = fixed.grid
-    floor = _rounding_floor([half.prefactor_log, half.det_term_log, half.displacement_log])
-    window = _window(0.5, -4.0 * half.log_value, floor, s[mid - 1], s[mid + 1])
-    if window is not None:  # its centre is the grid's 1/2
-        s = np.concatenate([s[:mid], window, s[mid + 1 :]])
-    # Columns are evaluated points, rows OverlapResult's fields.
-    points = engine(s)
-    best = half
-    rounds = 0
+    best = point = half
+    lo = hi = previous = None
+    calls, last_gap, crossing = 0, math.inf, False
     while True:
-        k = int(np.argmin(points[LOG_ROW]))
-        if points[LOG_ROW, k] < best.log_value:
-            best = OverlapResult(*points[:, k].tolist())
-        near = points[:, max(k - 2, 0) : k + 3]
-        gap = float(np.ptp(near[LOG_ROW]))
-        floor = _rounding_floor(near[PIECE_ROWS])
-        lo, hi = max(k - 1, 0), min(k + 1, points.shape[1] - 1)
-        s_lo, s_hi = points[S_ROW, lo], points[S_ROW, hi]
-        if (gap <= floor and _evenly_spaced(near[S_ROW])) or s_hi - s_lo <= S_TOL:
+        best = point if point.log_value < best.log_value else best
+        lo, hi = (point, hi) if point.slope < 0.0 else (lo, point)
+        cross, bound = _tangent_floor(lo, hi)
+        gap = best.log_value - bound
+        s_lo, s_hi = (lo.s if lo else 0.0), (hi.s if hi else 1.0)
+        pieces = (abs(p.prefactor_log) + abs(p.det_term_log) + abs(p.displacement_log)
+                  for p in (best, lo, hi) if p)
+        flat = abs(point.slope) <= ROUNDING_ULPS * EPS * point.slope_scale
+        certified = gap <= ROUNDING_ULPS * EPS * max(pieces)
+        if flat or certified or s_hi - s_lo <= S_TOL or calls == MAX_CALLS:
             break
-        s = s_lo + (s_hi - s_lo) * fixed.zoom_fractions
-        window = _vertex_window(points[:, lo : hi + 1], floor) if hi - lo == 2 else None
-        if window is not None:
-            s = np.sort(np.concatenate([s, window]))
-            s = s[np.concatenate([[True], s[1:] > s[:-1]])]
-        inner = engine(s)
-        points = np.concatenate([points[:, lo, None], inner, points[:, hi, None]], axis=1)
-        rounds += 1
+        if lo and hi:
+            crossing = gap > 0.5 * last_gap and not crossing
+            last_gap, width = gap, s_hi - s_lo
+            d1 = lo.slope + hi.slope - 3.0 * (hi.log_value - lo.log_value) / width
+            d2 = math.sqrt(d1 * d1 - lo.slope * hi.slope)
+            cubic = hi.s - width * (hi.slope + d2 - d1) / (hi.slope - lo.slope + 2.0 * d2)
+            s = cross if crossing else cubic
+            s = min(max(s, s_lo + 1e-3 * width), s_hi - 1e-3 * width)  # a new point, inside
+        else:  # the minimum lies between point and end
+            end = 0.0 if point.slope > 0.0 else 1.0
+            if previous is None:
+                curvature = -2.0 * (point.log_value + point.slope * (end - point.s))
+                curvature /= (end - point.s) ** 2
+            else:
+                curvature = (point.slope - previous.slope) / (point.s - previous.s)
+            s = point.s - 2.0**calls * point.slope / curvature if curvature > 0.0 else end
+            if not 0.0 < abs(s - point.s) < abs(end - point.s):
+                s = 0.5 * (point.s + end)
+        previous, point = point, OverlapResult(*engine(np.array([s]))[:, 0].tolist())
+        calls += 1
 
-    result = _bound_from_overlap(
-        best,
-        copies,
-        grid_points=GRID_POINTS,
-        zoom_rounds=rounds,
-        bracket_width=float(s_hi - s_lo),
-        chernoff_gap=gap,
-    )
+    diagnostics = {"search_calls": calls, "bracket_width": s_hi - s_lo, "chernoff_gap": gap}
+    result = _bound_from_overlap(best, copies, **diagnostics)
     result.bhattacharyya = _bound_from_overlap(half, copies)
     return result
 

@@ -547,7 +547,7 @@ from qillum.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     for model in ("three-mode", "two-mode", "coherent"):
         assert main(["bounds", "--model", model]) == 0, model
-    # optimal_s 0.504: the search zooms, with windows at the parabola's vertex
+    # optimal_s 0.504: the search leaves s = 1/2 and steps on the slope
     assert main(["bounds", "--ns", "0.1", "--nb", "1", "--kappa", "0.1"]) == 0
     assert main(["sweep", "--count", "5", "--extras", "chernoff3"]) == 0
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
@@ -555,7 +555,7 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 
 
 def test_chernoff_runs_load_no_numpy_ma():
-    """The Chernoff search merges its batches without np.unique, which imports numpy.ma."""
+    """Chernoff runs import no numpy.ma, as np.unique in the search once would have."""
     proc = _fresh_python(NO_NUMPY_MA)
     assert proc.returncode == 0, proc.stderr
 
@@ -649,6 +649,20 @@ def test_equal_hypotheses_print_one_half(argv, capsys):
         "exponent_per_copy_qc: 0.00000000000e+00",
     ):
         assert line in lines
+
+
+@pytest.mark.parametrize("model", ["three-mode", "two-mode", "coherent"])
+@pytest.mark.parametrize("kappa", ["1e-16", "1e-14"])
+def test_near_equal_hypotheses_keep_the_bhattacharyya_point(model, kappa, capsys):
+    # The hypotheses differ in their last bits, so log q is flat to rounding:
+    # its slope at s = 1/2 is within rounding of 0, and the search stops
+    # there instead of taking rounding residue elsewhere for an exponent.
+    code, out, err = run(capsys, "bounds", "--model", model, "--kappa", kappa)
+    assert (code, err) == (0, "")
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert fields["optimal_s"] == "0.5000000000"
+    assert fields["chernoff_bound"] == fields["bhattacharyya_bound"]
+    assert fields["exponent_per_copy_qc"] == fields["exponent_per_copy_qb"]
 
 
 def test_sweep_plot_matches_recorded_bytes(tmp_path, capsys):
