@@ -327,7 +327,7 @@ def _sweep_row(resolved: dict, parameter: str, extras: list, value: float) -> di
     results = {}
     if "chernoff3" in extras:
         results["chernoff3"] = illumination_chernoff(scenario, "three-mode")
-        # Same states, one evaluation: qb3 is the Chernoff grid's s = 1/2 entry.
+        # Same states, one evaluation: qb3 is the search's s = 1/2 start.
         results["qb3"] = results["chernoff3"].bhattacharyya
     for extra in extras:
         if extra not in results:

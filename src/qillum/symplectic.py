@@ -197,22 +197,19 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 
 
 def williamson_decompose(cov) -> WilliamsonDecomposition:
-    """Numeric Williamson decomposition with a phase convention, of a matrix or a stack.
+    """Numeric Williamson decomposition of a matrix or a stack.
 
     Algorithm: with R = cov^(1/2), the root kept when cov was admitted, the
     Hermitian i R Omega R has eigenvalues +-nu in pairs, nu the symplectic
     eigenvalues (Serafini, Quantum Continuous Variables, ch. 3). An
     eigenvector u of +nu gives the real orthonormal pair
     (sqrt2 Re u, -sqrt2 Im u), on which R Omega R is [[0, nu], [-nu, 0]].
-    Blocks are sorted descending, and each block pair is rotated so the (x, x)
-    entry of S is nonnegative and the (x, p) entry vanishes, which keeps S
-    symplectic. The rotation fixes a block only when the block has weight on
-    its own mode's x or p row. Within a group of degenerate eigenvalues, and
-    for a block with no weight on its own mode, S is fixed only up to a
-    passive rotation and can differ between LAPACK builds; each group's share
-    S diag(nu) S^T, and so q(s), does not depend on that choice. A (k, 2n, 2n)
-    stack takes one batched eigh and one pass of each step, and each of its
-    entries equals its own call bit for bit.
+    Blocks are sorted descending. Each block pair, and each group of
+    degenerate eigenvalues, is fixed only up to a passive rotation, which is
+    left as the eigensolver returns it and can differ between LAPACK builds;
+    each group's share S diag(nu) S^T, and so q(s), does not depend on it. A
+    (k, 2n, 2n) stack takes one batched eigh, and each of its entries equals
+    its own call bit for bit.
 
     The eigensolve is backward stable, so nu carries an absolute error of
     about eps * max(nu): in a bright state the small eigenvalues lose relative
@@ -233,18 +230,6 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     # Columns (sqrt2 Re u, -sqrt2 Im u) are the float view of sqrt2 conj(u).
     q = (u[..., n:][..., ::-1] * np.sqrt(2.0)).conj().view(float)
     s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2, axis=-1)[..., None, :]
-
-    # Block j is anchored on its x row 2j or, where that is numerically empty, its
-    # p row 2j + 1; blocks[..., row, col, j] is entry (2j + row, 2j + col) of S.
-    blocks = s.reshape(*s.shape[:-2], n, 2, n, 2).diagonal(axis1=-4, axis2=-2)
-    x_empty = np.hypot(blocks[..., 0, 0, :], blocks[..., 0, 1, :]) < 1e-12
-    anchor = np.where(x_empty[..., None, :], blocks[..., 1, :, :], blocks[..., 0, :, :])
-    a, b = anchor[..., 0, None, :], anchor[..., 1, None, :]
-    r = np.hypot(a, b)
-    turn, r = r >= 1e-12, np.maximum(r, 1e-12)  # a block left as is divides by no zero
-    x, p = s[..., 0::2], s[..., 1::2]
-    for view, turned in zip((x, p), ((a * x + b * p) / r, (-b * x + a * p) / r)):
-        np.copyto(view, turned, where=turn)
     return WilliamsonDecomposition(symplectic=s, nu=nus, matrix=m)
 
 

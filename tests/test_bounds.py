@@ -131,9 +131,9 @@ def test_chernoff_never_exceeds_bhattacharyya():
         assert 0.0 < qc.s_used < 1.0
 
 
-def test_chernoff_grid_holds_exact_half():
+def test_chernoff_start_holds_exact_half():
     # A dim-signal, bright-background scenario where the golden search lands
-    # above q(1/2); only an exact s = 1/2 grid point keeps Chernoff <= Bhattacharyya.
+    # above q(1/2); only the exact s = 1/2 start keeps Chernoff <= Bhattacharyya.
     scn = IlluminationScenario(
         n_signal=0.00223449, n_background=647496.0, reflectivity=0.000164132,
         copies=139095916,
@@ -616,7 +616,7 @@ def test_coherent_log_q_matches_closed_form(nb):
         assert ov.log_value == pytest.approx(expected, rel=1e-13), ov.s
 
 
-def test_zoom_search_no_worse_than_golden_section():
+def test_chernoff_search_no_worse_than_golden_section():
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(2024, 24)):
 
         def logq(s):

@@ -555,7 +555,7 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 
 
 def test_chernoff_runs_load_no_numpy_ma():
-    """Chernoff runs import no numpy.ma, as np.unique in the search once would have."""
+    """Chernoff runs load no numpy.ma, a further import that helpers such as np.unique bring in."""
     proc = _fresh_python(NO_NUMPY_MA)
     assert proc.returncode == 0, proc.stderr
 
