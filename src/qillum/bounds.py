@@ -83,7 +83,6 @@ class OverlapResult:
     displacement_log: float
     s: float
     slope: float  # d/ds log q
-    slope_scale: float  # the sum of the slope's terms' magnitudes, which its rounding scales with
 
 
 def _as_state(obj) -> GaussianState:
@@ -112,10 +111,9 @@ class _PairEngine:
     1/2 log r (lambda^2 - 1) and d(log trace)/dp = log 2 - log(nu + 1) +
     1/2 log r (lambda - 1), both 0 on a vacuum mode. The det term's slope is
     -1/2 sum_j lambda'_j |L^-1 S_j|^2 and the displacement term's
-    1/2 sum_j lambda'_j t_j^2, over the columns S_j of [S_A | S_B];
-    slope_scale sums the magnitudes of all these terms.
+    1/2 sum_j lambda'_j t_j^2, over the columns S_j of [S_A | S_B].
 
-    A call returns OverlapResult's fields as the rows of an (8, k) array.
+    A call returns OverlapResult's fields as the rows of a (7, k) array.
     Covariances equal entry for entry give prefactor and det pieces, and
     slopes, of exactly 0 rather than a rounding residue, whatever the means.
     """
@@ -171,9 +169,8 @@ class _PairEngine:
 
         log_value = prefactor_log + det_term_log + displacement_log
         slope = trace_slopes.sum(axis=1) + (weights * (t_sq - w_sq)).sum(axis=1)
-        scale = np.abs(trace_slopes).sum(axis=1) + (np.abs(weights) * (t_sq + w_sq)).sum(axis=1)
         return np.array([np.exp(log_value), log_value, prefactor_log, det_term_log,
-                         displacement_log, s, slope, scale])
+                         displacement_log, s, slope])
 
 
 def power_overlap(
@@ -276,17 +273,16 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     doubled while the slope keeps its sign. Then each step goes to the
     minimum of the cubic through both ends' values and slopes, or to the
     tangents' crossing after a cubic step that did not halve `chernoff_gap`,
-    the best value's height above the tangents. It stops once the slope is
-    within ROUNDING_ULPS ulps of slope_scale, the gap within ROUNDING_ULPS
-    ulps of the largest |prefactor_log| + |det_term_log| + |displacement_log|
-    among the best point and the ends, the bracket below S_TOL, or after
-    MAX_CALLS calls. The result is the smallest q evaluated, the first of ties.
+    the best value's height above the tangents. It stops once that gap is
+    within ROUNDING_ULPS ulps of the largest |prefactor_log| + |det_term_log|
+    + |displacement_log| among the best point and the ends; the bracket
+    below S_TOL and MAX_CALLS calls only cap it. The engine is built on the
+    first step. The result is the smallest q evaluated, the first of ties.
     """
     a, b = _as_state(state_a), _as_state(state_b)
     half = power_overlap(a, b, 0.5)
-    engine = _PairEngine(a, b)
     best = point = half
-    lo = hi = previous = None
+    lo = hi = previous = engine = None
     calls, last_gap, crossing = 0, math.inf, False
     while True:
         best = point if point.log_value < best.log_value else best
@@ -296,9 +292,8 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
         s_lo, s_hi = (lo.s if lo else 0.0), (hi.s if hi else 1.0)
         pieces = (abs(p.prefactor_log) + abs(p.det_term_log) + abs(p.displacement_log)
                   for p in (best, lo, hi) if p)
-        flat = abs(point.slope) <= ROUNDING_ULPS * EPS * point.slope_scale
         certified = gap <= ROUNDING_ULPS * EPS * max(pieces)
-        if flat or certified or s_hi - s_lo <= S_TOL or calls == MAX_CALLS:
+        if certified or s_hi - s_lo <= S_TOL or calls == MAX_CALLS:
             break
         if lo and hi:
             crossing = gap > 0.5 * last_gap and not crossing
@@ -318,6 +313,7 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
             s = point.s - 2.0**calls * point.slope / curvature if curvature > 0.0 else end
             if not 0.0 < abs(s - point.s) < abs(end - point.s):
                 s = 0.5 * (point.s + end)
+        engine = engine or _PairEngine(a, b)
         previous, point = point, OverlapResult(*engine(np.array([s]))[:, 0].tolist())
         calls += 1
 

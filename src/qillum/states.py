@@ -249,9 +249,8 @@ def illumination_states(
 ) -> tuple[GaussianState, GaussianState]:
     """Target-absent and target-present states, built, admitted and decomposed as one stack."""
     pair = illuminate(illumination_probe(scenario, model), scenario, [0, scenario.reflectivity])
-    absent, present = pair[0], pair[1]
-    absent.williamson, present.williamson = pair.williamson[0], pair.williamson[1]
-    return absent, present
+    pair.williamson  # decomposed as a stack first, so each indexed state carries its row
+    return pair[0], pair[1]
 
 
 def _hypothesis_cov(

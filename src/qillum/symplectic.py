@@ -32,16 +32,10 @@ def symplectic_form(n: int) -> np.ndarray:
     return omega
 
 
-def _refuse(bad, message: str, value=None, recheck=()) -> None:
-    """Refuse a stack as its entries checked in turn would be: at the first flagged one, r.
-
-    value[r] fills the message's {}; recheck = (check, *stacks) first runs check on the
-    entries before r, so that their refusal by a check still ahead comes first.
-    """
+def _refuse(bad, message: str, value=None) -> None:
+    """Refuse a stack at the first entry r that bad flags; value[r] fills the message's {}."""
     if np.count_nonzero(bad):
         r = int(np.argmax(np.ravel(bad)))
-        if r and recheck:
-            recheck[0](*(None if a is None else a[:r] for a in recheck[1:]))
         raise ValueError(message.format(None if value is None else np.ravel(value)[r]))
 
 
@@ -72,15 +66,14 @@ class CovarianceMatrix(_Stack):
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         stack = m if m.ndim == 3 else m[None]
-        again = (CovarianceMatrix, m)
         finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-        _refuse(~finite, "covariance matrix has non-finite entries", recheck=again)
+        _refuse(~finite, "covariance matrix has non-finite entries")
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError("covariance matrix must be square")
         if m.shape[-1] % 2 != 0 or m.size == 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
         asymmetric = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
-        _refuse(asymmetric, "covariance matrix is not symmetric to 1e-12", recheck=again)
+        _refuse(asymmetric, "covariance matrix is not symmetric to 1e-12")
         w, v = np.linalg.eigh(stack)
         _refuse(w[:, 0] <= 0, "covariance matrix is not positive definite")
         self.matrix = m
@@ -137,13 +130,12 @@ class WilliamsonDecomposition(_Stack):
         n = self.nu.shape[-1]
         if self.symplectic.shape != self.nu.shape[:-1] + (2 * n, 2 * n):
             raise ValueError("symplectic matrix shape does not match nu")
-        again = (WilliamsonDecomposition, self.symplectic, self.nu, matrix)
         unsorted = (self.nu[..., 1:] > self.nu[..., :-1]).any(axis=-1)
-        _refuse(unsorted, "symplectic eigenvalues must be sorted descending", recheck=again)
+        _refuse(unsorted, "symplectic eigenvalues must be sorted descending")
         sym, omega = self.symplectic, symplectic_form(n)
         err = np.abs(sym @ omega @ sym.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
         message = "matrix is not symplectic (S Omega S^T residual {:.3e})"
-        _refuse(err > RECONSTRUCTION_TOL, message, err, again)
+        _refuse(err > RECONSTRUCTION_TOL, message, err)
         if matrix is not None:
             resid = np.abs(self.reconstruct() - matrix).max(axis=(-2, -1))
             scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
@@ -223,7 +215,7 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     stray = np.abs(lam[..., :n] + lam[..., : n - 1 : -1]).max(axis=-1)
     unpaired = stray > 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=-1))
     message = "could not pair the symplectic spectrum (residual {:.3e})"
-    _refuse(unpaired, message, stray, (williamson_decompose, cov))
+    _refuse(unpaired, message, stray)
 
     # eigh sorts ascending, so the +nu half read backwards is the descending sort.
     nus = lam[..., n:][..., ::-1]

@@ -430,6 +430,32 @@ def _digits_slope(a, b, s, da, db) -> float:
         return float((up - down) / (2 * h))
 
 
+def _slope_scale(a, b, s, da, db) -> float:
+    """The sum of the magnitudes of the engine's slope terms at s, where its rounding lives.
+
+    With r = (nu - 1)/(nu + 1) and lambda a mode's variance at power s or 1 - s:
+    per mode, d(log trace)/dp = log 2 - log(nu + 1) + 1/2 log r (lambda - 1);
+    per column S_j of [S_A | S_B], 1/2 lambda'_j |L^-1 S_j|^2 and 1/2 lambda'_j t_j^2,
+    with lambda' = 1/2 log r (lambda^2 - 1), M = L L^T the combined covariance and
+    t = S^T M^-1 d. Equal covariances keep only the displacement terms: the
+    engine's other pieces are exactly 0 there.
+    """
+    trace_terms, weights, variances = [], [], []
+    for nu, p in [(nu, s) for nu in da.nu] + [(nu, 1.0 - s) for nu in db.nu]:
+        nu, lam = _reference_check(nu), _reference_power_variance(nu, p)
+        half_log_r = 0.5 * (math.log1p(-1.0 / nu) - math.log1p(1.0 / nu)) if nu > 1.0 else 0.0
+        trace_terms.append(math.log(2.0) - math.log1p(nu) + half_log_r * (lam - 1.0))
+        weights += [0.5 * half_log_r * (lam * lam - 1.0)] * 2
+        variances += [lam] * 2
+    sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
+    combined = (sym * variances) @ sym.T
+    w_sq = ((np.linalg.inv(np.linalg.cholesky(combined)) @ sym) ** 2).sum(axis=0)
+    t_sq = (sym.T @ np.linalg.solve(combined, b.mean - a.mean)) ** 2
+    if np.array_equal(a.cov.matrix, b.cov.matrix):
+        trace_terms, w_sq = [0.0], 0.0
+    return float(np.abs(trace_terms).sum() + (np.abs(weights) * (t_sq + w_sq)).sum())
+
+
 def _reference_golden(f, lo, hi, tol=1e-10):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -591,7 +617,8 @@ def test_slope_matches_50_digit_derivative():
         compared += 1
         for ov in many:
             reference = _digits_slope(absent, present, ov.s, dec_a, dec_b)
-            assert abs(ov.slope - reference) <= 4 * EPS * ov.slope_scale, (model, scn, ov.s)
+            scale = _slope_scale(absent, present, ov.s, dec_a, dec_b)
+            assert abs(ov.slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
     assert compared >= 3 * len(REFERENCE_GRID) - 6
 
 
@@ -711,6 +738,9 @@ def test_stopped_search_within_rounding_of_full_zoom(monkeypatch):
         assert stopped - qc.diagnostics["chernoff_gap"] - floor <= full, (model, scn)
         assert qc.value <= qc.bhattacharyya.value, (model, scn)
         assert stopped <= qc.bhattacharyya.diagnostics["log_overlap"], (model, scn)
+        # the certificate ends every search, never a cap
+        assert qc.diagnostics["bracket_width"] > bounds.S_TOL, (model, scn)
+        assert qc.diagnostics["search_calls"] < bounds.MAX_CALLS, (model, scn)
         search_calls.append(qc.diagnostics["search_calls"])  # the start not counted
     assert len(search_calls) >= 500
     assert np.mean(search_calls) <= 1.0 and max(search_calls) <= 8
@@ -731,9 +761,9 @@ def _synthetic_engine(monkeypatch, log_q, slope, scale=0.0):
     """Replace _PairEngine by one whose log q(s) is log_q(s, call index) with slope(s).
 
     log q is split as prefactor_log = scale and det_term_log = log q - scale,
-    so scale sets the rounding floor; slope_scale is |slope| + scale. Returns
-    the list of s batches, the list of their slope arrays and the list of
-    every log q value, all filled call by call.
+    so scale sets the rounding floor. Returns the list of s batches, the list
+    of their slope arrays and the list of every log q value, all filled call
+    by call.
     """
     batches, slopes, evaluated = [], [], []
 
@@ -750,7 +780,7 @@ def _synthetic_engine(monkeypatch, log_q, slope, scale=0.0):
             rows = {"value": np.exp(values), "log_value": values,
                     "prefactor_log": np.full_like(s, scale), "det_term_log": values - scale,
                     "displacement_log": np.zeros_like(s), "s": s,
-                    "slope": slope_values, "slope_scale": np.abs(slope_values) + scale}
+                    "slope": slope_values}
             return np.stack([rows[f.name] for f in dataclasses.fields(bounds.OverlapResult)])
 
     monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
@@ -793,9 +823,9 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
 
 
 def test_flat_log_q_stops_at_the_start(monkeypatch):
-    # log q varies by 1e-16 over (0, 1), and its slope at 1/2 by 2e-16, below
-    # 4 ulps of the scale 20: convexity leaves nothing to find beyond
-    # rounding, so no engine call follows the s = 1/2 start.
+    # log q varies by 1e-16 over (0, 1), far below 4 ulps of its pieces of
+    # size 20: the tangent at 1/2 certifies the start, so no engine call
+    # follows it.
     def log_q(x, call):
         return 1e-15 * (x - 0.4) ** 2 - 1e-3
 

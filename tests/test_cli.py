@@ -655,8 +655,9 @@ def test_equal_hypotheses_print_one_half(argv, capsys):
 @pytest.mark.parametrize("kappa", ["1e-16", "1e-14"])
 def test_near_equal_hypotheses_keep_the_bhattacharyya_point(model, kappa, capsys):
     # The hypotheses differ in their last bits, so log q is flat to rounding:
-    # its slope at s = 1/2 is within rounding of 0, and the search stops
-    # there instead of taking rounding residue elsewhere for an exponent.
+    # the tangent at s = 1/2 certifies the start within rounding of the
+    # minimum, and the search stops there instead of taking rounding residue
+    # elsewhere for an exponent.
     code, out, err = run(capsys, "bounds", "--model", model, "--kappa", kappa)
     assert (code, err) == (0, "")
     fields = dict(line.split(": ", 1) for line in out.splitlines())

@@ -119,16 +119,6 @@ def test_stacked_rows_equal_their_single_calls():
             assert np.array_equal(williamson_decompose(cov[i]).symplectic, alone.symplectic)
 
 
-def _first_refusal(matrices):
-    """The message of the first matrix refused when each is admitted and decomposed in turn."""
-    try:
-        for matrix in matrices:
-            williamson_decompose(CovarianceMatrix(matrix))
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 GOOD = np.diag([3.0, 3.0, 2.0, 2.0])
 NON_FINITE = np.diag([np.inf, 3.0, 2.0, 2.0])
 ASYMMETRIC = GOOD + np.triu(np.full((4, 4), 1e-6), 1)
@@ -136,20 +126,24 @@ SINGULAR = np.diag([3.0, 3.0, 2.0, 0.0])
 
 
 @pytest.mark.parametrize(
-    "pair",
-    [(NON_FINITE, GOOD), (GOOD, NON_FINITE), (SINGULAR, NON_FINITE), (ASYMMETRIC, SINGULAR),
-     (SINGULAR, ASYMMETRIC), (GOOD, SINGULAR), (GOOD, ASYMMETRIC)],
+    "pair, flagged, refusal",
+    [((NON_FINITE, GOOD), 0, "non-finite"), ((GOOD, NON_FINITE), 1, "non-finite"),
+     ((SINGULAR, NON_FINITE), 1, "non-finite"), ((ASYMMETRIC, SINGULAR), 0, "not symmetric"),
+     ((SINGULAR, ASYMMETRIC), 1, "not symmetric"), ((GOOD, SINGULAR), 1, "not positive"),
+     ((GOOD, ASYMMETRIC), 1, "not symmetric")],
     ids=["absent-non-finite", "present-non-finite", "singular-before-non-finite",
          "asymmetric-before-singular", "singular-before-asymmetric", "present-singular",
          "present-asymmetric"],
 )
-def test_stack_admission_refuses_like_its_matrices_in_turn(pair):
-    # The first refused matrix decides, with its own first failing check, even
-    # where a later matrix fails a check that comes earlier in the rule.
-    expected = _first_refusal(pair)
-    assert expected is not None
-    with pytest.raises(ValueError, match=f"^{expected}$"):
+def test_stack_admission_refuses_like_its_matrices_in_turn(pair, flagged, refusal):
+    # Each check runs in turn over the whole stack, so the first check any
+    # matrix fails decides, at the first matrix it flags, even where an
+    # earlier matrix fails a later check; the message is that matrix's own.
+    with pytest.raises(ValueError) as single:
+        CovarianceMatrix(pair[flagged])
+    with pytest.raises(ValueError, match=refusal) as stacked:
         CovarianceMatrix(np.stack(pair))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_stack_decomposition_refuses_like_its_matrices_in_turn():
@@ -158,16 +152,15 @@ def test_stack_decomposition_refuses_like_its_matrices_in_turn():
     doubled = good.symplectic.copy()
     doubled[1] *= 2.0
     cases = [
-        # matrix 0 fails only to reconstruct, matrix 1 is not symplectic:
-        # matrix 0's last check comes before matrix 1's earlier one
-        (doubled, good.nu, thermal + [[[1e-3]], [[0.0]]], "decomposition failed to reconstruct"),
-        (doubled, good.nu, thermal, "matrix is not symplectic"),
-        (good.symplectic, good.nu[:, ::-1], thermal, "must be sorted descending"),
+        # entry 0 fails only to reconstruct, entry 1 is not symplectic: the
+        # symplectic check comes first, so entry 1 decides
+        (doubled, good.nu, thermal + [[[1e-3]], [[0.0]]], 1, "matrix is not symplectic"),
+        (doubled, good.nu, thermal, 1, "matrix is not symplectic"),
+        (good.symplectic, good.nu[:, ::-1], thermal, 0, "must be sorted descending"),
     ]
-    for symplectic, nu, matrix, refusal in cases:
+    for symplectic, nu, matrix, flagged, refusal in cases:
         with pytest.raises(ValueError, match=refusal) as single:
-            for i in range(2):
-                WilliamsonDecomposition(symplectic[i], nu[i], matrix[i])
+            WilliamsonDecomposition(symplectic[flagged], nu[flagged], matrix[flagged])
         with pytest.raises(ValueError) as stacked:
             WilliamsonDecomposition(symplectic, nu, matrix)
         assert str(stacked.value) == str(single.value)
