@@ -22,9 +22,11 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import _NumpyOnFirstUse
-from .states import IlluminationScenario, illumination_states, max_three_mode_correlation
+from .states import IlluminationScenario, illuminate, illumination_probe, illumination_states
+from .states import max_three_mode_correlation
 from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
 np = _NumpyOnFirstUse(globals())
@@ -93,7 +95,37 @@ def _as_state(obj) -> GaussianState:
     return GaussianState(cov=CovarianceMatrix(np.asarray(obj, dtype=float)))
 
 
-class _PairEngine:
+class _Modes:
+    """A pair's modes, A's n at power s and B's n at 1 - s: spectra checked, s-free parts kept.
+
+    With r = (nu - 1)/(nu + 1) and lambda a mode's variance at power p (s on
+    A's modes, 1 - s on B's, whose derivatives enter negated), d lambda/dp =
+    1/2 log r (lambda^2 - 1) and d(log trace)/dp = log 2 - log(nu + 1) +
+    1/2 log r (lambda - 1), both 0 on a vacuum mode.
+    """
+
+    def __init__(self, nu_a, nu_b):
+        self.n = len(nu_a)
+        self.nu = _check_eigenvalues(np.concatenate([nu_a, nu_b]))
+        self.logs = _mode_logs(self.nu)
+        # d/ds of a mode's log trace and variance, signed as p is s or 1 - s.
+        self.sign = np.repeat([1.0, -1.0], self.n)
+        self.log_half = self.sign * self.logs[1]
+        self.half_log_ratio = self.sign * np.where(self.nu > 1.0, 0.5 * self.logs[0], 0.0)
+
+    def maps(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k, 2n) variances at a 1-D array of s, prefactor_log and its slope."""
+        p = np.where(self.sign > 0.0, s[:, None], 1.0 - s[:, None])
+        variance, log_trace = _power_maps(self.nu, self.logs, p)
+        prefactor_log = self.n * math.log(2.0) + log_trace.sum(axis=1)
+        trace_slopes = self.log_half + self.half_log_ratio * (variance - 1.0)
+        return variance, prefactor_log, trace_slopes.sum(axis=1)
+
+    def variance_slopes(self, variance: np.ndarray) -> np.ndarray:
+        return self.half_log_ratio * (variance * variance - 1.0)  # d lambda/ds
+
+
+class _PairEngine(_Modes):
     """q(s) and d/ds log q for one pair of states: the per-pair work once, then any batch of s.
 
     Construction checks the mode counts and both spectra and keeps what does
@@ -104,13 +136,8 @@ class _PairEngine:
     an entry does not depend on the rest of its batch. The displacement term
     d^T M^-1 d is read as 2 d.x - x^T M x at the solved x, summed mode by
     mode from t = S^T x, so the rounding of an ill-conditioned M enters only
-    at second order.
-
-    With r = (nu - 1)/(nu + 1) and lambda a mode's variance at power p (s on
-    A's modes, 1 - s on B's, whose derivatives enter negated), d lambda/dp =
-    1/2 log r (lambda^2 - 1) and d(log trace)/dp = log 2 - log(nu + 1) +
-    1/2 log r (lambda - 1), both 0 on a vacuum mode. The det term's slope is
-    -1/2 sum_j lambda'_j |L^-1 S_j|^2 and the displacement term's
+    at second order. With lambda' = d lambda/ds (_Modes), the det term's
+    slope is -1/2 sum_j lambda'_j |L^-1 S_j|^2 and the displacement term's
     1/2 sum_j lambda'_j t_j^2, over the columns S_j of [S_A | S_B].
 
     A call returns OverlapResult's fields as the rows of a (7, k) array.
@@ -123,25 +150,14 @@ class _PairEngine:
             raise ValueError(f"mode count mismatch: {a.n} vs {b.n}")
         da, db = a.williamson, b.williamson
         # Columns: the n modes of A at power s, then the n modes of B at 1 - s.
-        self.n = a.n
-        self.nu = _check_eigenvalues(np.concatenate([da.nu, db.nu]))
-        self.logs = _mode_logs(self.nu)
-        # d/ds of a mode's log trace and variance (class docstring), signed as p is s or 1 - s.
-        self.sign = np.repeat([1.0, -1.0], self.n)
-        self.log_half = self.sign * self.logs[1]
-        self.half_log_ratio = self.sign * np.where(self.nu > 1.0, 0.5 * self.logs[0], 0.0)
+        super().__init__(da.nu, db.nu)
         self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
         self.d = b.mean - a.mean
         self.displaced = bool(self.d.any())
         self.equal_cov = bool((a.cov.matrix == b.cov.matrix).all())
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        p = np.where(self.sign > 0.0, s[:, None], 1.0 - s[:, None])
-        variance, log_trace = _power_maps(self.nu, self.logs, p)
-        prefactor_log = self.n * math.log(2.0) + log_trace.sum(axis=1)
-        trace_slopes = self.log_half + self.half_log_ratio * (variance - 1.0)
-        # Half of d lambda/ds, once per column: the weight of the det and displacement slopes.
-        weights = (0.5 * self.half_log_ratio * (variance * variance - 1.0)).repeat(2, axis=1)
+        variance, prefactor_log, slope = self.maps(s)
 
         # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
         lam = variance.repeat(2, axis=1)
@@ -152,8 +168,8 @@ class _PairEngine:
             raise ValueError("combined covariance is not positive definite") from exc
         if self.equal_cov:
             # Checked like any pair above, but these pieces cancel exactly.
-            prefactor_log = det_term_log = np.zeros_like(s)
-            trace_slopes, w_sq = np.zeros_like(trace_slopes), 0.0
+            prefactor_log = det_term_log = slope = np.zeros_like(s)
+            w_sq = 0.0
         else:
             det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
             whitened = np.linalg.inv(chol) @ self.sym  # the columns L^-1 S_j
@@ -167,10 +183,85 @@ class _PairEngine:
             t_sq = t * t
             displacement_log = 0.5 * (lam * t * t).sum(axis=1) - (x * self.d).sum(axis=1)
 
+        if self.displaced or not self.equal_cov:  # lambda' weighs only these terms
+            weights = (0.5 * self.variance_slopes(variance)).repeat(2, axis=1)
+            slope = slope + (weights * (t_sq - w_sq)).sum(axis=1)
         log_value = prefactor_log + det_term_log + displacement_log
-        slope = trace_slopes.sum(axis=1) + (weights * (t_sq - w_sq)).sum(axis=1)
         return np.array([np.exp(log_value), log_value, prefactor_log, det_term_log,
                          displacement_log, s, slope])
+
+
+def _pair_log(x: float, h: float, v: float) -> float:
+    """log 2 + both log traces - log(sum of variances), absent x at 1 - v and present x + h at v.
+
+    With r = (nu - 1)/(nu + 1) and r(x + h)/r(x) = 1 + 2h/((x + h + 1)(x - 1)),
+    this is -v log1p(h/(x + 1)) - log1p(-(x - 1)/2 expm1(v log(r(x + h)/r(x)))):
+    terms of the size of h/x, not of log x. A present vacuum makes the expm1 -1.
+    """
+    first = -v * math.log1p(h / (x + 1.0))
+    if x == 1.0:  # a vacuum absent mode: r^p = 0
+        return first
+    y = x + h
+    ratio = 2.0 * h / (y + 1.0) / (x - 1.0)
+    if y <= 1.0 or ratio <= -1.0:  # r(x + h) = 0, so the expm1 is -1
+        return first - math.log1p(0.5 * (x - 1.0))
+    return first - math.log1p(-0.5 * (x - 1.0) * math.expm1(v * math.log1p(ratio)))
+
+
+class _TwoModePair(_Modes):
+    """The two-mode pair, one s per call: absent, thermal a = 2 n_b + 1 and b = 2 n_s + 1.
+
+    Present, x block [[a', c'], [c', b]] (p block -c'), a' = a + 2 kappa n_s,
+    c' = sqrt(kappa) c: a two-mode squeezer of sinh^2 r = -h/R on thermal
+    a' + h (return) and b + h (idler), R = sqrt((a' + b - 2c')(a' + b + 2c')),
+    h = -2c'^2/(R + a' + b). With P, Q the absent variances at s and M, N the
+    present ones at 1 - s, each quadrature's combined determinant is
+    D = (P + M)(Q + N)(1 + t), t = sinh^2 r (M + N)(P + Q)/((P + M)(Q + N)).
+    So log q is both mode pairs' _pair_log less log1p(t); prefactor_log and
+    det_term_log = -log D, which cancel, scale the search's rounding floor.
+    """
+
+    def __init__(self, scenario: IlluminationScenario, correlation: float):
+        a, b, a1 = scenario.background_variance, scenario.signal_variance, scenario.return_variance
+        c1 = math.sqrt(scenario.reflectivity) * correlation
+        # a' + b - 2c' summed exactly rounded: near a pure present state it is tiny
+        root = math.sqrt(max(math.fsum((a1, b, -2.0 * c1)), 0.0)) * math.sqrt(a1 + b + 2.0 * c1)
+        h = -2.0 * c1 * (c1 / (root + a1 + b))
+        super().__init__([a, b], [a1 + h, b + h])  # refuses nu < 1, so R >= 2 below
+        self.pairs = ((a, (a1 - a) + h), (b, h))  # absent nu, present less absent
+        self.sinh_sq = 2.0 * c1 / root * (c1 / (root + a1 + b))
+        self.equal = a1 == a and c1 == 0.0  # equal states: 0 throughout
+
+    def __call__(self, s: float) -> OverlapResult:
+        if self.equal:
+            return OverlapResult(1.0, 0.0, 0.0, 0.0, 0.0, s, 0.0)
+        variance, prefactor_log, slope = self.maps(np.array([s]))
+        p, q, m, n = variance[0].tolist()
+        dp, dq, dm, dn = self.variance_slopes(variance)[0].tolist()
+        pm, qn, mn, pq = p + m, q + n, m + n, p + q
+        t = self.sinh_sq * (mn / pm) * (pq / qn)
+        det_term_log = -(math.log(pm) + math.log(qn) + math.log1p(t))
+        d_log_det = (dp + dm) / pm + (dq + dn) / qn
+        d_log_det = (d_log_det + t * ((dm + dn) / mn + (dp + dq) / pq)) / (1.0 + t)
+        log_value = sum(_pair_log(x, h, 1.0 - s) for x, h in self.pairs) - math.log1p(t)
+        return OverlapResult(math.exp(log_value), log_value, float(prefactor_log[0]),
+                             det_term_log, 0.0, s, float(slope[0]) - d_log_det)
+
+
+class _CoherentPair(_Modes):
+    """The coherent pair: thermal a = 2 n_b + 1 in both, means 2 sqrt(kappa n_s) apart, so
+    log q = -2 kappa n_s / L, L = lambda_s(a) + lambda_(1-s)(a), with slope 2 kappa n_s L'/L^2."""
+
+    def __init__(self, scenario: IlluminationScenario):
+        super().__init__([scenario.background_variance], [scenario.background_variance])
+        self.photons = 2.0 * scenario.reflectivity * scenario.n_signal
+
+    def __call__(self, s: float) -> OverlapResult:
+        variance, _, _ = self.maps(np.array([s]))
+        total, slope = float(variance.sum()), float(self.variance_slopes(variance).sum())
+        log_value = 0.0 - self.photons / total
+        return OverlapResult(math.exp(log_value), log_value, 0.0, 0.0, log_value, s,
+                             self.photons / total * (slope / total))
 
 
 def power_overlap(
@@ -260,29 +351,32 @@ def _tangent_floor(lo: OverlapResult | None, hi: OverlapResult | None) -> tuple[
     return cross, lo.log_value + lo.slope * (cross - lo.s)
 
 
-def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
-    """min over s of q(s), by a search on the slope of log q, one s per engine call.
+def _at(evaluate, s: float) -> OverlapResult:
+    return OverlapResult(*evaluate(np.array([s]))[:, 0].tolist())
+
+
+def _chernoff_search(half: OverlapResult, build, copies: int) -> BoundResult:
+    """min over s of q(s), by a search on the slope of log q, one s per evaluation.
 
     log q(s) is convex (Audenaert et al., PRL 98, 160501 (2007)): its slope's
     sign brackets the minimum and its tangents bound it from below. The
-    search starts from power_overlap's s = 1/2, the bhattacharyya_bound point
-    it carries as `bhattacharyya`; the bracket is (0, 1) narrowed to the
-    nearest points of negative (lo) and nonnegative (hi) slope. While an end
-    is 0 or 1, Newton steps go toward it, on the curvature of the parabola
-    that is 0 there (as log q is), then on the secant of the last two slopes,
-    doubled while the slope keeps its sign. Then each step goes to the
-    minimum of the cubic through both ends' values and slopes, or to the
-    tangents' crossing after a cubic step that did not halve `chernoff_gap`,
-    the best value's height above the tangents. It stops once that gap is
-    within ROUNDING_ULPS ulps of the largest |prefactor_log| + |det_term_log|
-    + |displacement_log| among the best point and the ends; the bracket
-    below S_TOL and MAX_CALLS calls only cap it. The engine is built on the
-    first step. The result is the smallest q evaluated, the first of ties.
+    search starts from the s = 1/2 point `half`, the Bhattacharyya point
+    the result carries as `bhattacharyya`; build(), called on the first
+    step, gives the function from s to its OverlapResult. The bracket is
+    (0, 1) narrowed to the nearest points of negative (lo) and nonnegative
+    (hi) slope. While an end is 0 or 1, Newton steps go toward it, on the
+    curvature of the parabola that is 0 there (as log q is), then on the
+    secant of the last two slopes, doubled while the slope keeps its sign.
+    Then each step goes to the minimum of the cubic through both ends'
+    values and slopes, or to the tangents' crossing after a cubic step that
+    did not halve `chernoff_gap`, the best value's height above the
+    tangents. It stops once that gap is within ROUNDING_ULPS ulps of the
+    largest |prefactor_log| + |det_term_log| + |displacement_log| among the
+    best point and the ends; the bracket below S_TOL and MAX_CALLS calls
+    only cap it. The result is the smallest q evaluated, the first of ties.
     """
-    a, b = _as_state(state_a), _as_state(state_b)
-    half = power_overlap(a, b, 0.5)
     best = point = half
-    lo = hi = previous = engine = None
+    lo = hi = previous = evaluate = None
     calls, last_gap, crossing = 0, math.inf, False
     while True:
         best = point if point.log_value < best.log_value else best
@@ -313,14 +407,21 @@ def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
             s = point.s - 2.0**calls * point.slope / curvature if curvature > 0.0 else end
             if not 0.0 < abs(s - point.s) < abs(end - point.s):
                 s = 0.5 * (point.s + end)
-        engine = engine or _PairEngine(a, b)
-        previous, point = point, OverlapResult(*engine(np.array([s]))[:, 0].tolist())
+        evaluate = evaluate or build()
+        previous, point = point, evaluate(s)
         calls += 1
 
     diagnostics = {"search_calls": calls, "bracket_width": s_hi - s_lo, "chernoff_gap": gap}
     result = _bound_from_overlap(best, copies, **diagnostics)
     result.bhattacharyya = _bound_from_overlap(half, copies)
     return result
+
+
+def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
+    """min over s of q(s): _chernoff_search from power_overlap's s = 1/2, then a _PairEngine."""
+    a, b = _as_state(state_a), _as_state(state_b)
+    return _chernoff_search(power_overlap(a, b, 0.5), lambda: partial(_at, _PairEngine(a, b)),
+                            copies)
 
 
 def _idler_exponent(n_signal: float, idlers: int, correlation_sq: float) -> float:
@@ -405,14 +506,29 @@ def find_crossover() -> CrossoverResult:
     return CrossoverResult(n_signal=ns, residual=residual)
 
 
+def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
+    """The two-mode or coherent pair's evaluator, once illuminate has admitted its states."""
+    illuminate(illumination_probe(scenario, model), scenario, [0, scenario.reflectivity])
+    if model == "coherent":
+        return _CoherentPair(scenario)
+    return _TwoModePair(scenario, scenario.probe_correlation(model))
+
+
 def illumination_bhattacharyya(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    return bhattacharyya_bound(*illumination_states(scenario, model), scenario.copies)
+    if model == "three-mode":
+        return bhattacharyya_bound(*illumination_states(scenario, model), scenario.copies)
+    return _bound_from_overlap(_closed_form_pair(scenario, model)(0.5), scenario.copies)
 
 
 def illumination_chernoff(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same states."""
-    return chernoff_bound(*illumination_states(scenario, model), scenario.copies)
+    """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same states.
+
+    Only the three-mode pair goes through its states and chernoff_bound."""
+    if model == "three-mode":
+        return chernoff_bound(*illumination_states(scenario, model), scenario.copies)
+    pair = _closed_form_pair(scenario, model)
+    return _chernoff_search(pair(0.5), lambda: pair, scenario.copies)

@@ -615,11 +615,54 @@ def test_slope_matches_50_digit_derivative():
         except ValueError:
             continue
         compared += 1
+        # The two-mode and coherent closed forms print these pairs: same reference, same bound.
+        closed = None if model == "three-mode" else bounds._closed_form_pair(scn, model)
         for ov in many:
             reference = _digits_slope(absent, present, ov.s, dec_a, dec_b)
             scale = _slope_scale(absent, present, ov.s, dec_a, dec_b)
             assert abs(ov.slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
+            if closed is not None:
+                assert abs(closed(ov.s).slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
     assert compared >= 3 * len(REFERENCE_GRID) - 6
+
+
+# ulps of the engine's pieces (log q) and of _slope_scale (slope) within which
+# the closed forms match _PairEngine. The coherent engine builds log q from a
+# solve whose terms add to about 3 |log q|: it reads up to 10.6 ulps of log q
+# off the 50-digit closed form, where the float closed form reads 3.4.
+CROSS_CHECK_ULPS = {"two-mode": 4, "coherent": 16}
+
+
+@pytest.mark.parametrize("model", ["two-mode", "coherent"])
+def test_closed_forms_match_the_engine(model):
+    # Two codes for every printed two-mode and coherent number: the closed
+    # forms from the scenario's parameters, the engine from two Williamson
+    # decompositions, at small n_b where the engine keeps its digits.
+    ulps = CROSS_CHECK_ULPS[model] * EPS
+    compared = 0
+    for scn in box_scenarios(25, 120):
+        if scn.n_background > 1e4:
+            continue
+        absent, present = illumination_states(scn, model)
+        closed = bounds._closed_form_pair(scn, model)
+        for engine in power_overlap(absent, present, [0.5, 0.2, 0.37, 0.83]):
+            ov = closed(engine.s)
+            pieces = abs(engine.prefactor_log) + abs(engine.det_term_log)
+            pieces += abs(engine.displacement_log)
+            assert abs(ov.log_value - engine.log_value) <= ulps * pieces, (scn, ov.s)
+            scale = _slope_scale(absent, present, ov.s, absent.williamson, present.williamson)
+            assert abs(ov.slope - engine.slope) <= ulps * scale, (scn, ov.s)
+        compared += 1
+    assert compared >= 40
+
+
+def test_equal_undisplaced_states_form_no_slope_weights():
+    # The slope weights take lambda^2, which overflows at nu ~ 1e154 and up;
+    # with equal covariances and means no term uses them, so none is formed.
+    big = CovarianceMatrix(np.diag([4e200, 4e200]))
+    with np.errstate(all="raise"):
+        for ov in power_overlap(big, big, [0.3, 0.5]):
+            assert (ov.log_value, ov.slope) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("nb", [1e2, 1e4, 1e6, 1e8])

@@ -764,6 +764,28 @@ def test_sweep_row_ratio():
     assert row["gamma2"] == row["gamma3"] == 0.0 and math.isnan(row["ratio"])
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--model", "two-mode", "--ns", "0"], 0),  # equal hypotheses
+        (["--model", "two-mode", "--nb", "0", "--kappa", "1"], 0),  # vacuum return, pure present
+        (["--model", "coherent", "--kappa", "1"], 0),
+        (["--model", "two-mode", "--ns", "1e154", "--kappa", "0"], 2),
+        # equal, undisplaced covariances: no slope weight, whose lambda^2 overflows, is formed
+        (["--model", "three-mode", "--ns", "1e200", "--nb", "0", "--kappa", "0"], 0),
+    ],
+)
+def test_closed_form_special_points_run_with_warnings_as_errors(argv, code):
+    # Under python -W error a numpy warning is an uncaught traceback, exit 1.
+    argv = ["bounds", *argv]
+    proc = _fresh_python(f"import sys; from qillum.cli import main; sys.exit(main({argv!r}))")
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == "error: n_signal 1e+154 overflows the exponent coefficient\n"
+    else:
+        assert proc.stderr == "" and "exponent_per_copy_qc: " in proc.stdout
+
+
 @pytest.mark.filterwarnings("error")
 def test_signal_far_above_the_box_is_refused_or_printed_without_a_traceback(capsys):
     # The det V = 1 correlation has no power of S to overflow: bounds refuses

@@ -3,7 +3,7 @@
 The reference takes the same float covariance matrices the program sees,
 converts them exactly to mpmath numbers and computes their Williamson data at
 50 digits with mpmath's own eigensolvers, sharing no linear algebra with the
-program. From it come q(1/2) (Pirandola & Lloyd, PRA 78, 012331 (2008)) and
+program. From it come q(s) (Pirandola & Lloyd, PRA 78, 012331 (2008)) and
 the symplectic spectra that state-info and the entanglement checks print.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import box_scenarios
-from qillum.bounds import illumination_bhattacharyya
+from qillum.bounds import illumination_bhattacharyya, illumination_chernoff
 from qillum.states import illumination_states
 from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
 
@@ -44,20 +44,27 @@ def _williamson(cov):
     return nus, s
 
 
-def _reference_log_overlap(absent, present):
-    """log q(1/2) of two zero-mean physical states at DIGITS digits."""
+def _reference_log_overlap(absent, present, s=0.5):
+    """log q(s) of two physical states at DIGITS digits.
+
+    With r = (nu - 1)/(nu + 1), a mode at power p has variance
+    (1 + r^p)/(1 - r^p) and log trace p log 2 - p log(nu + 1) - log(1 - r^p);
+    the means enter as -1/2 d^T M^-1 d, with M the combined covariance.
+    """
     with mpmath.workdps(DIGITS):
-        log_q = 0
+        s = mp.mpf(s)
+        log_q = absent.n * mp.log(2)
         combined = 0
-        for state in (absent, present):
-            cov = mp.matrix(state.cov.matrix.tolist())
-            nus, s = _williamson(cov)
+        for state, p in ((absent, s), (present, 1 - s)):
+            nus, sym = _williamson(mp.matrix(state.cov.matrix.tolist()))
             power = []
             for nu in nus:
-                plus, minus = mp.sqrt(nu + 1), mp.sqrt(nu - 1)
-                log_q += mp.log(mp.sqrt(2) / (plus - minus)) + mp.log(2) / 2
-                power += [(plus + minus) / (plus - minus)] * 2
-            combined += s * mp.diag(power) * s.T
+                r = ((nu - 1) / (nu + 1)) ** p
+                log_q += p * mp.log(2) - p * mp.log(nu + 1) - mp.log(1 - r)
+                power += [(1 + r) / (1 - r)] * 2
+            combined += sym * mp.diag(power) * sym.T
+        d = mp.matrix((present.mean - absent.mean).tolist())
+        log_q -= (d.T * mp.lu_solve(combined, d))[0] / 2
         return float(log_q - mp.log(mp.det(combined)) / 2)
 
 
@@ -69,6 +76,23 @@ def test_bhattacharyya_overlap_matches_50_digit_reference(model):
         diagnostics = illumination_bhattacharyya(scn, model).diagnostics
         scale = 1.0 + abs(diagnostics["prefactor_log"]) + abs(diagnostics["det_term_log"])
         assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, scn
+
+
+@pytest.mark.parametrize("model", ["two-mode", "coherent"])
+def test_printed_closed_forms_match_50_digit_reference(model):
+    # The closed forms print these models' log q from differences of size
+    # h/n_b, not from pieces of size log n_b that cancel, so they hold a
+    # relative tolerance over the box, the bright corner included: checked
+    # at the Bhattacharyya point s = 1/2 and at the printed optimal_s.
+    worst = 0.0
+    for scn in box_scenarios(708, 12):
+        absent, present = illumination_states(scn, model)
+        qc = illumination_chernoff(scn, model)
+        for bound in (qc.bhattacharyya, qc):
+            reference = _reference_log_overlap(absent, present, bound.s_used)
+            error = abs(bound.diagnostics["log_overlap"] - reference) / abs(reference)
+            worst = max(worst, error)
+    assert worst <= 1e-13
 
 
 def test_symplectic_spectra_keep_relative_precision():
