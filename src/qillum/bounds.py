@@ -191,6 +191,48 @@ class _PairEngine(_Modes):
                          displacement_log, s, slope])
 
 
+class _ScalarModes:
+    """_Modes in Python floats at one s, with _check_eigenvalues' rule and _power_maps' limits.
+
+    log r is log(nu - 1) - log1p(nu) up to nu = 2, where nu - 1 is exact, and
+    log1p(-1/nu) - log1p(1/nu) above, where that form would cancel; a vacuum
+    mode has log r = -inf and a half log ratio of 0. d lambda/ds is formed as
+    (1/2 log r (lambda - 1))(lambda + 1): no lambda^2 overflows.
+    """
+
+    def __init__(self, nu_a: list, nu_b: list):
+        self.n, self.modes = len(nu_a), []
+        for sign, nu in [(1.0, x) for x in nu_a] + [(-1.0, x) for x in nu_b]:
+            if nu < 1.0 - PHYSICAL_TOL:
+                raise ValueError(f"symplectic eigenvalue {nu:.12g} below one")
+            nu = max(nu, 1.0)
+            if nu == 1.0:
+                log_ratio = -math.inf
+            elif nu <= 2.0:
+                log_ratio = math.log(nu - 1.0) - math.log1p(nu)
+            else:
+                log_ratio = math.log1p(-1.0 / nu) - math.log1p(1.0 / nu)
+            half = sign * 0.5 * log_ratio if nu > 1.0 else 0.0
+            self.modes.append((nu, sign, log_ratio, math.log(2.0) - math.log1p(nu), half))
+
+    def maps(self, s: float) -> tuple[list, list, float, float]:
+        """Variances and d lambda/ds mode by mode, prefactor_log and its slope."""
+        variances, variance_slopes, log_traces, slope = [], [], 0.0, 0.0
+        for nu, sign, log_ratio, log_half, half in self.modes:
+            p = s if sign > 0.0 else 1.0 - s
+            if p == 1.0:
+                variance, log_trace = nu, 0.0
+            else:
+                em1 = math.expm1(p * log_ratio)
+                variance, log_trace = (2.0 + em1) / -em1, p * log_half - math.log(-em1)
+            excess_slope = half * (variance - 1.0)
+            variances.append(variance)
+            variance_slopes.append(excess_slope * (variance + 1.0))
+            log_traces += log_trace
+            slope += sign * log_half + excess_slope
+        return variances, variance_slopes, self.n * math.log(2.0) + log_traces, slope
+
+
 def _pair_log(x: float, h: float, v: float) -> float:
     """log 2 + both log traces - log(sum of variances), absent x at 1 - v and present x + h at v.
 
@@ -208,7 +250,7 @@ def _pair_log(x: float, h: float, v: float) -> float:
     return first - math.log1p(-0.5 * (x - 1.0) * math.expm1(v * math.log1p(ratio)))
 
 
-class _TwoModePair(_Modes):
+class _TwoModePair(_ScalarModes):
     """The two-mode pair, one s per call: absent, thermal a = 2 n_b + 1 and b = 2 n_s + 1.
 
     Present, x block [[a', c'], [c', b]] (p block -c'), a' = a + 2 kappa n_s,
@@ -235,20 +277,18 @@ class _TwoModePair(_Modes):
     def __call__(self, s: float) -> OverlapResult:
         if self.equal:
             return OverlapResult(1.0, 0.0, 0.0, 0.0, 0.0, s, 0.0)
-        variance, prefactor_log, slope = self.maps(np.array([s]))
-        p, q, m, n = variance[0].tolist()
-        dp, dq, dm, dn = self.variance_slopes(variance)[0].tolist()
+        (p, q, m, n), (dp, dq, dm, dn), prefactor_log, slope = self.maps(s)
         pm, qn, mn, pq = p + m, q + n, m + n, p + q
         t = self.sinh_sq * (mn / pm) * (pq / qn)
         det_term_log = -(math.log(pm) + math.log(qn) + math.log1p(t))
         d_log_det = (dp + dm) / pm + (dq + dn) / qn
         d_log_det = (d_log_det + t * ((dm + dn) / mn + (dp + dq) / pq)) / (1.0 + t)
         log_value = sum(_pair_log(x, h, 1.0 - s) for x, h in self.pairs) - math.log1p(t)
-        return OverlapResult(math.exp(log_value), log_value, float(prefactor_log[0]),
-                             det_term_log, 0.0, s, float(slope[0]) - d_log_det)
+        return OverlapResult(math.exp(log_value), log_value, prefactor_log, det_term_log, 0.0,
+                             s, slope - d_log_det)
 
 
-class _CoherentPair(_Modes):
+class _CoherentPair(_ScalarModes):
     """The coherent pair: thermal a = 2 n_b + 1 in both, means 2 sqrt(kappa n_s) apart, so
     log q = -2 kappa n_s / L, L = lambda_s(a) + lambda_(1-s)(a), with slope 2 kappa n_s L'/L^2."""
 
@@ -257,8 +297,8 @@ class _CoherentPair(_Modes):
         self.photons = 2.0 * scenario.reflectivity * scenario.n_signal
 
     def __call__(self, s: float) -> OverlapResult:
-        variance, _, _ = self.maps(np.array([s]))
-        total, slope = float(variance.sum()), float(self.variance_slopes(variance).sum())
+        (l0, l1), (d0, d1), _, _ = self.maps(s)
+        total, slope = l0 + l1, d0 + d1
         log_value = 0.0 - self.photons / total
         return OverlapResult(math.exp(log_value), log_value, 0.0, 0.0, log_value, s,
                              self.photons / total * (slope / total))
@@ -506,12 +546,31 @@ def find_crossover() -> CrossoverResult:
     return CrossoverResult(n_signal=ns, residual=residual)
 
 
-def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
-    """The two-mode or coherent pair's evaluator, once illuminate has admitted its states."""
-    illuminate(illumination_probe(scenario, model), scenario, [0, scenario.reflectivity])
+def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _ScalarModes:
+    """The two-mode or coherent pair's evaluator, once its states are admitted.
+
+    A scalar check certifies admission; what it cannot certify goes to
+    illuminate, whose refusals stand. The absent state, and coherent's
+    present one, are diag(a, ...) with a >= 1. The two-mode present x block
+    [[a', c'], [c', b]] has a'b - c'^2 <= lambda_min (a' + b), so
+    a'b - c'^2 > 2^16 eps (a' + b)^2 puts its smallest eigenvalue far above
+    eigh's backward error, a small multiple of eps |V|.
+    """
+    correlation = scenario.probe_correlation(model)  # illumination_probe's refusals first
+    a, b, a1 = scenario.background_variance, scenario.signal_variance, scenario.return_variance
+    kappa = scenario.reflectivity
+    if model == "coherent":
+        certified = math.isfinite(a) and math.isfinite(2.0 * math.sqrt(kappa * scenario.n_signal))
+    else:
+        c1, total = math.sqrt(kappa) * correlation, a1 + b
+        det = a1 * b - c1 * c1  # inf once a'b overflows, however small the true det
+        certified = all(map(math.isfinite, (a, a1, b, correlation, c1, det)))
+        certified = certified and det > 2.0**16 * EPS * total * total
+    if not certified:
+        illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
     if model == "coherent":
         return _CoherentPair(scenario)
-    return _TwoModePair(scenario, scenario.probe_correlation(model))
+    return _TwoModePair(scenario, correlation)
 
 
 def illumination_bhattacharyya(

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from qillum.bounds import (
 )
 from qillum.states import (
     IlluminationScenario,
+    illuminate,
+    illumination_probe,
     illumination_states,
     max_three_mode_correlation,
     target_absent_williamson,
@@ -654,6 +658,70 @@ def test_closed_forms_match_the_engine(model):
             assert abs(ov.slope - engine.slope) <= ulps * scale, (scn, ov.s)
         compared += 1
     assert compared >= 40
+
+
+EXTREMES = [0.0, 1e-300, 1e-16, 1e-9, 1e-4, 0.01, 1.0, 1e4, 1e8, 1e12, 1e15, 1e16, 1e20,
+            1e100, 1e154, 1e200, 1.7e308]
+
+
+def _outcome(build, scn, model):
+    """The ValueError message build(scn, model) refuses with, or None."""
+    try:
+        build(scn, model)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _gated(scn, model):
+    # The reference: every pair through illuminate's numpy gate, then the evaluator.
+    illuminate(illumination_probe(scn, model), scn, [0, scn.reflectivity])
+    return bounds._closed_form_pair(scn, model)
+
+
+def test_scalar_admission_refuses_exactly_what_illuminate_refuses(monkeypatch):
+    # The scalar check only certifies admission; any pair it cannot certify
+    # goes to illuminate, so every refusal and its message stay as they were.
+    scenarios = [
+        (model, IlluminationScenario(ns, nb, kappa))
+        for model in ("two-mode", "coherent")
+        for ns in EXTREMES
+        for nb in EXTREMES
+        for kappa in (0.0, 1e-16, 1e-4, 0.5, 0.99, 1.0)
+    ]
+    for ns, nb, kappa in itertools.product((1e-4, 1.0, 1e4, 1e8), (0.0, 1.0, 1e8), (0.5, 1.0)):
+        for fraction in (0.0, 0.5, 0.999999, 1.0, 1.0 + 1e-7):
+            c = fraction * tmsv_correlation(ns)
+            scenarios.append(("two-mode", IlluminationScenario(ns, nb, kappa, correlation=c)))
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args)
+        return illuminate(*args)
+
+    monkeypatch.setattr(bounds, "illuminate", counted)
+    refused = unchecked = 0
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for model, scn in scenarios:
+            expected = _outcome(_gated, scn, model)
+            gated = len(fallbacks)
+            assert _outcome(bounds._closed_form_pair, scn, model) == expected, (model, scn)
+            refused += expected is not None
+            unchecked += len(fallbacks) == gated
+    # Both branches are exercised: of 3588 pairs, 2581 never reach illuminate
+    # (certified, or refused by the correlation check first), and 910 are refused.
+    assert min(refused, unchecked, len(scenarios) - unchecked) >= 500
+
+
+@pytest.mark.parametrize("model", ["two-mode", "coherent"])
+def test_box_corners_are_certified_without_illuminate(model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("illuminate called")
+
+    monkeypatch.setattr(bounds, "illuminate", refuse)
+    for nb, ns, kappa in itertools.product((1e-2, 1e8), (1e-4, 1.0), (1e-4, 1.0)):
+        bounds._closed_form_pair(IlluminationScenario(ns, nb, kappa), model)
 
 
 def test_equal_undisplaced_states_form_no_slope_weights():

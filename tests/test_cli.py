@@ -502,7 +502,7 @@ def test_import_loads_no_numpy(module):
 
 
 SCALAR_RUNS_WITHOUT_NUMPY = """
-import contextlib, io, sys
+import contextlib, io, itertools, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from qillum.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
@@ -513,6 +513,12 @@ with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stder
     assert main(["crossover", "--ns", "0.1"]) == 2
     assert main(["bounds", "--kappa", "2"]) == 2
     assert main(["bounds", "--ns", "x"]) == 2
+    # two-mode and coherent bounds are closed forms admitted by a scalar check
+    for model, fmt, nb, ns, kappa in itertools.product(
+        ("two-mode", "coherent"), ("text", "json"), ("1e-2", "1e8"), ("1e-4", "1"), ("1e-4", "1")
+    ):
+        argv = ["bounds", "--model", model, "--format", fmt, "--nb", nb, "--ns", ns]
+        assert main([*argv, "--kappa", kappa]) == 0, argv
 print(out.getvalue().splitlines()[0])
 """
 
@@ -773,6 +779,8 @@ def test_sweep_row_ratio():
         (["--model", "two-mode", "--ns", "1e154", "--kappa", "0"], 2),
         # equal, undisplaced covariances: no slope weight, whose lambda^2 overflows, is formed
         (["--model", "three-mode", "--ns", "1e200", "--nb", "0", "--kappa", "0"], 0),
+        # lambda^2 would overflow in the slope: (lambda - 1)(lambda + 1) does not
+        (["--model", "coherent", "--nb", "1e200"], 0),
     ],
 )
 def test_closed_form_special_points_run_with_warnings_as_errors(argv, code):

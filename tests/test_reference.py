@@ -7,12 +7,14 @@ program. From it come q(s) (Pirandola & Lloyd, PRA 78, 012331 (2008)) and
 the symplectic spectra that state-info and the entanglement checks print.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import box_scenarios
 from qillum.bounds import illumination_bhattacharyya, illumination_chernoff
-from qillum.states import illumination_states
+from qillum.states import IlluminationScenario, illumination_states
 from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
 
 mpmath = pytest.importorskip("mpmath")
@@ -78,21 +80,42 @@ def test_bhattacharyya_overlap_matches_50_digit_reference(model):
         assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, scn
 
 
-@pytest.mark.parametrize("model", ["two-mode", "coherent"])
-def test_printed_closed_forms_match_50_digit_reference(model):
+def _dim_scenarios(seed: int, count: int):
+    """Log-uniform over the box's n_s and kappa, with n_b from 1e-12 to its 1e-2."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo: float, hi: float) -> float:
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    return [IlluminationScenario(draw(1e-4, 1.0), draw(1e-12, 1e-2), draw(1e-4, 0.5))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "model,scenarios,tolerance",
+    [
+        ("two-mode", box_scenarios(708, 12), 1e-13),
+        ("coherent", box_scenarios(708, 12), 1e-13),
+        # Below the box's n_b: a - 1 = 2 n_b is small, and log((a - 1)/(a + 1))
+        # keeps its digits as log(a - 1) - log1p(a), with a - 1 exact.
+        ("coherent", _dim_scenarios(709, 40), 1e-14),
+    ],
+    ids=["two-mode", "coherent", "coherent-dim"],
+)
+def test_printed_closed_forms_match_50_digit_reference(model, scenarios, tolerance):
     # The closed forms print these models' log q from differences of size
     # h/n_b, not from pieces of size log n_b that cancel, so they hold a
     # relative tolerance over the box, the bright corner included: checked
     # at the Bhattacharyya point s = 1/2 and at the printed optimal_s.
     worst = 0.0
-    for scn in box_scenarios(708, 12):
+    for scn in scenarios:
         absent, present = illumination_states(scn, model)
         qc = illumination_chernoff(scn, model)
         for bound in (qc.bhattacharyya, qc):
             reference = _reference_log_overlap(absent, present, bound.s_used)
             error = abs(bound.diagnostics["log_overlap"] - reference) / abs(reference)
             worst = max(worst, error)
-    assert worst <= 1e-13
+    assert worst <= tolerance
 
 
 def test_symplectic_spectra_keep_relative_precision():
