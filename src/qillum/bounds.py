@@ -5,7 +5,7 @@ The central object is the overlap functional
     q(s) = Tr[rho_A^s rho_B^(1-s)],
 
 evaluated for zero-mean or displaced Gaussian states from their Williamson
-data, for one s or a whole batch of s values in one vectorised pass.
+data, one s per evaluation.
 Minimizing over s in (0, 1) gives the quantum Chernoff bound on the M-copy
 error probability, P_err <= q(s*)^M / 2; freezing s = 1/2 gives the
 Bhattacharyya variant. Everything is assembled in log space so that million-
@@ -22,7 +22,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import _NumpyOnFirstUse
 from .states import IlluminationScenario, illuminate, illumination_probe, illumination_states
@@ -35,43 +34,6 @@ S_TOL = 1e-10  # chernoff_bound's stop rules, in its docstring
 ROUNDING_ULPS = 4
 MAX_CALLS = 32
 EPS = sys.float_info.epsilon
-
-
-def _check_eigenvalues(nu) -> np.ndarray:
-    """Symplectic eigenvalues as an array; dips below one within PHYSICAL_TOL snapped to one."""
-    nu = np.asarray(nu, dtype=float)
-    low = nu < 1.0 - PHYSICAL_TOL
-    if low.any():
-        raise ValueError(f"symplectic eigenvalue {nu[low].flat[0]:.12g} below one")
-    return np.maximum(nu, 1.0)
-
-
-def _mode_logs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The power-independent parts of _power_maps: log((x-1)/(x+1)) and log 2 - log(x+1)."""
-    inv = 1.0 / x
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 1
-        log_ratio = np.log1p(-inv) - np.log1p(inv)
-    return log_ratio, math.log(2.0) - np.log1p(x)
-
-
-def _power_maps(x: np.ndarray, logs: tuple, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Variance map and log power trace of a mode, elementwise over x >= 1, 0 < p <= 1.
-
-    logs is _mode_logs(x). With e = [(x-1)/(x+1)]^p - 1 the variance map is
-    (2 + e) / -e and the log trace p log 2 - p log(x+1) - log(-e). The
-    ratio's log goes through log1p and e through expm1, so the x -> 1 and
-    x -> infinity limits lose nothing; x = 1 gives exactly 1 and 0, and
-    p = 1 exactly x and 0.
-    """
-    log_ratio, log_half = logs
-    em1 = np.expm1(p * log_ratio)
-    variance = (2.0 + em1) / -em1
-    log_trace = p * log_half - np.log(-em1)
-    exact = p == 1.0
-    if exact.any():
-        variance = np.where(exact, x, variance)
-        log_trace[exact] = 0.0
-    return variance, log_trace
 
 
 @dataclass
@@ -98,106 +60,15 @@ def _as_state(obj) -> GaussianState:
 class _Modes:
     """A pair's modes, A's n at power s and B's n at 1 - s: spectra checked, s-free parts kept.
 
-    With r = (nu - 1)/(nu + 1) and lambda a mode's variance at power p (s on
-    A's modes, 1 - s on B's, whose derivatives enter negated), d lambda/dp =
-    1/2 log r (lambda^2 - 1) and d(log trace)/dp = log 2 - log(nu + 1) +
-    1/2 log r (lambda - 1), both 0 on a vacuum mode.
-    """
-
-    def __init__(self, nu_a, nu_b):
-        self.n = len(nu_a)
-        self.nu = _check_eigenvalues(np.concatenate([nu_a, nu_b]))
-        self.logs = _mode_logs(self.nu)
-        # d/ds of a mode's log trace and variance, signed as p is s or 1 - s.
-        self.sign = np.repeat([1.0, -1.0], self.n)
-        self.log_half = self.sign * self.logs[1]
-        self.half_log_ratio = self.sign * np.where(self.nu > 1.0, 0.5 * self.logs[0], 0.0)
-
-    def maps(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (k, 2n) variances at a 1-D array of s, prefactor_log and its slope."""
-        p = np.where(self.sign > 0.0, s[:, None], 1.0 - s[:, None])
-        variance, log_trace = _power_maps(self.nu, self.logs, p)
-        prefactor_log = self.n * math.log(2.0) + log_trace.sum(axis=1)
-        trace_slopes = self.log_half + self.half_log_ratio * (variance - 1.0)
-        return variance, prefactor_log, trace_slopes.sum(axis=1)
-
-    def variance_slopes(self, variance: np.ndarray) -> np.ndarray:
-        return self.half_log_ratio * (variance * variance - 1.0)  # d lambda/ds
-
-
-class _PairEngine(_Modes):
-    """q(s) and d/ds log q for one pair of states: the per-pair work once, then any batch of s.
-
-    Construction checks the mode counts and both spectra and keeps what does
-    not depend on s. A call evaluates a 1-D array of s values together: the
-    power maps on a (k, 2n) array, the combined covariances
-    M = S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as a (k, 2n, 2n) stack,
-    their Cholesky factors L and, for displaced states, one batched solve;
-    an entry does not depend on the rest of its batch. The displacement term
-    d^T M^-1 d is read as 2 d.x - x^T M x at the solved x, summed mode by
-    mode from t = S^T x, so the rounding of an ill-conditioned M enters only
-    at second order. With lambda' = d lambda/ds (_Modes), the det term's
-    slope is -1/2 sum_j lambda'_j |L^-1 S_j|^2 and the displacement term's
-    1/2 sum_j lambda'_j t_j^2, over the columns S_j of [S_A | S_B].
-
-    A call returns OverlapResult's fields as the rows of a (7, k) array.
-    Covariances equal entry for entry give prefactor and det pieces, and
-    slopes, of exactly 0 rather than a rounding residue, whatever the means.
-    """
-
-    def __init__(self, a: GaussianState, b: GaussianState):
-        if a.n != b.n:
-            raise ValueError(f"mode count mismatch: {a.n} vs {b.n}")
-        da, db = a.williamson, b.williamson
-        # Columns: the n modes of A at power s, then the n modes of B at 1 - s.
-        super().__init__(da.nu, db.nu)
-        self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
-        self.d = b.mean - a.mean
-        self.displaced = bool(self.d.any())
-        self.equal_cov = bool((a.cov.matrix == b.cov.matrix).all())
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        variance, prefactor_log, slope = self.maps(s)
-
-        # S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over [S_A | S_B].
-        lam = variance.repeat(2, axis=1)
-        combined = (self.sym * lam[:, None, :]) @ self.sym.T
-        try:
-            chol = np.linalg.cholesky(combined)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("combined covariance is not positive definite") from exc
-        if self.equal_cov:
-            # Checked like any pair above, but these pieces cancel exactly.
-            prefactor_log = det_term_log = slope = np.zeros_like(s)
-            w_sq = 0.0
-        else:
-            det_term_log = -np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            whitened = np.linalg.inv(chol) @ self.sym  # the columns L^-1 S_j
-            w_sq = (whitened * whitened).sum(axis=1)
-
-        t_sq, displacement_log = 0.0, np.zeros_like(s)
-        if self.displaced:
-            rhs = np.broadcast_to(self.d[:, None], combined.shape[:2] + (1,))
-            x = np.linalg.solve(combined, rhs)[..., 0]
-            t = (x[:, None, :] @ self.sym)[:, 0]
-            t_sq = t * t
-            displacement_log = 0.5 * (lam * t * t).sum(axis=1) - (x * self.d).sum(axis=1)
-
-        if self.displaced or not self.equal_cov:  # lambda' weighs only these terms
-            weights = (0.5 * self.variance_slopes(variance)).repeat(2, axis=1)
-            slope = slope + (weights * (t_sq - w_sq)).sum(axis=1)
-        log_value = prefactor_log + det_term_log + displacement_log
-        return np.array([np.exp(log_value), log_value, prefactor_log, det_term_log,
-                         displacement_log, s, slope])
-
-
-class _ScalarModes:
-    """_Modes in Python floats at one s, with _check_eigenvalues' rule and _power_maps' limits.
-
-    log r is log(nu - 1) - log1p(nu) up to nu = 2, where nu - 1 is exact, and
-    log1p(-1/nu) - log1p(1/nu) above, where that form would cancel; a vacuum
-    mode has log r = -inf and a half log ratio of 0. d lambda/ds is formed as
-    (1/2 log r (lambda - 1))(lambda + 1): no lambda^2 overflows.
+    nu below 1 - PHYSICAL_TOL is refused at the first such mode, A's first;
+    the rest snap to nu >= 1. With r = (nu - 1)/(nu + 1) and e = r^p - 1
+    (by expm1), a mode at power p (s on A's modes, 1 - s on B's, whose
+    derivatives enter negated) has variance lambda = (2 + e)/-e and log
+    trace p log 2 - p log(nu + 1) - log(-e): exactly 1 and 0 at nu = 1, nu
+    and 0 at p = 1. log r is log(nu - 1) - log1p(nu) up to nu = 2, where
+    nu - 1 is exact, and log1p(-1/nu) - log1p(1/nu) above. d(log trace)/dp =
+    log 2 - log(nu + 1) + 1/2 log r (lambda - 1) and d lambda/dp = 1/2 log r
+    (lambda - 1)(lambda + 1), no lambda^2 to overflow; both 0 on a vacuum mode.
     """
 
     def __init__(self, nu_a: list, nu_b: list):
@@ -233,6 +104,65 @@ class _ScalarModes:
         return variances, variance_slopes, self.n * math.log(2.0) + log_traces, slope
 
 
+class _PairEngine(_Modes):
+    """q(s) and d/ds log q for one pair of states: the per-pair work once, then one s per call.
+
+    Construction checks the mode counts and both spectra and keeps what does
+    not depend on s. A call forms the combined covariance
+    M = S_A Lambda_s S_A^T + S_B Lambda_(1-s) S_B^T as one product over
+    [S_A | S_B], its Cholesky factor L and, for displaced states, one solve.
+    The displacement term d^T M^-1 d is read as 2 d.x - x^T M x at the solved
+    x, summed mode by mode from t = S^T x, so the rounding of an
+    ill-conditioned M enters only at second order. With lambda' = d lambda/ds
+    (_Modes), the det term's slope is -1/2 sum_j lambda'_j |L^-1 S_j|^2 and
+    the displacement term's 1/2 sum_j lambda'_j t_j^2, over the columns S_j
+    of [S_A | S_B]. Covariances equal entry for entry give prefactor and det
+    pieces, and slopes, of exactly 0 rather than a rounding residue, whatever
+    the means.
+    """
+
+    def __init__(self, a: GaussianState, b: GaussianState):
+        if a.n != b.n:
+            raise ValueError(f"mode count mismatch: {a.n} vs {b.n}")
+        da, db = a.williamson, b.williamson
+        # Columns: the n modes of A at power s, then the n modes of B at 1 - s.
+        super().__init__(da.nu.tolist(), db.nu.tolist())
+        self.sym = np.concatenate([da.symplectic, db.symplectic], axis=1)
+        self.d = b.mean - a.mean
+        self.displaced = bool(self.d.any())
+        self.equal_cov = bool((a.cov.matrix == b.cov.matrix).all())
+
+    def __call__(self, s: float) -> OverlapResult:
+        variances, variance_slopes, prefactor_log, slope = self.maps(s)
+        lam = np.repeat(variances, 2)
+        combined = (self.sym * lam) @ self.sym.T
+        try:
+            chol = np.linalg.cholesky(combined)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("combined covariance is not positive definite") from exc
+        if self.equal_cov:
+            # Checked like any pair above, but these pieces cancel exactly.
+            prefactor_log = det_term_log = slope = w_sq = 0.0
+        else:
+            det_term_log = -float(np.log(np.diagonal(chol)).sum())
+            whitened = np.linalg.inv(chol) @ self.sym  # the columns L^-1 S_j
+            w_sq = (whitened * whitened).sum(axis=0)
+
+        t_sq, displacement_log = 0.0, 0.0
+        if self.displaced:
+            x = np.linalg.solve(combined, self.d)
+            t = x @ self.sym
+            t_sq = t * t
+            displacement_log = float(0.5 * (lam * t_sq).sum() - x @ self.d)
+
+        if self.displaced or not self.equal_cov:  # lambda' weighs only these terms
+            weights = 0.5 * np.repeat(variance_slopes, 2)
+            slope += float((weights * (t_sq - w_sq)).sum())
+        log_value = prefactor_log + det_term_log + displacement_log
+        return OverlapResult(math.exp(log_value), log_value, prefactor_log, det_term_log,
+                             displacement_log, s, slope)
+
+
 def _pair_log(x: float, h: float, v: float) -> float:
     """log 2 + both log traces - log(sum of variances), absent x at 1 - v and present x + h at v.
 
@@ -250,7 +180,7 @@ def _pair_log(x: float, h: float, v: float) -> float:
     return first - math.log1p(-0.5 * (x - 1.0) * math.expm1(v * math.log1p(ratio)))
 
 
-class _TwoModePair(_ScalarModes):
+class _TwoModePair(_Modes):
     """The two-mode pair, one s per call: absent, thermal a = 2 n_b + 1 and b = 2 n_s + 1.
 
     Present, x block [[a', c'], [c', b]] (p block -c'), a' = a + 2 kappa n_s,
@@ -288,7 +218,7 @@ class _TwoModePair(_ScalarModes):
                              s, slope - d_log_det)
 
 
-class _CoherentPair(_ScalarModes):
+class _CoherentPair(_Modes):
     """The coherent pair: thermal a = 2 n_b + 1 in both, means 2 sqrt(kappa n_s) apart, so
     log q = -2 kappa n_s / L, L = lambda_s(a) + lambda_(1-s)(a), with slope 2 kappa n_s L'/L^2."""
 
@@ -310,9 +240,9 @@ def power_overlap(
     """Evaluate q(s) = Tr[rho_A^s rho_B^(1-s)] for two Gaussian states.
 
     s is one value or a 1-D sequence of values; a scalar gives one
-    OverlapResult and a sequence a list of them, one per value. The values
-    go to one _PairEngine call, of which a scalar is the length-1 case, so an
-    entry of a sequence equals its scalar call bit for bit.
+    OverlapResult and a sequence a list of them, one per value. One
+    _PairEngine evaluates them one s at a time, so an entry of a sequence
+    equals its scalar call bit for bit.
 
     The Williamson data come from each state's `williamson`, so a
     GaussianState passed again is not decomposed again; any symplectic matrix
@@ -326,7 +256,7 @@ def power_overlap(
     s_values = s_array.reshape(1) if s_array.ndim == 0 else s_array
     if s_values.ndim != 1 or not ((s_values > 0.0) & (s_values < 1.0)).all():
         raise ValueError("s must lie strictly inside (0, 1)")
-    results = [OverlapResult(*column) for column in _PairEngine(a, b)(s_values).T.tolist()]
+    results = list(map(_PairEngine(a, b), s_values.tolist()))
     return results[0] if s_array.ndim == 0 else results
 
 
@@ -389,10 +319,6 @@ def _tangent_floor(lo: OverlapResult | None, hi: OverlapResult | None) -> tuple[
     cross = hi.log_value - lo.log_value + lo.slope * lo.s - hi.slope * hi.s
     cross /= lo.slope - hi.slope
     return cross, lo.log_value + lo.slope * (cross - lo.s)
-
-
-def _at(evaluate, s: float) -> OverlapResult:
-    return OverlapResult(*evaluate(np.array([s]))[:, 0].tolist())
 
 
 def _chernoff_search(half: OverlapResult, build, copies: int) -> BoundResult:
@@ -460,8 +386,7 @@ def _chernoff_search(half: OverlapResult, build, copies: int) -> BoundResult:
 def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     """min over s of q(s): _chernoff_search from power_overlap's s = 1/2, then a _PairEngine."""
     a, b = _as_state(state_a), _as_state(state_b)
-    return _chernoff_search(power_overlap(a, b, 0.5), lambda: partial(_at, _PairEngine(a, b)),
-                            copies)
+    return _chernoff_search(power_overlap(a, b, 0.5), lambda: _PairEngine(a, b), copies)
 
 
 def _idler_exponent(n_signal: float, idlers: int, correlation_sq: float) -> float:
@@ -546,7 +471,7 @@ def find_crossover() -> CrossoverResult:
     return CrossoverResult(n_signal=ns, residual=residual)
 
 
-def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _ScalarModes:
+def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
     """The two-mode or coherent pair's evaluator, once its states are admitted.
 
     A scalar check certifies admission; what it cannot certify goes to

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from . import _NumpyOnFirstUse, __version__
+from . import __version__
 from .bounds import (
     coherent_exponent_coefficient,
     error_exponent_three_mode,
@@ -37,7 +37,6 @@ from .states import (
 )
 from .symplectic import Bipartition, is_physical, is_pure, log_negativity, symplectic_eigenvalues
 
-np = _NumpyOnFirstUse(globals())
 
 # The six scenario keys, each a --flag, a QI_* variable and a config-file key,
 # echoed in every JSON config: (type or choices, default, help).
@@ -55,8 +54,8 @@ EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
-# Most sweep rows: 100 rows with every extra take about a quarter second, so
-# the cap allows a run of about four minutes.
+# Most sweep rows: 100 rows with every extra take 60-70 ms in-process (2-CPU
+# x86_64, one BLAS thread), so the cap allows a run of about a minute.
 SWEEP_COUNT_CAP = 100_000
 # Configuration keys a command does not read, each with the one value it runs
 # (None: none). Setting such a key to anything else, by flag, QI_* variable or
@@ -428,6 +427,15 @@ def _render_ratio_svg(args, rows: list, crossover_ns: float) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _linear_grid(start: float, stop: float, count: int) -> list:
+    """np.linspace(start, stop, count) for count >= 2, bit for bit, in Python floats."""
+    delta, div = stop - start, count - 1
+    step = delta / div  # if it underflows to 0, numpy scales the whole span instead
+    grid = [i * step + start if step else i / div * delta + start for i in range(count)]
+    grid[-1] = stop
+    return grid
+
+
 def cmd_sweep(args, resolved: dict):
     # argparse already holds --param and --spacing to their choices.
     if args.count < 2:
@@ -448,10 +456,11 @@ def cmd_sweep(args, resolved: dict):
         raise CliError(2, f"unknown extras {bad}; choose from {EXTRA_ORDER}")
     extras = [e for e in EXTRA_ORDER if e in requested]
     if args.spacing == "log":
-        grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.count)
+        ends = math.log10(args.start), math.log10(args.stop)
+        grid = [10.0**x for x in _linear_grid(*ends, args.count)]
     else:
-        grid = np.linspace(args.start, args.stop, args.count)
-    rows = [_sweep_row(resolved, args.param, extras, float(v)) for v in grid]
+        grid = _linear_grid(args.start, args.stop, args.count)
+    rows = [_sweep_row(resolved, args.param, extras, v) for v in grid]
     if args.plot is not None:
         _emit(_render_ratio_svg(args, rows, find_crossover().n_signal), args.plot)
     config = {

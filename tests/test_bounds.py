@@ -34,14 +34,18 @@ from qillum.symplectic import CovarianceMatrix, GaussianState
 
 
 def _maps(x, p):
-    """Variance map and trace of the p-th power, elementwise, as power_overlap takes them."""
-    x = bounds._check_eigenvalues(x)
-    variance, log_trace = bounds._power_maps(x, bounds._mode_logs(x), np.asarray(p))
-    return variance, np.exp(log_trace)
+    """Variance map and trace of the p-th power, mode by mode, as power_overlap takes them."""
+    variances, traces = [], []
+    for nu, power in zip(x, p):
+        # one mode at power p: prefactor_log is log 2 plus its log trace
+        (variance,), _, prefactor_log, _ = bounds._Modes([nu], []).maps(power)
+        variances.append(variance)
+        traces.append(math.exp(prefactor_log - math.log(2.0)))
+    return variances, traces
 
 
 def test_power_maps_closed_form_points():
-    # one batched call: a generic point, then the exact p = 1 and x = 1 cases
+    # a generic point, then the exact p = 1 and x = 1 cases
     variance, trace = _maps([3.0, 7.0, 1.0], [0.5, 1.0, 0.3])
     assert variance[0] == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-12)
     assert trace[0] == pytest.approx(1 + math.sqrt(2), abs=1e-12)
@@ -55,8 +59,8 @@ def test_power_maps_validation():
     with pytest.raises(ValueError, match="symplectic eigenvalue 0.9 below one"):
         _maps([2.0, 0.9], [0.5, 0.5])
     # rounding-level dips below one are snapped, not rejected
-    assert bounds._check_eigenvalues([1.0 - 1e-10]).tolist() == [1.0]
-    assert _maps([1.0 - 1e-10], [0.5])[0].tolist() == [1.0]
+    assert [mode[0] for mode in bounds._Modes([1.0 - 1e-10], []).modes] == [1.0]
+    assert _maps([1.0 - 1e-10], [0.5])[0] == [1.0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -796,10 +800,10 @@ def _full_zoom(a, b) -> float:
 
 
 def _count_search_calls(monkeypatch):
-    """Record the s of every power_overlap call and the shape of every other engine call.
+    """Record the s of every power_overlap call and of every other engine call.
 
     Engine calls made inside power_overlap are left out of "engine", so it
-    holds the batches chernoff_bound's own engine evaluates.
+    holds the s values chernoff_bound's own engine evaluates.
     """
     calls = {"overlap": [], "engine": []}
     inside = []
@@ -808,7 +812,7 @@ def _count_search_calls(monkeypatch):
 
     def counting_call(self, s):
         if not inside:
-            calls["engine"].append(np.shape(s))
+            calls["engine"].append(s)
         return original_call(self, s)
 
     def counting_overlap(state_a, state_b, s):
@@ -842,7 +846,7 @@ def test_stopped_search_within_rounding_of_full_zoom(monkeypatch):
         calls["engine"].clear()
         qc = chernoff_bound(absent, present)
         assert calls["overlap"] == [0.5]
-        assert calls["engine"] == [(1,)] * qc.diagnostics["search_calls"]
+        assert list(map(type, calls["engine"])) == [float] * qc.diagnostics["search_calls"]
         floor = _piece_floor(qc.diagnostics, qc.bhattacharyya.diagnostics)
         stopped = qc.diagnostics["log_overlap"]
         assert abs(stopped - full) <= floor, (model, scn, (stopped - full) / floor)
@@ -862,7 +866,7 @@ def test_chernoff_engine_calls(monkeypatch):
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
     qc = illumination_chernoff(scn, "three-mode")
     # one s per engine call after the start, within the cap
-    assert calls["engine"] == [(1,)] * qc.diagnostics["search_calls"]
+    assert list(map(type, calls["engine"])) == [float] * qc.diagnostics["search_calls"]
     assert qc.diagnostics["search_calls"] <= 2
     # the s = 1/2 start, which the result carries as its Bhattacharyya bound
     assert calls["overlap"] == [0.5]
@@ -872,44 +876,40 @@ def _synthetic_engine(monkeypatch, log_q, slope, scale=0.0):
     """Replace _PairEngine by one whose log q(s) is log_q(s, call index) with slope(s).
 
     log q is split as prefactor_log = scale and det_term_log = log q - scale,
-    so scale sets the rounding floor. Returns the list of s batches, the list
-    of their slope arrays and the list of every log q value, all filled call
+    so scale sets the rounding floor. Returns the list of evaluated s, the
+    list of their slopes and the list of every log q value, all filled call
     by call.
     """
-    batches, slopes, evaluated = [], [], []
+    points, slopes, evaluated = [], [], []
 
     class Synthetic:
         def __init__(self, state_a, state_b):
             pass
 
         def __call__(self, s):
-            values = np.array([log_q(x, len(batches)) for x in s.tolist()])
-            slope_values = np.array([slope(x) for x in s.tolist()])
-            batches.append(s.copy())
-            slopes.append(slope_values)
-            evaluated.extend(values.tolist())
-            rows = {"value": np.exp(values), "log_value": values,
-                    "prefactor_log": np.full_like(s, scale), "det_term_log": values - scale,
-                    "displacement_log": np.zeros_like(s), "s": s,
-                    "slope": slope_values}
-            return np.stack([rows[f.name] for f in dataclasses.fields(bounds.OverlapResult)])
+            value, slope_value = log_q(s, len(points)), slope(s)
+            points.append(s)
+            slopes.append(slope_value)
+            evaluated.append(value)
+            return bounds.OverlapResult(math.exp(value), value, scale, value - scale, 0.0, s,
+                                        slope_value)
 
     monkeypatch.setattr(bounds, "_PairEngine", Synthetic)
-    return batches, slopes, evaluated
+    return points, slopes, evaluated
 
 
-def _check_batches(batches, slopes):
+def _check_points(points, slopes):
     """After the start, each call evaluates one s, strictly inside the bracket of
     the points before it: above every point with a negative slope and below
     every point with a nonnegative one, within (0, 1)."""
     lo, hi = 0.0, 1.0
-    for call, (s, slope) in enumerate(zip(batches, slopes)):
-        assert s.size == 1, call
-        assert lo < s[0] < hi, call
-        if slope[0] < 0.0:
-            lo = s[0]
+    for call, (s, slope) in enumerate(zip(points, slopes)):
+        assert isinstance(s, float), call
+        assert lo < s < hi, call
+        if slope < 0.0:
+            lo = s
         else:
-            hi = s[0]
+            hi = s
 
 
 def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
@@ -923,14 +923,14 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
         def log_q(x, call, dip_call=dip_call):
             return (x - 0.5001) ** 2 - 0.5001**2 - (1e-7 if call == dip_call else 0.0)
 
-        batches, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: 2 * (x - 0.5001))
+        points, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: 2 * (x - 0.5001))
         cov = CovarianceMatrix(np.diag([3.0, 3.0]))
         qc = chernoff_bound(cov, cov, 10)
-        assert len(batches) >= 2
+        assert len(points) >= 2
         assert qc.diagnostics["log_overlap"] == min(evaluated) == evaluated[dip_call]
-        assert qc.s_used == batches[dip_call][0]
+        assert qc.s_used == points[dip_call]
         assert qc.value <= qc.bhattacharyya.value
-        _check_batches(batches, slopes)
+        _check_points(points, slopes)
 
 
 def test_flat_log_q_stops_at_the_start(monkeypatch):
@@ -940,16 +940,16 @@ def test_flat_log_q_stops_at_the_start(monkeypatch):
     def log_q(x, call):
         return 1e-15 * (x - 0.4) ** 2 - 1e-3
 
-    batches, slopes, evaluated = _synthetic_engine(
+    points, slopes, evaluated = _synthetic_engine(
         monkeypatch, log_q, lambda x: 2e-15 * (x - 0.4), scale=20.0
     )
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert [b.tolist() for b in batches] == [[0.5]]
+    assert points == [0.5]
     assert qc.diagnostics["search_calls"] == 0
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * EPS * 40.0
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 def _stopped_at_the_floor(qc, floor) -> bool:
@@ -964,15 +964,15 @@ def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     def log_q(x, call):
         return 300.0 * (x - 0.3) ** 2 - 1e-3
 
-    batches, slopes, _ = _synthetic_engine(monkeypatch, log_q, lambda x: 600.0 * (x - 0.3))
+    points, slopes, _ = _synthetic_engine(monkeypatch, log_q, lambda x: 600.0 * (x - 0.3))
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 1e-3
     assert 1 <= qc.diagnostics["search_calls"] <= 3
-    assert len(batches) == qc.diagnostics["search_calls"] + 1
+    assert len(points) == qc.diagnostics["search_calls"] + 1
     assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
     assert abs(qc.s_used - 0.3) <= bounds.S_TOL
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 def test_kinked_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
@@ -981,7 +981,7 @@ def test_kinked_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     def log_q(x, call):
         return abs(x - 0.3) - 1e-3
 
-    batches, slopes, evaluated = _synthetic_engine(
+    points, slopes, evaluated = _synthetic_engine(
         monkeypatch, log_q, lambda x: math.copysign(1.0, x - 0.3)
     )
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
@@ -992,7 +992,7 @@ def test_kinked_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
     assert abs(qc.s_used - 0.3) <= bounds.S_TOL
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 def test_exact_parabola_certifies_in_one_call(monkeypatch):
@@ -1002,7 +1002,7 @@ def test_exact_parabola_certifies_in_one_call(monkeypatch):
     def log_q(x, call):
         return (x - 0.3) ** 2 - 0.09
 
-    batches, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: 2.0 * (x - 0.3))
+    points, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: 2.0 * (x - 0.3))
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 0.09
@@ -1010,7 +1010,7 @@ def test_exact_parabola_certifies_in_one_call(monkeypatch):
     assert qc.diagnostics["chernoff_gap"] <= floor
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert abs(qc.s_used - 0.3) <= 1e-8
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 @pytest.mark.parametrize("centre", [0.5, 0.3, 0.02])
@@ -1023,18 +1023,18 @@ def test_quartic_log_q_stops_within_the_round_cap(monkeypatch, centre, curvature
     def log_q(x, call):
         return curvature * (x - centre) ** 4 - 1e-3
 
-    batches, slopes, evaluated = _synthetic_engine(
+    points, slopes, evaluated = _synthetic_engine(
         monkeypatch, log_q, lambda x: 4.0 * curvature * (x - centre) ** 3
     )
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 1e-3
     assert qc.diagnostics["search_calls"] <= 16
-    assert len(batches) == qc.diagnostics["search_calls"] + 1
+    assert len(points) == qc.diagnostics["search_calls"] + 1
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
     assert _stopped_at_the_floor(qc, floor)
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 def test_asymmetric_quartic_is_not_certified_early(monkeypatch):
@@ -1049,7 +1049,7 @@ def test_asymmetric_quartic_is_not_certified_early(monkeypatch):
     def log_q(x, call):
         return coefficient(x) * (x - 0.5034) ** 4 - 0.0125
 
-    batches, slopes, evaluated = _synthetic_engine(
+    points, slopes, evaluated = _synthetic_engine(
         monkeypatch, log_q, lambda x: 4.0 * coefficient(x) * (x - 0.5034) ** 3
     )
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
@@ -1060,7 +1060,7 @@ def test_asymmetric_quartic_is_not_certified_early(monkeypatch):
     assert qc.diagnostics["log_overlap"] == min(evaluated)
     assert qc.diagnostics["log_overlap"] <= -0.0125 + floor
     assert _stopped_at_the_floor(qc, floor)
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 def test_search_stops_at_the_call_cap(monkeypatch):
@@ -1070,14 +1070,14 @@ def test_search_stops_at_the_call_cap(monkeypatch):
     def log_q(x, call):
         return -1e-3
 
-    batches, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: -1.0)
+    points, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: -1.0)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     assert qc.diagnostics["search_calls"] == bounds.MAX_CALLS
-    assert len(batches) == bounds.MAX_CALLS + 1
+    assert len(points) == bounds.MAX_CALLS + 1
     assert qc.diagnostics["bracket_width"] > bounds.S_TOL
     assert qc.s_used == 0.5
-    _check_batches(batches, slopes)
+    _check_points(points, slopes)
 
 
 EQUAL_HYPOTHESES = [

@@ -519,6 +519,10 @@ with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stder
     ):
         argv = ["bounds", "--model", model, "--format", fmt, "--nb", nb, "--ns", ns]
         assert main([*argv, "--kappa", kappa]) == 0, argv
+    # so is a sweep's grid, and the Bhattacharyya extras of those two probes
+    assert main(["sweep"]) == 0
+    assert main(["sweep", "--spacing", "linear"]) == 0
+    assert main(["sweep", "--extras", "qb2,qb_coherent"]) == 0
 print(out.getvalue().splitlines()[0])
 """
 
@@ -777,10 +781,12 @@ def test_sweep_row_ratio():
         (["--model", "two-mode", "--nb", "0", "--kappa", "1"], 0),  # vacuum return, pure present
         (["--model", "coherent", "--kappa", "1"], 0),
         (["--model", "two-mode", "--ns", "1e154", "--kappa", "0"], 2),
-        # equal, undisplaced covariances: no slope weight, whose lambda^2 overflows, is formed
+        # equal, undisplaced covariances: the engine's pieces and slope are exactly 0
         (["--model", "three-mode", "--ns", "1e200", "--nb", "0", "--kappa", "0"], 0),
         # lambda^2 would overflow in the slope: (lambda - 1)(lambda + 1) does not
         (["--model", "coherent", "--nb", "1e200"], 0),
+        # nor in the three-mode engine's, before the exponent coefficient refuses n_signal
+        (["--model", "three-mode", "--ns", "1e154", "--nb", "1e154", "--kappa", "0.5"], 2),
     ],
 )
 def test_closed_form_special_points_run_with_warnings_as_errors(argv, code):

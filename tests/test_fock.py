@@ -201,9 +201,8 @@ def test_power_trace_closed_form_consistency():
     w0 = 1.0 / (nbar + 1.0)
     ratio = nbar / (nbar + 1.0)
     infinite_sum = w0**p / (1.0 - ratio**p)
-    modes = np.array([x])
-    _, log_trace = bounds._power_maps(modes, bounds._mode_logs(modes), np.array([p]))
-    assert math.exp(log_trace[0]) == pytest.approx(infinite_sum, rel=1e-13)
+    _, _, prefactor_log, _ = bounds._Modes([x], []).maps(p)  # log 2 plus the log trace
+    assert math.exp(prefactor_log - math.log(2.0)) == pytest.approx(infinite_sum, rel=1e-13)
 
 
 def test_present_state_construction():
