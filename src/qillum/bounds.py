@@ -474,27 +474,27 @@ def find_crossover() -> CrossoverResult:
 def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
     """The two-mode or coherent pair's evaluator, once its states are admitted.
 
-    A scalar check certifies admission; what it cannot certify goes to
-    illuminate, whose refusals stand. The absent state, and coherent's
-    present one, are diag(a, ...) with a >= 1. The two-mode present x block
-    [[a', c'], [c', b]] has a'b - c'^2 <= lambda_min (a' + b), so
-    a'b - c'^2 > 2^16 eps (a' + b)^2 puts its smallest eigenvalue far above
-    eigh's backward error, a small multiple of eps |V|.
+    A scalar check certifies admission. Coherent's states are diag(a, ...)
+    with a >= 1, so they fail only when a is not finite, with illuminate's
+    message. A two-mode pair the check cannot certify goes to illuminate,
+    whose refusals stand. Its absent state is diag(a, ...) too, and the
+    present x block [[a', c'], [c', b]] has a'b - c'^2 <= lambda_min (a' + b),
+    so a'b - c'^2 > 2^16 eps (a' + b)^2 puts its smallest eigenvalue far
+    above eigh's backward error, a small multiple of eps |V|.
     """
     correlation = scenario.probe_correlation(model)  # illumination_probe's refusals first
     a, b, a1 = scenario.background_variance, scenario.signal_variance, scenario.return_variance
     kappa = scenario.reflectivity
     if model == "coherent":
-        certified = math.isfinite(a) and math.isfinite(2.0 * math.sqrt(kappa * scenario.n_signal))
-    else:
-        c1, total = math.sqrt(kappa) * correlation, a1 + b
-        det = a1 * b - c1 * c1  # inf once a'b overflows, however small the true det
-        certified = all(map(math.isfinite, (a, a1, b, correlation, c1, det)))
-        certified = certified and det > 2.0**16 * EPS * total * total
-    if not certified:
-        illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
-    if model == "coherent":
+        # the mean 2 sqrt(kappa n_s) is finite for kappa <= 1, so only a can fail
+        if not math.isfinite(a):
+            raise ValueError("covariance matrix has non-finite entries")
         return _CoherentPair(scenario)
+    c1, total = math.sqrt(kappa) * correlation, a1 + b
+    det = a1 * b - c1 * c1  # inf once a'b overflows, however small the true det
+    certified = all(map(math.isfinite, (a, a1, b, correlation, c1, det)))
+    if not (certified and det > 2.0**16 * EPS * total * total):
+        illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
     return _TwoModePair(scenario, correlation)
 
 

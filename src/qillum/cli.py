@@ -353,10 +353,10 @@ def _render_ratio_svg(args, rows: list, crossover_ns: float) -> str:
         return math.log10(v) if args.spacing == "log" else v
 
     u0, u1 = xu(args.start), xu(args.stop)
-    xs = [xu(row["sweep_value"]) for row in rows]
-    ys = [row["ratio"] for row in rows]
-    ymin = min(min(ys), 1.0)
-    ymax = max(max(ys), 1.0)
+    # n_s = 0 has no ratio: its nan is left out of the curve and the y range
+    curve = [(xu(row["sweep_value"]), row["ratio"]) for row in rows if math.isfinite(row["ratio"])]
+    ys = [y for _, y in curve] + [1.0]
+    ymin, ymax = min(ys), max(ys)
     pad = 0.05 * (ymax - ymin) or 0.5
     y0, y1 = ymin - pad, ymax + pad
 
@@ -412,7 +412,7 @@ def _render_ratio_svg(args, rows: list, crossover_ns: float) -> str:
             f'stroke="gray" stroke-dasharray="6,4"/>'
         )
 
-    points = " ".join(f"{px(u):.2f},{py(y):.2f}" for u, y in zip(xs, ys))
+    points = " ".join(f"{px(u):.2f},{py(y):.2f}" for u, y in curve)
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="2"/>')
     axis_label = "n_s" if args.param == "nS" else args.param
     parts.append(

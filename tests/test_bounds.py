@@ -341,7 +341,7 @@ def test_unknown_model_rejected():
 
 
 # --- reference implementations: the scalar engine and the golden-section
-# search that the batched engine and the Chernoff searches since replaced ---
+# search that _PairEngine and the Chernoff search since replaced ---
 
 
 def _reference_check(x: float) -> float:
@@ -510,7 +510,7 @@ REFERENCE_GRID = [
 ]
 
 
-def test_batched_overlap_entries_equal_scalar_calls():
+def test_overlap_sequence_entries_equal_scalar_calls():
     s_values = [*GRID, 0.123456789, 0.5 + 1e-11]
     for _, _, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(7, 6)):
         many = power_overlap(absent, present, s_values)
@@ -520,7 +520,7 @@ def test_batched_overlap_entries_equal_scalar_calls():
             assert ov == one  # every field, bit for bit
 
 
-def test_displaced_batch_entries_equal_scalar_calls():
+def test_displaced_sequence_entries_equal_scalar_calls():
     # The illumination models displace one mode at most; correlated states
     # of 2 and 3 modes, displaced in every quadrature, cover the wider solve.
     s_values = [*GRID, 0.123456789]
@@ -559,7 +559,7 @@ def test_power_overlap_keeps_its_refusals(monkeypatch):
         power_overlap(thermal, thermal, [0.3, 0.5])
 
 
-def test_batched_engine_matches_scalar_reference():
+def test_pair_engine_matches_scalar_reference():
     # Where the default three-mode correlation leaves the present state
     # unphysical, both engines must refuse with the same message.
     s_values = [1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6]
@@ -586,7 +586,7 @@ def test_batched_engine_matches_scalar_reference():
 @given(seed=st.integers(0, 10**6))
 def test_displaced_overlap_matches_scalar_reference(seed):
     # Correlated covariances and a displacement in every quadrature exercise
-    # every row of the batched solve. The 50-digit reference keeps the
+    # every row of the solve. The 50-digit reference keeps the
     # rounding of a float combined covariance, amplified by its condition
     # number, out of the comparison.
     rng = np.random.default_rng(seed)
@@ -713,8 +713,9 @@ def test_scalar_admission_refuses_exactly_what_illuminate_refuses(monkeypatch):
             assert _outcome(bounds._closed_form_pair, scn, model) == expected, (model, scn)
             refused += expected is not None
             unchecked += len(fallbacks) == gated
-    # Both branches are exercised: of 3588 pairs, 2581 never reach illuminate
-    # (certified, or refused by the correlation check first), and 910 are refused.
+    # Both branches are exercised: of 3588 pairs, 2683 never reach illuminate
+    # (certified, refused by the correlation check first, or coherent with an
+    # infinite a), and 910 are refused.
     assert min(refused, unchecked, len(scenarios) - unchecked) >= 500
 
 

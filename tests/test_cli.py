@@ -24,6 +24,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(text: str):
+    """Parse JSON as the standard reads it: NaN, Infinity and -Infinity are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """A new interpreter with warnings as errors and this checkout's src first on its path."""
+    src = str(Path(qillum.__file__).resolve().parents[1])
+    # an unset PYTHONPATH adds no empty entry: that would put the working directory on sys.path
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-W", "error", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_crossover_text(capsys):
     code, out, err = run(capsys, "crossover")
     assert code == 0 and err == ""
@@ -31,12 +50,15 @@ def test_crossover_text(capsys):
     assert lines[0].startswith("crossover_n_s: 0.295355")
     residual = float(lines[1].split(":")[1])
     assert abs(residual) < 1e-10
+    # python -m qillum.cli prints the same, with warnings as errors
+    proc = _fresh_python("-m", "qillum.cli", "crossover")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_crossover_json_schema(capsys):
     code, out, _ = run(capsys, "crossover", "--format", "json")
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["schema"] == 1
     assert report["version"] == __version__
     assert "config" in report and "rows" in report
@@ -66,7 +88,7 @@ def test_bounds_reports_no_williamson_path(capsys):
         assert out.splitlines()[-1].startswith("asymptotic_exponent_per_copy: ")
         code, out, _ = run(capsys, "bounds", "--model", model, "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert "analytic_domain_ok" not in report["rows"][0]
         assert report["diagnostics"] == {}
 
@@ -96,7 +118,7 @@ def test_bounds_printed_chernoff_never_exceeds_bhattacharyya(capsys):
             fields = dict(line.split(": ", 1) for line in out.splitlines())
             assert float(fields["chernoff_bound"]) <= float(fields["bhattacharyya_bound"])
             code, out, _ = run(capsys, *argv, "--model", model, "--format", "json")
-            row = json.loads(out)["rows"][0]
+            row = strict_json(out)["rows"][0]
             assert row["chernoff_bound"] <= row["bhattacharyya_bound"]
             assert row["exponent_per_copy_qc"] >= row["exponent_per_copy_qb"]
             # the printed Bhattacharyya bound is the library's, bit for bit
@@ -142,13 +164,19 @@ def test_sweep_csv_contract(capsys):
     assert float(first[3]) > 1.0  # quantum advantage at weak signal
 
 
-def test_sweep_extras_canonical_order(capsys):
+def test_sweep_extras_canonical_order(tmp_path, capsys):
     code, out, _ = run(
         capsys, "sweep", "--count", "3", "--extras", "chernoff3,qb2", "--nb", "30"
     )
     assert code == 0
     header = out.splitlines()[0]
     assert header == "n_s,gamma2,gamma3,ratio,qb2,chernoff3"
+    plot = tmp_path / "r.svg"
+    code, out, err = run(capsys, "sweep", "--count", "5", "--extras", "qb2,qb3,chernoff3",
+                         "--plot", str(plot))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n_s,gamma2,gamma3,ratio,qb2,qb3,chernoff3"
+    assert plot.read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
@@ -168,7 +196,7 @@ def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
     )
     assert code == 0
     assert built == ["three-mode"] * 3
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["diagnostics"] == {"rows": 3}
     monkeypatch.setattr(bounds, "illumination_states", original)
     for row in report["rows"]:
@@ -183,9 +211,10 @@ def test_sweep_validation_exit_codes(capsys):
     assert run(capsys, "sweep", "--start", "0", "--spacing", "log")[0] == 2
     assert run(capsys, "sweep", "--extras", "nope")[0] == 2
     # the count cap refuses before the grid is allocated
-    assert run(capsys, "sweep", "--count", "100000000000", "--spacing", "linear") == (
-        4, "", "error: sweep count 100000000000 > cap 100000\n"
-    )
+    for spacing in ("linear", "log"):
+        assert run(capsys, "sweep", "--count", "100000000000", "--spacing", spacing) == (
+            4, "", "error: sweep count 100000000000 > cap 100000\n"
+        )
 
 
 def test_sweep_files_deterministic(tmp_path, capsys):
@@ -210,7 +239,7 @@ def test_sweep_files_deterministic(tmp_path, capsys):
 def test_sweep_json_report(capsys):
     code, out, _ = run(capsys, "sweep", "--count", "4", "--format", "json")
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["schema"] == 1
     assert report["diagnostics"]["rows"] == 4
     assert len(report["rows"]) == 4
@@ -238,7 +267,7 @@ def test_sweep_csv_leads_with_the_swept_value(param, start, stop, capsys):
     lines = out.splitlines()
     assert lines[0] == f"{param},n_s,gamma2,gamma3,ratio"
     code, report, _ = run(capsys, *argv, "--format", "json")
-    swept = [row["sweep_value"] for row in json.loads(report)["rows"]]
+    swept = [row["sweep_value"] for row in strict_json(report)["rows"]]
     assert len(set(swept)) == 3
     assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(swept, rel=1e-11)
 
@@ -296,14 +325,16 @@ def test_state_info_absent_state(capsys):
 
 
 def test_state_info_probe_at_max_correlation_is_not_pure(capsys):
-    code, out, _ = run(capsys, "state-info", "--ns", "0.2", "--state", "initial3")
-    assert code == 0
-    fields = dict(
-        line.split(": ", 1) for line in out.splitlines() if ": " in line and not line.startswith(" ")
-    )
-    # the maximally correlated probe sits outside the physical cone
-    assert fields["pure"] == "no"
-    assert fields["physical"] == "no"
+    for argv in (["--ns", "0.2"], []):
+        code, out, _ = run(capsys, "state-info", *argv, "--state", "initial3")
+        assert code == 0
+        fields = dict(
+            line.split(": ", 1) for line in out.splitlines()
+            if ": " in line and not line.startswith(" ")
+        )
+        # the maximally correlated probe sits outside the physical cone
+        assert fields["pure"] == "no"
+        assert fields["physical"] == "no"
 
 
 def test_state_info_json(capsys):
@@ -312,10 +343,15 @@ def test_state_info_json(capsys):
         "--format", "json",
     )
     assert code == 0
-    row = json.loads(out)["rows"][0]
+    row = strict_json(out)["rows"][0]
     assert row["modes"] == 3
     assert len(row["covariance"]) == 6
     assert len(row["symplectic_eigenvalues"]) == 3
+    # and at the defaults, sigma as text and rho as JSON
+    code, out, err = run(capsys, "state-info", "--state", "sigma")
+    assert (code, err) == (0, "") and "physical: yes" in out
+    code, out, _ = run(capsys, "state-info", "--state", "rho", "--format", "json")
+    assert code == 0 and strict_json(out)["rows"][0]["modes"] == 3
 
 
 def test_oracle_check_table(capsys):
@@ -331,6 +367,8 @@ def test_oracle_check_table(capsys):
     assert len(lines) == 5
     assert all(line.endswith("ok") for line in lines[1:4])
     assert lines[4] == "flagged: 0"
+    code, out, err = run(capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "24")
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "flagged: 0"
 
 
 def test_oracle_check_json_flags_are_bools(capsys):
@@ -340,11 +378,19 @@ def test_oracle_check_json_flags_are_bools(capsys):
         "--cutoff", "20", "--s-grid", "0.3,0.6", "--format", "json",
     )
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert [row["s"] for row in report["rows"]] == [0.3, 0.6]
     for row in report["rows"]:
         assert isinstance(row["flagged"], bool)
     assert report["diagnostics"]["flagged"] == 0
+    # the smallest beamsplitter chains (B is 1x1 at cutoff 1, 2x1 at cutoff 2),
+    # and the largest cutoff the dimension cap admits (64^2 = 4096)
+    for argv in (["--ns", "1e-5", "--nb", "1e-5", "--kappa", "0.3", "--cutoff", "1"],
+                 ["--ns", "1e-5", "--nb", "1e-5", "--kappa", "0.3", "--cutoff", "2"],
+                 ["--ns", "0.1", "--nb", "0.3", "--cutoff", "63"]):
+        code, out, err = run(capsys, "oracle-check", *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert all(isinstance(row["flagged"], bool) for row in strict_json(out)["rows"])
 
 
 def test_oracle_check_blind_target(capsys):
@@ -376,6 +422,11 @@ def test_oracle_check_cap_exit_4(capsys):
         capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "70"
     )
     assert code == 4 and "cap" in err
+    # the first cutoff the cap refuses, and one refused before any allocation
+    for cutoff, dim in (("64", "4225"), ("100000", "10000200001")):
+        assert run(capsys, "oracle-check", "--cutoff", cutoff) == (
+            4, "", f"error: 2-mode cutoff {cutoff} needs dimension {dim} > cap 4096\n"
+        )
 
 
 def test_oracle_check_bad_s_grid(capsys):
@@ -449,11 +500,11 @@ def test_oracle_check_runs_the_two_mode_pair_only(capsys, monkeypatch):
     assert err == "error: oracle-check runs model two-mode only (three-mode set by flag)\n"
     code, unset, _ = run(capsys, *argv)
     assert code == 0
-    config = json.loads(unset)["config"]
+    config = strict_json(unset)["config"]
     assert (config["model"], config["sources"]["model"]) == ("two-mode", "default")
     code, named, _ = run(capsys, *argv, "--model", "two-mode")
     assert code == 0
-    assert json.loads(named)["rows"] == json.loads(unset)["rows"]
+    assert strict_json(named)["rows"] == strict_json(unset)["rows"]
     monkeypatch.setenv("QI_MODEL", "coherent")
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -475,10 +526,7 @@ for argv in (["bounds", "--model", "two-mode"],
     print(out.getvalue().splitlines()[-1])
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
-    src = str(Path(qillum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].startswith("asymptotic_exponent_per_copy: ")
@@ -486,18 +534,11 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert lines[-1] == "[]"
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(qillum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("module", ["symplectic", "states", "bounds", "fock", "cli"])
 def test_import_loads_no_numpy(module):
     """numpy's import is most of a spawned run; each module defers it to its first matrix."""
-    proc = _fresh_python(f"import sys, qillum.{module}\n"
-                         "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+    proc = _fresh_python("-c", f"import sys, qillum.{module}\n"
+                               "assert 'numpy' not in sys.modules, sorted(sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -514,11 +555,15 @@ with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stder
     assert main(["bounds", "--kappa", "2"]) == 2
     assert main(["bounds", "--ns", "x"]) == 2
     # two-mode and coherent bounds are closed forms admitted by a scalar check
+    assert main(["bounds", "--model", "two-mode"]) == 0
+    assert main(["bounds", "--model", "coherent"]) == 0
     for model, fmt, nb, ns, kappa in itertools.product(
         ("two-mode", "coherent"), ("text", "json"), ("1e-2", "1e8"), ("1e-4", "1"), ("1e-4", "1")
     ):
         argv = ["bounds", "--model", model, "--format", fmt, "--nb", nb, "--ns", ns]
         assert main([*argv, "--kappa", kappa]) == 0, argv
+    # and a coherent return whose variance 2 n_b + 1 overflows is refused by it
+    assert main(["bounds", "--model", "coherent", "--nb", "1.7e308"]) == 2
     # so is a sweep's grid, and the Bhattacharyya extras of those two probes
     assert main(["sweep"]) == 0
     assert main(["sweep", "--spacing", "linear"]) == 0
@@ -541,13 +586,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_scalar_commands_run_without_numpy():
-    proc = _fresh_python(SCALAR_RUNS_WITHOUT_NUMPY)
+    proc = _fresh_python("-c", SCALAR_RUNS_WITHOUT_NUMPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("crossover_n_s: 0.295355\n")
 
 
 def test_matrix_commands_load_numpy_and_only_oracle_check_loads_fock():
-    proc = _fresh_python(MATRIX_RUNS_LOAD_NUMPY)
+    proc = _fresh_python("-c", MATRIX_RUNS_LOAD_NUMPY)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -566,7 +611,7 @@ assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 
 def test_chernoff_runs_load_no_numpy_ma():
     """Chernoff runs load no numpy.ma, a further import that helpers such as np.unique bring in."""
-    proc = _fresh_python(NO_NUMPY_MA)
+    proc = _fresh_python("-c", NO_NUMPY_MA)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -580,7 +625,7 @@ def test_bounds_print_log10_where_the_bound_underflows(capsys):
     assert fields["bhattacharyya_bound"] == fields["chernoff_bound"] == "0.00000000000e+00"
     assert FLOAT12.match(fields["log10_bhattacharyya_bound"])
     code, out, _ = run(capsys, *argv, "--format", "json")
-    (row,) = json.loads(out)["rows"]
+    (row,) = strict_json(out)["rows"]
     for name, suffix in (("bhattacharyya", "qb"), ("chernoff", "qc")):
         expected = -(row["copies"] * row[f"exponent_per_copy_{suffix}"] + math.log(2.0))
         expected /= math.log(10.0)
@@ -590,7 +635,7 @@ def test_bounds_print_log10_where_the_bound_underflows(capsys):
     # Where the bound does not underflow, it is the log10 of the printed
     # value, q**copies / 2, which carries about copies ulps of q.
     code, out, _ = run(capsys, "bounds", "--format", "json")
-    (row,) = json.loads(out)["rows"]
+    (row,) = strict_json(out)["rows"]
     for name in ("bhattacharyya", "chernoff"):
         printed = math.log10(row[f"{name}_bound"])
         assert row[f"log10_{name}_bound"] == pytest.approx(printed, abs=row["copies"] * 1e-15)
@@ -682,6 +727,27 @@ def test_sweep_plot_matches_recorded_bytes(tmp_path, capsys):
     assert plot.read_bytes() == (GOLDEN / "sweep5.svg").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spacing", "linear", "--start", "0", "--stop", "1", "--count", "5"],
+        ["--param", "nB", "--ns", "0", "--start", "1", "--stop", "10", "--count", "3"],
+        ["--param", "kappa", "--ns", "0", "--start", "0.1", "--stop", "0.2", "--count", "2"],
+    ],
+)
+def test_sweep_plot_leaves_out_undefined_ratios(argv, tmp_path, capsys):
+    # n_s = 0 has no ratio: its nan is neither a polyline point nor part of
+    # the y range, so every tick and point of the plot is a number.
+    plot = tmp_path / "ratio.svg"
+    code, out, err = run(capsys, "sweep", *argv, "--plot", str(plot))
+    assert (code, err) == (0, "")
+    svg = plot.read_text(encoding="utf-8")
+    assert "nan" not in svg
+    finite = [line for line in out.splitlines()[1:] if not line.endswith(",nan")]
+    (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(points.split()) == len(finite)
+
+
 EXTRAS = "('qb2', 'qb3', 'qb_coherent', 'chernoff3')"
 MODELS = "('two-mode', 'three-mode', 'coherent')"
 REFUSALS = [
@@ -711,6 +777,11 @@ REFUSALS = [
      "cutoff must be at least 1"),
     (["oracle-check", "--cutoff", "0"], {}, "cutoff must be at least 1"),
     (["sweep", "--extras", "qbCoherent"], {}, f"unknown extras ['qbCoherent']; choose from {EXTRAS}"),
+    # a hypothesis pair is admitted as one stack; a refused pair names the
+    # first failing check, at the first state it flags
+    (["bounds", "--model", "three-mode", "--nb", "0.01", "--kappa", "0.99"], {},
+     "symplectic eigenvalue 0.984870077232 below one"),
+    (["bounds", "--nb", "1e16"], {}, "covariance matrix is not positive definite"),
 ]
 
 
@@ -792,7 +863,8 @@ def test_sweep_row_ratio():
 def test_closed_form_special_points_run_with_warnings_as_errors(argv, code):
     # Under python -W error a numpy warning is an uncaught traceback, exit 1.
     argv = ["bounds", *argv]
-    proc = _fresh_python(f"import sys; from qillum.cli import main; sys.exit(main({argv!r}))")
+    script = f"import sys; from qillum.cli import main; sys.exit(main({argv!r}))"
+    proc = _fresh_python("-c", script)
     assert proc.returncode == code, proc.stderr
     if code:
         assert proc.stderr == "error: n_signal 1e+154 overflows the exponent coefficient\n"
@@ -864,20 +936,16 @@ def test_bounds_asymptote_is_taken_at_the_probe_correlation(model, ns, capsys):
             "--format", "json"]
     code, out, _ = run(capsys, *argv, "--c", repr(0.5 * cmax[model](ns)))
     assert code == 0
-    row = json.loads(out)["rows"][0]
+    row = strict_json(out)["rows"][0]
     assert row["exponent_per_copy_qb"] / row["asymptotic_exponent_per_copy"] == pytest.approx(
         1.0, abs=5e-4
     )
     # the default probe keeps the maximal-correlation asymptote
     code, out, _ = run(capsys, *argv)
-    row = json.loads(out)["rows"][0]
+    row = strict_json(out)["rows"][0]
     assert row["exponent_per_copy_qb"] / row["asymptotic_exponent_per_copy"] == pytest.approx(
         1.0, abs=5e-4
     )
-
-
-def _refuse_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
 
 
 @pytest.mark.parametrize(
@@ -892,7 +960,7 @@ def _refuse_constant(token):
 def test_json_writes_non_finite_values_as_null(argv, field, printed, capsys):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
-    rows = json.loads(out, parse_constant=_refuse_constant)["rows"]
+    rows = strict_json(out)["rows"]
     assert [row[field] for row in rows] == [None] * len(rows)
     # text and CSV keep printing the value itself
     code, out, _ = run(capsys, *argv)
@@ -908,5 +976,5 @@ def test_zero_exponent_prints_without_sign(argv, capsys):
     assert code == 0
     assert "exponent_per_copy_qb: 0.00000000000e+00\n" in out
     code, out, _ = run(capsys, "bounds", *argv, "--format", "json")
-    row = json.loads(out, parse_constant=_refuse_constant)["rows"][0]
+    row = strict_json(out)["rows"][0]
     assert math.copysign(1.0, row["exponent_per_copy_qb"]) == 1.0
