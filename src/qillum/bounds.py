@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import _NumpyOnFirstUse
@@ -30,7 +29,7 @@ from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
 np = _NumpyOnFirstUse(globals())
 
-S_TOL = 1e-10  # chernoff_bound's stop rules, in its docstring
+S_TOL = 1e-10  # _chernoff_search's stop rules, in its docstring
 ROUNDING_ULPS = 4
 MAX_CALLS = 32
 EPS = sys.float_info.epsilon
@@ -234,15 +233,8 @@ class _CoherentPair(_Modes):
                              self.photons / total * (slope / total))
 
 
-def power_overlap(
-    state_a, state_b, s: float | Sequence[float]
-) -> OverlapResult | list[OverlapResult]:
-    """Evaluate q(s) = Tr[rho_A^s rho_B^(1-s)] for two Gaussian states.
-
-    s is one value or a 1-D sequence of values; a scalar gives one
-    OverlapResult and a sequence a list of them, one per value. One
-    _PairEngine evaluates them one s at a time, so an entry of a sequence
-    equals its scalar call bit for bit.
+def power_overlap(state_a, state_b, s: float) -> OverlapResult:
+    """Evaluate q(s) = Tr[rho_A^s rho_B^(1-s)] for two Gaussian states at one s.
 
     The Williamson data come from each state's `williamson`, so a
     GaussianState passed again is not decomposed again; any symplectic matrix
@@ -250,14 +242,11 @@ def power_overlap(
     that fails its Cholesky factorization is reported as an error, never
     patched over.
     """
-    a = _as_state(state_a)
-    b = _as_state(state_b)
-    s_array = np.asarray(s, dtype=float)
-    s_values = s_array.reshape(1) if s_array.ndim == 0 else s_array
-    if s_values.ndim != 1 or not ((s_values > 0.0) & (s_values < 1.0)).all():
+    a, b = _as_state(state_a), _as_state(state_b)
+    s = float(s)
+    if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly inside (0, 1)")
-    results = list(map(_PairEngine(a, b), s_values.tolist()))
-    return results[0] if s_array.ndim == 0 else results
+    return _PairEngine(a, b)(s)
 
 
 @dataclass

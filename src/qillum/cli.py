@@ -175,10 +175,7 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
         "correlation": resolved["c"],
     }
     fields.update(overrides)
-    try:
-        return IlluminationScenario(**fields)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from exc
+    return IlluminationScenario(**fields)
 
 
 def _finite(value):
@@ -549,7 +546,7 @@ def cmd_oracle_check(args, resolved: dict):
     except DimensionCapError as exc:
         raise CliError(4, str(exc)) from exc
     absent, present = illumination_states(scenario, "two-mode")
-    gaussian_values = [ov.value for ov in power_overlap(absent, present, s_values)]
+    gaussian_values = [power_overlap(absent, present, s).value for s in s_values]
     rows = []
     for s, gaussian, oracle in zip(s_values, gaussian_values, oracle_values):
         gap = abs(gaussian - oracle) / max(abs(gaussian), 1e-300)

@@ -365,15 +365,14 @@ def oracle_overlap(
     n_signal: float,
     n_background: float,
     reflectivity: float,
-    s: float | Sequence[float],
+    s_grid: Sequence[float],
     cutoff: int,
-) -> float | list[float]:
+) -> list[float]:
     """q(s) for the two-mode detection pair, straight from truncated matrices.
 
-    s is one value or a sequence of values; a scalar gives a float and a
-    sequence a list of floats, one per value. The states are built and
-    diagonalized once for the whole sequence, and each q(s) is computed the
-    same way whatever the sequence holds.
+    s_grid is a 1-D sequence of s values, and the result a list of floats,
+    one per value. The states are built and diagonalized once for the whole
+    grid, and each q(s) is computed the same way whatever the grid holds.
 
     Refuses a cutoff past the dimension cap before it allocates anything.
     Refuses to answer when the analytic tail budget exceeds 1e-8: a result
@@ -382,7 +381,7 @@ def oracle_overlap(
     then not finite, so no Fock state matches the Gaussian present state.
     """
     _check_dimension(cutoff)
-    s_values = np.atleast_1d(np.asarray(s, dtype=float))
+    s_values = np.asarray(s_grid, dtype=float)
     if s_values.ndim != 1 or not np.all((s_values > 0.0) & (s_values < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
     if reflectivity == 1.0:
@@ -403,11 +402,10 @@ def oracle_overlap(
     left, sigma, _ = np.linalg.svd(branches)
     vals, vecs_sq = sigma**2, left**2
     # Tr[a^s b^(1-s)] with a diagonal: sum over blocks of a^s . |U|^2 . lambda^(1-s).
-    q = [
+    return [
         float(np.sum(np.einsum("kp,kpj->kj", absent**x, vecs_sq) * vals ** (1.0 - x)))
         for x in s_values
     ]
-    return q[0] if np.ndim(s) == 0 else q
 
 
 def quadrature_covariance(op) -> np.ndarray:

@@ -195,7 +195,8 @@ def test_each_state_is_decomposed_once(monkeypatch):
     scn = IlluminationScenario(n_signal=0.2, n_background=15.0, reflectivity=0.05)
     absent, present = illumination_states(scn, "three-mode")
     chernoff_bound(absent, present)  # the s = 1/2 start and the search's calls
-    power_overlap(absent, present, [0.3, 0.6])
+    power_overlap(absent, present, 0.3)
+    power_overlap(absent, present, 0.6)
     # One decomposition of the (2, 6, 6) stack; each state holds its row.
     assert len(calls) == 1 and calls[0].matrix.shape == (2, 6, 6)
     assert np.array_equal(calls[0].matrix, [absent.cov.matrix, present.cov.matrix])
@@ -510,26 +511,30 @@ REFERENCE_GRID = [
 ]
 
 
+# The Chernoff search calls one engine on s after s; each entry of that
+# sequence must equal a fresh power_overlap at its s.
+SEQUENCE_S = [*GRID, 0.123456789, 0.5 + 1e-11]
+
+
+def _assert_sequence_entries_equal_scalar_calls(a, b):
+    engine = bounds._PairEngine(a, b)
+    for s in SEQUENCE_S:
+        assert engine(s) == power_overlap(a, b, s)  # every field, bit for bit
+
+
 def test_overlap_sequence_entries_equal_scalar_calls():
-    s_values = [*GRID, 0.123456789, 0.5 + 1e-11]
-    for _, _, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(7, 6)):
-        many = power_overlap(absent, present, s_values)
-        assert len(many) == len(s_values)
-        for s, ov in zip(s_values, many):
-            one = power_overlap(absent, present, s)
-            assert ov == one  # every field, bit for bit
+    for _, _, absent, present, _, _ in _model_pairs(box_scenarios(7, 6)):
+        _assert_sequence_entries_equal_scalar_calls(absent, present)
 
 
 def test_displaced_sequence_entries_equal_scalar_calls():
     # The illumination models displace one mode at most; correlated states
-    # of 2 and 3 modes, displaced in every quadrature, cover the wider solve.
-    s_values = [*GRID, 0.123456789]
+    # of 1 to 3 modes, displaced in every quadrature, cover the wider solve.
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 2, 3):
         a = GaussianState(cov=CovarianceMatrix(random_cov(n, rng)[0]), mean=rng.normal(size=2 * n))
         b = GaussianState(cov=CovarianceMatrix(random_cov(n, rng)[0]), mean=rng.normal(size=2 * n))
-        for s, ov in zip(s_values, power_overlap(a, b, s_values)):
-            assert ov == power_overlap(a, b, s)  # every field, bit for bit
+        _assert_sequence_entries_equal_scalar_calls(a, b)
 
 
 def test_power_overlap_sequence_convention():
@@ -537,26 +542,26 @@ def test_power_overlap_sequence_convention():
     other = CovarianceMatrix(np.diag([5.0, 5.0]))
     assert isinstance(power_overlap(cov, other, 0.5), bounds.OverlapResult)
     assert isinstance(power_overlap(cov, other, np.float64(0.5)), bounds.OverlapResult)
-    many = power_overlap(cov, other, (0.25, 0.5))
-    assert [ov.s for ov in many] == [0.25, 0.5]
-    assert power_overlap(cov, other, ()) == []
-    for bad in ([0.5, 1.0], [0.0], [1.5], [[0.5]], [0.5, math.nan]):
+    for bad in (1.0, 0.0, 1.5, -0.5, math.nan):
         with pytest.raises(ValueError, match="strictly inside"):
             power_overlap(cov, other, bad)
+    for sequence in ((0.25, 0.5), [0.5]):  # one s per call
+        with pytest.raises(TypeError):
+            power_overlap(cov, other, sequence)
 
 
 def test_power_overlap_keeps_its_refusals(monkeypatch):
     thermal = CovarianceMatrix(np.diag([3.0, 3.0]))
     sub_vacuum = CovarianceMatrix(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError, match="symplectic eigenvalue 0.5 below one"):
-        power_overlap(thermal, sub_vacuum, [0.3, 0.5])
+        power_overlap(thermal, sub_vacuum, 0.3)
 
     def indefinite(_):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(bounds.np.linalg, "cholesky", indefinite)
     with pytest.raises(ValueError, match="combined covariance is not positive definite"):
-        power_overlap(thermal, thermal, [0.3, 0.5])
+        power_overlap(thermal, thermal, 0.3)
 
 
 def test_pair_engine_matches_scalar_reference():
@@ -566,7 +571,7 @@ def test_pair_engine_matches_scalar_reference():
     compared = 0
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(REFERENCE_GRID):
         try:
-            many = power_overlap(absent, present, s_values)
+            many = [power_overlap(absent, present, s) for s in s_values]
         except ValueError as exc:
             with pytest.raises(ValueError) as ref_exc:
                 _reference_overlap(absent, present, 0.5, dec_a, dec_b)
@@ -596,7 +601,8 @@ def test_displaced_overlap_matches_scalar_reference(seed):
     b = GaussianState(cov=CovarianceMatrix(mb), mean=rng.normal(size=4))
     da, db = a.williamson, b.williamson
     s_values = [0.1, 0.5, 0.8]
-    for s, ov in zip(s_values, power_overlap(a, b, s_values)):
+    for s in s_values:
+        ov = power_overlap(a, b, s)
         prefactor_log, det_term_log, log_q = _digits_overlap(a, b, s, da, db)
         displacement_log = log_q - prefactor_log - det_term_log
         scale = 1.0 + abs(prefactor_log) + abs(det_term_log) + abs(displacement_log)
@@ -619,7 +625,7 @@ def test_slope_matches_50_digit_derivative():
     compared = 0
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(REFERENCE_GRID):
         try:
-            many = power_overlap(absent, present, [0.2, 0.5, 0.8])
+            many = [power_overlap(absent, present, s) for s in (0.2, 0.5, 0.8)]
         except ValueError:
             continue
         compared += 1
@@ -653,8 +659,8 @@ def test_closed_forms_match_the_engine(model):
             continue
         absent, present = illumination_states(scn, model)
         closed = bounds._closed_form_pair(scn, model)
-        for engine in power_overlap(absent, present, [0.5, 0.2, 0.37, 0.83]):
-            ov = closed(engine.s)
+        for s in (0.5, 0.2, 0.37, 0.83):
+            engine, ov = power_overlap(absent, present, s), closed(s)
             pieces = abs(engine.prefactor_log) + abs(engine.det_term_log)
             pieces += abs(engine.displacement_log)
             assert abs(ov.log_value - engine.log_value) <= ulps * pieces, (scn, ov.s)
@@ -734,7 +740,7 @@ def test_equal_undisplaced_states_form_no_slope_weights():
     # with equal covariances and means no term uses them, so none is formed.
     big = CovarianceMatrix(np.diag([4e200, 4e200]))
     with np.errstate(all="raise"):
-        for ov in power_overlap(big, big, [0.3, 0.5]):
+        for ov in (power_overlap(big, big, 0.3), power_overlap(big, big, 0.5)):
             assert (ov.log_value, ov.slope) == (0.0, 0.0)
 
 
@@ -746,7 +752,8 @@ def test_coherent_log_q_matches_closed_form(nb):
     mpmath = pytest.importorskip("mpmath")
     scn = IlluminationScenario(n_signal=0.01, n_background=nb, reflectivity=0.01)
     absent, present = illumination_states(scn, "coherent")
-    for ov in power_overlap(absent, present, [0.3, 0.5, 0.8]):
+    for s in (0.3, 0.5, 0.8):
+        ov = power_overlap(absent, present, s)
         assert ov.prefactor_log == ov.det_term_log == 0.0
         with mpmath.workdps(50):
             ratio = (2 * mpmath.mpf(nb)) / (2 * mpmath.mpf(nb) + 2)
@@ -787,7 +794,7 @@ def _full_zoom(a, b) -> float:
     """The smallest log q of a 33-point grid and rounds of 37 even points across
     the two steps around the best point, zoomed until the bracket is narrower
     than S_TOL: the search's rounding reference."""
-    points = power_overlap(a, b, GRID)
+    points = [power_overlap(a, b, s) for s in GRID]
     best = min(p.log_value for p in points)
     fractions = np.arange(1, 38) / 38
     while True:
@@ -796,7 +803,7 @@ def _full_zoom(a, b) -> float:
         hi = points[min(k + 1, len(points) - 1)]
         if hi.s - lo.s <= bounds.S_TOL:
             return best
-        points = [lo, *power_overlap(a, b, lo.s + (hi.s - lo.s) * fractions), hi]
+        points = [lo, *(power_overlap(a, b, lo.s + (hi.s - lo.s) * f) for f in fractions), hi]
         best = min(best, *(p.log_value for p in points))
 
 
@@ -1100,7 +1107,8 @@ def test_equal_hypotheses_give_exactly_one_half(scn, model):
         assert bound.value == 0.5 and bound.q_at_s == 1.0 and bound.s_used == 0.5
         assert bound.diagnostics["exponent_per_copy"] == 0.0
         assert bound.diagnostics["log_overlap"] == 0.0
-    for ov in power_overlap(absent, present, [1e-6, 0.3, 0.5, 0.9]):
+    for s in (1e-6, 0.3, 0.5, 0.9):
+        ov = power_overlap(absent, present, s)
         assert (ov.value, ov.log_value, ov.prefactor_log, ov.det_term_log) == (1.0, 0.0, 0.0, 0.0)
 
 

@@ -56,8 +56,6 @@ def _sector_signal_numbers(total, cutoff):
 
 def _stacked_expm_beamsplitter(reflectivity, cutoff):
     """Reference: the sector generators exponentiated by scipy's stacked expm."""
-    from scipy.linalg import expm
-
     return expm(math.acos(math.sqrt(reflectivity)) * _sector_generators(cutoff))
 
 
@@ -241,9 +239,9 @@ def test_oracle_overlap_agrees_with_gaussian():
     ns, nb, kappa, cutoff = 0.1, 0.3, 0.1, 20
     scn = IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
     absent, present = illumination_states(scn, "two-mode")
-    for s in (0.25, 0.5, 0.75):
+    grid = [0.25, 0.5, 0.75]
+    for s, oracle in zip(grid, oracle_overlap(ns, nb, kappa, grid, cutoff)):
         gauss = power_overlap(absent, present, s).value
-        oracle = oracle_overlap(ns, nb, kappa, s, cutoff)
         assert abs(gauss - oracle) / gauss < 1e-9
 
 
@@ -254,14 +252,14 @@ def test_oracle_gap_shrinks_with_cutoff():
     gauss = power_overlap(absent, present, 0.5).value
 
     def gap(cutoff):
-        return abs(gauss - oracle_overlap(ns, nb, kappa, 0.5, cutoff)) / gauss
+        return abs(gauss - oracle_overlap(ns, nb, kappa, [0.5], cutoff)[0]) / gauss
 
     assert gap(30) <= gap(20) + 1e-14
 
 
 def test_oracle_refuses_heavy_tails():
     with pytest.raises(TailBudgetError):
-        oracle_overlap(0.1, 100.0, 0.01, 0.5, 20)
+        oracle_overlap(0.1, 100.0, 0.01, [0.5], 20)
 
 
 def test_helstrom_extremes():
@@ -290,14 +288,14 @@ def test_sector_construction_matches_dense_reference(cutoff, kappa):
     r, i = np.divmod(np.arange(d * d), d)
     k = r - i
     assert np.all(blocked[k[:, None] != k[None, :]] == 0.0)
-    # one build for a grid of s gives the per-scalar values exactly; photon
+    # one build for a grid of s gives the one-value grids' values exactly; photon
     # numbers at half the largest whose thermal tail passes at this cutoff
     ratio = fock.TAIL_LIMIT ** (1.0 / (cutoff + 1))
     ns = 0.5 * ratio / (1.0 - ratio)
     nb = ns * (1.0 - kappa)
     grid = [0.1, 0.5, 0.85]
     many = oracle_overlap(ns, nb, kappa, grid, cutoff)
-    assert many == [oracle_overlap(ns, nb, kappa, s, cutoff) for s in grid]
+    assert many == [oracle_overlap(ns, nb, kappa, [s], cutoff)[0] for s in grid]
     assert all(isinstance(q, float) for q in many)
 
 
@@ -404,10 +402,10 @@ def test_dimension_cap_is_checked_before_the_caches():
     def sizes():
         return [f.cache_info().currsize for f in (fock._chain_factors, fock._branch_gather)]
 
-    oracle_overlap(0.1, 0.3, 0.1, 0.5, 20)
+    oracle_overlap(0.1, 0.3, 0.1, [0.5], 20)
     before = sizes()
     with pytest.raises(DimensionCapError):
-        oracle_overlap(0.1, 0.3, 0.1, 0.5, 64)
+        oracle_overlap(0.1, 0.3, 0.1, [0.5], 64)
     assert sizes() == before
 
 
@@ -432,7 +430,7 @@ def test_oracle_checks_the_dimension_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(DimensionCapError):
-            oracle_overlap(0.01, 0.01, 0.1, 0.5, 1500)
+            oracle_overlap(0.01, 0.01, 0.1, [0.5], 1500)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -441,16 +439,17 @@ def test_oracle_checks_the_dimension_before_allocating():
 
 def test_oracle_overlap_sequence_validation():
     assert oracle_overlap(0.1, 0.3, 0.1, (), 20) == []
-    with pytest.raises(ValueError):
-        oracle_overlap(0.1, 0.3, 0.1, [0.5, 1.0], 20)
+    for bad in ([0.5, 1.0], 0.5, [[0.5]]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            oracle_overlap(0.1, 0.3, 0.1, bad, 20)
     with pytest.raises(DimensionCapError):
         oracle_overlap(0.1, 0.3, 0.1, [0.5], 64)
 
 
 def test_oracle_refuses_reflectivity_one():
-    for s in (0.5, [0.25, 0.5]):
+    for grid in ([0.5], [0.25, 0.5]):
         with pytest.raises(ValueError, match="kappa"):
-            oracle_overlap(0.1, 0.3, 1.0, s, 20)
+            oracle_overlap(0.1, 0.3, 1.0, grid, 20)
 
 
 def test_oracle_keeps_small_eigenvalues_of_near_pure_blocks():
@@ -462,5 +461,5 @@ def test_oracle_keeps_small_eigenvalues_of_near_pure_blocks():
     scn = IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
     absent, present = illumination_states(scn, "two-mode")
     gauss = power_overlap(absent, present, s).value
-    gap = abs(gauss - oracle_overlap(ns, nb, kappa, s, cutoff)) / gauss
+    gap = abs(gauss - oracle_overlap(ns, nb, kappa, [s], cutoff)[0]) / gauss
     assert gap <= 10.0 * oracle_tail_budget(ns, nb, kappa, cutoff)["budget"]

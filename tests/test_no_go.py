@@ -54,8 +54,9 @@ def _gap(probe_cov: np.ndarray, scn: IlluminationScenario):
     probe = Probe(excess=probe_cov - np.eye(6))
     absent3 = illuminate(probe, scn, 0.0)
     present3 = illuminate(probe, scn, scn.reflectivity)
-    q3 = power_overlap(absent3, present3, S_VALUES)
-    q2 = power_overlap(*illumination_states(scn, "two-mode"), S_VALUES)
+    absent2, present2 = illumination_states(scn, "two-mode")
+    q3 = [power_overlap(absent3, present3, s) for s in S_VALUES]
+    q2 = [power_overlap(absent2, present2, s) for s in S_VALUES]
     gaps, scales = [], []
     for a, b in zip(q2, q3):
         gaps.append(a.log_value - b.log_value)
@@ -110,7 +111,7 @@ def test_idler_beamsplitter_reduces_the_three_mode_pair_to_two_modes(correlation
         c = max_three_mode_correlation(ns) if correlation == "paper" else math.sqrt(ns + ns * ns)
         scn = dataclasses.replace(scn, correlation=c)
         pair = illumination_states(scn, "three-mode")
-        full = power_overlap(*pair, s_values)
+        full = [power_overlap(*pair, s) for s in s_values]
         absent, present = (bs @ state.cov.matrix @ bs.T for state in pair)
         for v in (absent, present):
             assert np.abs(v[:4, 4:]).max() <= 4e-16 * np.abs(v).max()
@@ -121,8 +122,8 @@ def test_idler_beamsplitter_reduces_the_three_mode_pair_to_two_modes(correlation
         assert np.abs(absent[:2, 2:4]).max() <= 4e-16 * np.abs(absent).max()
         xp = math.sqrt(2.0 * scn.reflectivity) * c * np.array([1.0, -1.0])
         assert np.diag(present[:2, 2:4]) == pytest.approx(xp, rel=1e-14)
-        reduced = power_overlap(CovarianceMatrix(absent[:4, :4]),
-                                CovarianceMatrix(present[:4, :4]), s_values)
+        reduced_pair = CovarianceMatrix(absent[:4, :4]), CovarianceMatrix(present[:4, :4])
+        reduced = [power_overlap(*reduced_pair, s) for s in s_values]
         for a, b in zip(full, reduced):
             scale = abs(a.prefactor_log) + abs(a.det_term_log)
             assert abs(a.log_value - b.log_value) <= 2e-15 * scale, (scn, a, b)

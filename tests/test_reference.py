@@ -73,11 +73,15 @@ def _reference_log_overlap(absent, present, s=0.5):
 @pytest.mark.parametrize("model", ["three-mode", "two-mode"])
 def test_bhattacharyya_overlap_matches_50_digit_reference(model):
     # Every third scenario is from the dim-signal, bright-background corner.
+    # Each is checked at s = 1/2 and at the printed optimal_s, which for a
+    # few three-mode draws lies off 1/2.
     for scn in box_scenarios(707, 12):
-        reference = _reference_log_overlap(*illumination_states(scn, model))
-        diagnostics = illumination_bhattacharyya(scn, model).diagnostics
-        scale = 1.0 + abs(diagnostics["prefactor_log"]) + abs(diagnostics["det_term_log"])
-        assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, scn
+        absent, present = illumination_states(scn, model)
+        for bound in (illumination_bhattacharyya(scn, model), illumination_chernoff(scn, model)):
+            reference = _reference_log_overlap(absent, present, bound.s_used)
+            diagnostics = bound.diagnostics
+            scale = 1.0 + abs(diagnostics["prefactor_log"]) + abs(diagnostics["det_term_log"])
+            assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, (scn, bound.s_used)
 
 
 def _dim_scenarios(seed: int, count: int):
