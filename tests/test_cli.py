@@ -404,6 +404,35 @@ def test_oracle_check_blind_target(capsys):
     assert float(cells[2]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--ns", "0.3", "--nb", "0", "--kappa", "0.5"],
+    ["--ns", "1", "--nb", "0", "--kappa", "0.99", "--cutoff", "63", "--s-grid", "0.5"],
+])
+def test_oracle_check_pure_mode_is_not_flagged(capsys, argv):
+    # An exactly pure mode (n_b = 0): a numeric eigensolve puts its nu at
+    # 1 + O(eps), and r^(1 - s) turns that into a gap of order eps^(1 - s)
+    # (5.2e-10 and 8.6e-6 at s = 0.5 and 0.75 in the first case); the
+    # closed form takes nu = 1 exactly.
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "flagged: 0"
+
+
+def test_oracle_check_gaussian_column_is_the_closed_form(capsys, monkeypatch):
+    from qillum import symplectic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle-check reached the Williamson engine")
+
+    monkeypatch.setattr(bounds, "_PairEngine", refuse)
+    monkeypatch.setattr(symplectic, "williamson_decompose", refuse)
+    code, out, err = run(capsys, "oracle-check", "--ns", "0.1", "--nb", "0.3", "--kappa", "0.1",
+                         "--cutoff", "20", "--s-grid", "0.1,0.5,0.9", "--format", "json")
+    assert (code, err) == (0, "")
+    pair = bounds._closed_form_pair(IlluminationScenario(0.1, 0.3, 0.1), "two-mode")
+    rows = strict_json(out)["rows"]
+    assert [row["gaussian_qs"] for row in rows] == [pair(s).value for s in (0.1, 0.5, 0.9)]
+
+
 def test_oracle_check_refuses_reflectivity_one(capsys):
     # n_b / (1 - kappa) has no finite thermal input at kappa = 1, so the
     # oracle cannot build the state the Gaussian side describes.

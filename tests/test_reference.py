@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import box_scenarios
-from qillum.bounds import illumination_bhattacharyya, illumination_chernoff
+from qillum.bounds import _closed_form_pair, illumination_bhattacharyya, illumination_chernoff
 from qillum.states import IlluminationScenario, illumination_states
 from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
 
@@ -84,41 +84,47 @@ def test_bhattacharyya_overlap_matches_50_digit_reference(model):
             assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, (scn, bound.s_used)
 
 
-def _dim_scenarios(seed: int, count: int):
-    """Log-uniform over the box's n_s and kappa, with n_b from 1e-12 to its 1e-2."""
+def _log_scenarios(seed: int, count: int, ns: tuple, nb: tuple, kappa: tuple):
+    """Each of n_s, n_b and kappa log-uniform between its (lo, hi)."""
     rng = np.random.default_rng(seed)
 
     def draw(lo: float, hi: float) -> float:
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    return [IlluminationScenario(draw(1e-4, 1.0), draw(1e-12, 1e-2), draw(1e-4, 0.5))
-            for _ in range(count)]
+    return [IlluminationScenario(draw(*ns), draw(*nb), draw(*kappa)) for _ in range(count)]
 
 
 @pytest.mark.parametrize(
-    "model,scenarios,tolerance",
+    "model,scenarios,tolerance,s_grid",
     [
-        ("two-mode", box_scenarios(708, 12), 1e-13),
-        ("coherent", box_scenarios(708, 12), 1e-13),
+        ("two-mode", box_scenarios(708, 12), 1e-13, ()),
+        ("coherent", box_scenarios(708, 12), 1e-13, ()),
         # Below the box's n_b: a - 1 = 2 n_b is small, and log((a - 1)/(a + 1))
         # keeps its digits as log(a - 1) - log1p(a), with a - 1 exact.
-        ("coherent", _dim_scenarios(709, 40), 1e-14),
+        ("coherent", _log_scenarios(709, 40, (1e-4, 1.0), (1e-12, 1e-2), (1e-4, 0.5)), 1e-14, ()),
+        # oracle-check's range, where its Gaussian column is this closed form
+        # on an s-grid: dim light, so the modes sit near the vacuum.
+        ("two-mode", _log_scenarios(710, 20, (1e-3, 0.4), (1e-3, 0.4), (1e-3, 0.5)), 1e-13,
+         (0.05, 0.2, 0.35, 0.65, 0.8, 0.95)),
     ],
-    ids=["two-mode", "coherent", "coherent-dim"],
+    ids=["two-mode", "coherent", "coherent-dim", "two-mode-oracle"],
 )
-def test_printed_closed_forms_match_50_digit_reference(model, scenarios, tolerance):
+def test_printed_closed_forms_match_50_digit_reference(model, scenarios, tolerance, s_grid):
     # The closed forms print these models' log q from differences of size
     # h/n_b, not from pieces of size log n_b that cancel, so they hold a
     # relative tolerance over the box, the bright corner included: checked
-    # at the Bhattacharyya point s = 1/2 and at the printed optimal_s.
+    # at the Bhattacharyya point s = 1/2, at the printed optimal_s and on
+    # s_grid.
     worst = 0.0
     for scn in scenarios:
         absent, present = illumination_states(scn, model)
         qc = illumination_chernoff(scn, model)
-        for bound in (qc.bhattacharyya, qc):
-            reference = _reference_log_overlap(absent, present, bound.s_used)
-            error = abs(bound.diagnostics["log_overlap"] - reference) / abs(reference)
-            worst = max(worst, error)
+        pair = _closed_form_pair(scn, model)
+        points = [(b.s_used, b.diagnostics["log_overlap"]) for b in (qc.bhattacharyya, qc)]
+        points += [(s, pair(s).log_value) for s in s_grid]
+        for s, log_q in points:
+            reference = _reference_log_overlap(absent, present, s)
+            worst = max(worst, abs(log_q - reference) / abs(reference))
     assert worst <= tolerance
 
 
