@@ -54,8 +54,8 @@ EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
-# Most sweep rows: 100 rows with every extra take 60-70 ms in-process (2-CPU
-# x86_64, one BLAS thread), so the cap allows a run of about a minute.
+# Most sweep rows: 100 rows with every extra take about 36 ms in-process (2-CPU
+# x86_64, one BLAS thread), so the cap allows a run of about 40 s.
 SWEEP_COUNT_CAP = 100_000
 # Configuration keys a command does not read, each with the one value it runs
 # (None: none). Setting such a key to anything else, by flag, QI_* variable or
@@ -201,9 +201,47 @@ def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
     return json.dumps(_finite(report), indent=2, allow_nan=False) + "\n"
 
 
+def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the options of command `name`: the KEYS flags, output flags, its own."""
+    for key, (kind, _, text) in KEYS.items():
+        check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        parser.add_argument(f"--{key}", **check, default=None, help=text)
+    parser.add_argument("--format", dest="fmt", default=None, help="output format")
+    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    parser.add_argument("--config", default=None, help="key=value configuration file")
+    if name == "sweep":
+        parser.add_argument("--param", choices=tuple(PARAM_FIELDS), default="nS")
+        parser.add_argument("--start", type=float, default=0.01)
+        parser.add_argument("--stop", type=float, default=1.0)
+        parser.add_argument("--count", type=int, default=100)
+        parser.add_argument("--spacing", choices=("linear", "log"), default="log")
+        parser.add_argument(
+            "--extras",
+            default="",
+            help="comma-separated bound columns: qb2,qb3,qb_coherent,chernoff3",
+        )
+        parser.add_argument("--plot", default=None, help="write an SVG of the ratio curve here")
+    elif name == "state-info":
+        parser.add_argument("--state", choices=STATE_TOKENS, default="rho")
+    elif name == "oracle-check":
+        parser.add_argument("--cutoff", type=int, default=20)
+        parser.add_argument(
+            "--s-grid", default="0.25,0.5,0.75", help="comma-separated s values in (0, 1)"
+        )
+    return parser
+
+
+# Parsers are built on first use, not at import: QI_* values are read in
+# resolve_config, so a built parser serves every later call.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command; it parses the same as that command's subparser."""
+    return _add_options(argparse.ArgumentParser(prog=f"qillum {name}"), name)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built once, on the first main call: QI_* values are read in resolve_config.
+    """The whole tree: for --help, --version and a first token that names no command."""
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Gaussian quantum illumination bounds and diagnostics.",
@@ -212,38 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for key, (kind, _, text) in KEYS.items():
-            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            p.add_argument(f"--{key}", **check, default=None, help=text)
-        p.add_argument("--format", dest="fmt", default=None, help="output format")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        p.add_argument("--config", default=None, help="key=value configuration file")
-        return p
-
-    add_command("bounds", "error-probability bounds for one scenario")
-    p_sweep = add_command("sweep", "exponent comparison over a parameter grid")
-    p_sweep.add_argument("--param", choices=tuple(PARAM_FIELDS), default="nS")
-    p_sweep.add_argument("--start", type=float, default=0.01)
-    p_sweep.add_argument("--stop", type=float, default=1.0)
-    p_sweep.add_argument("--count", type=int, default=100)
-    p_sweep.add_argument("--spacing", choices=("linear", "log"), default="log")
-    p_sweep.add_argument(
-        "--extras",
-        default="",
-        help="comma-separated bound columns: qb2,qb3,qb_coherent,chernoff3",
-    )
-    p_sweep.add_argument("--plot", default=None, help="write an SVG of the ratio curve here")
-    add_command("crossover", "signal strength where the probes tie")
-    p_state = add_command("state-info", "covariance and entanglement summary")
-    p_state.add_argument("--state", choices=STATE_TOKENS, default="rho")
-    p_oracle = add_command("oracle-check", "two-mode closed form vs number-basis oracle")
-    p_oracle.add_argument("--cutoff", type=int, default=20)
-    p_oracle.add_argument(
-        "--s-grid", default="0.25,0.5,0.75", help="comma-separated s values in (0, 1)"
-    )
+    for name, (_, _, text) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -577,18 +585,19 @@ def _render_oracle_check(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each command with its --format choices; the first is the default.
+# Each command with its --format choices (the first is the default) and its help.
 _COMMANDS = {
-    "bounds": (cmd_bounds, ("text", "json")),
-    "sweep": (cmd_sweep, ("csv", "json")),
-    "crossover": (cmd_crossover, ("text", "json")),
-    "state-info": (cmd_state_info, ("text", "json")),
-    "oracle-check": (cmd_oracle_check, ("text", "json")),
+    "bounds": (cmd_bounds, ("text", "json"), "error-probability bounds for one scenario"),
+    "sweep": (cmd_sweep, ("csv", "json"), "exponent comparison over a parameter grid"),
+    "crossover": (cmd_crossover, ("text", "json"), "signal strength where the probes tie"),
+    "state-info": (cmd_state_info, ("text", "json"), "covariance and entanglement summary"),
+    "oracle-check": (cmd_oracle_check, ("text", "json"),
+                     "two-mode closed form vs number-basis oracle"),
 }
 
 
 def _run(args) -> int:
-    command, formats = _COMMANDS[args.command]
+    command, formats, _ = _COMMANDS[args.command]
     resolved = resolve_config(args)
     fmt = formats[0] if args.fmt is None else args.fmt
     if fmt not in formats:
@@ -601,10 +610,20 @@ def _run(args) -> int:
     return 0
 
 
+def _parse(argv: list):
+    """argv parsed as the full tree parses it, building only the named command's parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:  # reported by the top-level parser, as its subparser's leftovers are
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:

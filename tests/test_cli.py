@@ -484,6 +484,75 @@ def test_parser_is_reused_and_environment_read_per_call(capsys, monkeypatch):
     assert "--kappa" in capsys.readouterr().err
 
 
+# A run parses with its command's parser alone; these are the full tree's messages.
+TOP_USAGE = ("usage: qillum [-h] [--version]\n"
+             "              {bounds,sweep,crossover,state-info,oracle-check} ...\n")
+BOUNDS_USAGE = ("usage: qillum bounds [-h] [--ns NS] [--nb NB] [--kappa KAPPA]\n"
+                "                     [--copies COPIES] [--c C]\n"
+                "                     [--model {two-mode,three-mode,coherent}] [--format FMT]\n"
+                "                     [--out OUT] [--config CONFIG]\n")
+COMMAND_CHOICES = "(choose from 'bounds', 'sweep', 'crossover', 'state-info', 'oracle-check')"
+PARSE_ERRORS = [
+    ([], "qillum: error: the following arguments are required: command"),
+    (["nope"], f"qillum: error: argument command: invalid choice: 'nope' {COMMAND_CHOICES}"),
+    (["bounds", "--bogus"], "qillum: error: unrecognized arguments: --bogus"),
+    (["bounds", "extra"], "qillum: error: unrecognized arguments: extra"),
+    (["bounds", "--", "x"], "qillum: error: unrecognized arguments: -- x"),
+    (["bounds", "--ns"], "qillum bounds: error: argument --ns: expected one argument"),
+    (["bounds", "--ns", "x"], "qillum bounds: error: argument --ns: invalid float value: 'x'"),
+    (["bounds", "--model", "four"], "qillum bounds: error: argument --model: invalid choice: "
+                                    "'four' (choose from 'two-mode', 'three-mode', 'coherent')"),
+    (["--", "bounds", "--ns", "0.1"],
+     f"qillum: error: argument command: invalid choice: '--' {COMMAND_CHOICES}"),
+]
+
+
+@pytest.mark.parametrize("argv,message", PARSE_ERRORS)
+def test_parse_errors_print_the_full_tree_messages(argv, message, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    usage = BOUNDS_USAGE if message.startswith("qillum bounds:") else TOP_USAGE
+    assert run(capsys, *argv) == (2, "", f"{usage}{message}\n")
+
+
+def test_abbreviated_flag_runs(capsys):
+    code, out, err = run(capsys, "bounds", "--mod", "two-mode")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "bounds", "--model", "two-mode")[1]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_names_the_command(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: qillum {command} [-h] [--ns NS] ")
+
+
+# `python -m qillum.cli crossover`, counting the argparse parsers it constructs.
+COUNT_PARSERS = """
+import argparse, runpy, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+sys.argv = ["qillum", "crossover"]
+try:
+    runpy.run_module("qillum.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(len(built), built)
+"""
+
+
+def test_a_run_builds_only_its_command_parser():
+    proc = _fresh_python("-c", COUNT_PARSERS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("crossover_n_s: ")
+    assert proc.stdout.splitlines()[-1] == "1 ['qillum crossover']"
+
+
 @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
 def test_commands_without_correlation_refuse_c(command, capsys, monkeypatch):
     argv = [command, "--count", "2"] if command == "sweep" else [command, "--cutoff", "15"]
@@ -546,6 +615,7 @@ def test_runs_load_no_scipy():
 import contextlib, io, sys
 import qillum.cli
 assert qillum.cli._build_parser.cache_info().currsize == 0, "parser built at import"
+assert qillum.cli._command_parser.cache_info().currsize == 0, "parser built at import"
 for argv in (["bounds", "--model", "two-mode"],
              ["bounds", "--model", "three-mode", "--nb", "1e8"],
              ["oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "15"]):
