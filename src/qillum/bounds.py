@@ -192,9 +192,7 @@ class _TwoModePair(_Modes):
     det_term_log = -log D, which cancel, scale the search's rounding floor.
     """
 
-    def __init__(self, scenario: IlluminationScenario, correlation: float):
-        a, b, a1 = scenario.background_variance, scenario.signal_variance, scenario.return_variance
-        c1 = math.sqrt(scenario.reflectivity) * correlation
+    def __init__(self, a: float, b: float, a1: float, c1: float):
         # a' + b - 2c' summed exactly rounded: near a pure present state it is tiny
         root = math.sqrt(max(math.fsum((a1, b, -2.0 * c1)), 0.0)) * math.sqrt(a1 + b + 2.0 * c1)
         h = -2.0 * c1 * (c1 / (root + a1 + b))
@@ -221,9 +219,9 @@ class _CoherentPair(_Modes):
     """The coherent pair: thermal a = 2 n_b + 1 in both, means 2 sqrt(kappa n_s) apart, so
     log q = -2 kappa n_s / L, L = lambda_s(a) + lambda_(1-s)(a), with slope 2 kappa n_s L'/L^2."""
 
-    def __init__(self, scenario: IlluminationScenario):
-        super().__init__([scenario.background_variance], [scenario.background_variance])
-        self.photons = 2.0 * scenario.reflectivity * scenario.n_signal
+    def __init__(self, a: float, photons: float):
+        super().__init__([a], [a])
+        self.photons = photons
 
     def __call__(self, s: float) -> OverlapResult:
         (l0, l1), (d0, d1), _, _ = self.maps(s)
@@ -478,13 +476,13 @@ def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
         # the mean 2 sqrt(kappa n_s) is finite for kappa <= 1, so only a can fail
         if not math.isfinite(a):
             raise ValueError("covariance matrix has non-finite entries")
-        return _CoherentPair(scenario)
+        return _CoherentPair(a, 2.0 * kappa * scenario.n_signal)
     c1, total = math.sqrt(kappa) * correlation, a1 + b
     det = a1 * b - c1 * c1  # inf once a'b overflows, however small the true det
     certified = all(map(math.isfinite, (a, a1, b, correlation, c1, det)))
     if not (certified and det > 2.0**16 * EPS * total * total):
         illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
-    return _TwoModePair(scenario, correlation)
+    return _TwoModePair(a, b, a1, c1)
 
 
 def illumination_bhattacharyya(

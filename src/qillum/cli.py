@@ -28,11 +28,12 @@ from .bounds import (
     power_overlap,  # unused here; the benchmark's tracer test reads qillum.cli.power_overlap
 )
 from .states import (
+    MODELS,
     IlluminationScenario,
+    illuminate,
+    illumination_probe,
     max_three_mode_correlation,
     separability_threshold,
-    target_absent_cov,
-    target_present_cov,
     three_mode_cov,
 )
 from .symplectic import Bipartition, is_physical, is_pure, log_negativity, symplectic_eigenvalues
@@ -46,7 +47,7 @@ KEYS = {
     "kappa": (float, 0.01, "target reflectivity in [0, 1]"),
     "copies": (int, 1000000, "number of probe copies M"),
     "c": (float, None, "correlation amplitude (default: the maximal one for the model)"),
-    "model": (("two-mode", "three-mode", "coherent"), "three-mode", None),
+    "model": (MODELS, "three-mode", None),
 }
 # The scenario field each sweep parameter sets.
 PARAM_FIELDS = {"nS": "n_signal", "nB": "n_background", "kappa": "reflectivity", "M": "copies"}
@@ -57,16 +58,6 @@ STATE_TOKENS = ("initial3", "rho", "sigma")
 # Most sweep rows: 100 rows with every extra take about 36 ms in-process (2-CPU
 # x86_64, one BLAS thread), so the cap allows a run of about 40 s.
 SWEEP_COUNT_CAP = 100_000
-# Configuration keys a command does not read, each with the one value it runs
-# (None: none). Setting such a key to anything else, by flag, QI_* variable or
-# config file, is refused; oracle-check checks the two-mode pair only. The
-# coherent probe has no correlation, so no command takes c with that model.
-UNREAD_KEYS = {
-    "sweep": {"c": None, "model": None},
-    "crossover": dict.fromkeys(KEYS),
-    "state-info": {"copies": None, "model": None},
-    "oracle-check": {"c": None, "copies": None, "model": "two-mode"},
-}
 
 
 class CliError(Exception):
@@ -132,7 +123,7 @@ def resolve_config(args) -> dict:
     """Merge defaults, config file, environment, and flags, in rising priority.
 
     Returns the six keys, then `sources`: where each value came from. A key
-    the command does not read (UNREAD_KEYS) exits 2 when it is set.
+    the command does not read (last in its `_COMMANDS` entry) exits 2 if set.
     """
     resolved = {key: default for key, (_, default, _) in KEYS.items()}
     sources = dict.fromkeys(KEYS, "default")
@@ -150,8 +141,8 @@ def resolve_config(args) -> dict:
         if value is not None:
             resolved[key] = value
             sources[key] = "flag"
-    unread = UNREAD_KEYS.get(args.command, {})
-    if resolved["model"] == "coherent":
+    unread = _COMMANDS[args.command][3]
+    if resolved["model"] == "coherent":  # the coherent probe has no correlation
         unread = {**unread, "c": None}
     for key, runs in unread.items():
         if sources[key] != "default" and resolved[key] != runs:
@@ -250,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, text) in _COMMANDS.items():
+    for name, (_, _, text, _) in _COMMANDS.items():
         _add_options(sub.add_parser(name, help=text), name)
     return parser
 
@@ -497,10 +488,9 @@ def cmd_state_info(args, resolved: dict):
     scenario = _scenario(resolved)
     if args.state == "initial3":
         cov = three_mode_cov(scenario.n_signal, scenario.probe_correlation("three-mode"))
-    elif args.state == "rho":
-        cov = target_absent_cov(scenario)
-    else:
-        cov = target_present_cov(scenario)
+    else:  # rho (no target, kappa = 0) or sigma, built as illumination_states builds them
+        kappa = 0.0 if args.state == "rho" else scenario.reflectivity
+        cov = illuminate(illumination_probe(scenario, "three-mode"), scenario, kappa).cov
     modes = cov.n
     row = {
         "state": args.state,
@@ -585,19 +575,26 @@ def _render_oracle_check(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each command with its --format choices (the first is the default) and its help.
+# Each command with its --format choices (the first is the default), its help,
+# and the keys it does not read, each with the one value it runs (None: none):
+# resolve_config refuses any other value, by flag, QI_* variable or config
+# file. oracle-check checks the two-mode pair only.
 _COMMANDS = {
-    "bounds": (cmd_bounds, ("text", "json"), "error-probability bounds for one scenario"),
-    "sweep": (cmd_sweep, ("csv", "json"), "exponent comparison over a parameter grid"),
-    "crossover": (cmd_crossover, ("text", "json"), "signal strength where the probes tie"),
-    "state-info": (cmd_state_info, ("text", "json"), "covariance and entanglement summary"),
+    "bounds": (cmd_bounds, ("text", "json"), "error-probability bounds for one scenario", {}),
+    "sweep": (cmd_sweep, ("csv", "json"), "exponent comparison over a parameter grid",
+              {"c": None, "model": None}),
+    "crossover": (cmd_crossover, ("text", "json"), "signal strength where the probes tie",
+                  dict.fromkeys(KEYS)),
+    "state-info": (cmd_state_info, ("text", "json"), "covariance and entanglement summary",
+                   {"copies": None, "model": None}),
     "oracle-check": (cmd_oracle_check, ("text", "json"),
-                     "two-mode closed form vs number-basis oracle"),
+                     "two-mode closed form vs number-basis oracle",
+                     {"c": None, "copies": None, "model": "two-mode"}),
 }
 
 
 def _run(args) -> int:
-    command, formats, _ = _COMMANDS[args.command]
+    command, formats, _, _ = _COMMANDS[args.command]
     resolved = resolve_config(args)
     fmt = formats[0] if args.fmt is None else args.fmt
     if fmt not in formats:

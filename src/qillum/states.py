@@ -23,7 +23,7 @@ from .symplectic import CovarianceMatrix, GaussianState, WilliamsonDecomposition
 np = _NumpyOnFirstUse(globals())
 
 CORRELATION_SLACK = 1e-12
-MODELS = ("three-mode", "two-mode", "coherent")
+MODELS = ("two-mode", "three-mode", "coherent")
 # Idlers kept at home by each entangled probe.
 IDLERS = {"three-mode": 2, "two-mode": 1}
 
@@ -253,33 +253,30 @@ def illumination_states(
     return pair[0], pair[1]
 
 
-def _hypothesis_cov(
-    scenario: IlluminationScenario, model: str, reflectivity: float
-) -> CovarianceMatrix:
-    return illuminate(illumination_probe(scenario, model), scenario, reflectivity).cov
-
-
+# Library and test API; commands call illuminate, as illumination_states does.
 def target_absent_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
     """Three-mode "no target": thermal return, untouched idler pair.
 
     Mode order (return, idler1, idler2). Independent of the reflectivity.
     """
-    return _hypothesis_cov(scenario, "three-mode", 0.0)
+    return illuminate(illumination_probe(scenario, "three-mode"), scenario, 0.0).cov
 
 
 def target_present_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
     """Three-mode "target": the return carries sqrt(kappa)-attenuated signal correlations."""
-    return _hypothesis_cov(scenario, "three-mode", scenario.reflectivity)
+    probe = illumination_probe(scenario, "three-mode")
+    return illuminate(probe, scenario, scenario.reflectivity).cov
 
 
 def two_mode_target_absent_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
     """Two-mode analog of target_absent_cov: thermal return, thermal idler."""
-    return _hypothesis_cov(scenario, "two-mode", 0.0)
+    return illuminate(illumination_probe(scenario, "two-mode"), scenario, 0.0).cov
 
 
 def two_mode_target_present_cov(scenario: IlluminationScenario) -> CovarianceMatrix:
     """Two-mode analog of target_present_cov."""
-    return _hypothesis_cov(scenario, "two-mode", scenario.reflectivity)
+    probe = illumination_probe(scenario, "two-mode")
+    return illuminate(probe, scenario, scenario.reflectivity).cov
 
 
 def _block_sorted(symplectic: np.ndarray, nus: np.ndarray) -> WilliamsonDecomposition:

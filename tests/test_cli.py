@@ -13,7 +13,7 @@ import qillum
 from qillum import __version__, bounds, cli
 from qillum.bounds import illumination_bhattacharyya
 from qillum.cli import main
-from qillum.states import IlluminationScenario
+from qillum.states import IlluminationScenario, illuminate, illumination_probe
 
 FLOAT12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -352,6 +352,20 @@ def test_state_info_json(capsys):
     assert (code, err) == (0, "") and "physical: yes" in out
     code, out, _ = run(capsys, "state-info", "--state", "rho", "--format", "json")
     assert code == 0 and strict_json(out)["rows"][0]["modes"] == 3
+
+
+@pytest.mark.parametrize("state", ["rho", "sigma"])
+@pytest.mark.parametrize("argv", [["--ns", "0.1", "--nb", "20", "--kappa", "0.3"],
+                                  ["--ns", "1e-4", "--nb", "1e8", "--kappa", "1e-4"]])
+def test_state_info_hypotheses_are_the_channel_output(state, argv, capsys):
+    # rho (kappa = 0) and sigma are the three-mode probe through illuminate, bit for bit.
+    code, out, _ = run(capsys, "state-info", *argv, "--state", state, "--format", "json")
+    assert code == 0
+    scn = IlluminationScenario(float(argv[1]), float(argv[3]), float(argv[5]))
+    kappa = 0.0 if state == "rho" else scn.reflectivity
+    cov = illuminate(illumination_probe(scn, "three-mode"), scn, kappa).cov
+    printed = strict_json(out)["rows"][0]["covariance"]
+    assert json.dumps(printed) == json.dumps(cov.matrix.tolist())  # repr: exact, signs of 0 too
 
 
 def test_oracle_check_table(capsys):

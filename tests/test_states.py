@@ -465,5 +465,9 @@ def test_probe_correlation_per_model():
         match=rf"^correlation 1\.2 exceeds the two-mode maximum {cq2:.12g}$",
     ):
         scenario(ns=0.2, c=1.2).probe_correlation("two-mode")
-    with pytest.raises(ValueError, match="unknown model 'four-mode'"):
-        scn.probe_correlation("four-mode")
+    # the models in the order the command line offers them
+    with pytest.raises(ValueError) as unknown:
+        IlluminationScenario(0.1, 1.0, 0.1).probe_correlation("four")
+    assert str(unknown.value) == (
+        "unknown model 'four'; expected one of ('two-mode', 'three-mode', 'coherent')"
+    )
