@@ -4,8 +4,10 @@ The central object is the overlap functional
 
     q(s) = Tr[rho_A^s rho_B^(1-s)],
 
-evaluated for zero-mean or displaced Gaussian states from their Williamson
-data, one s per evaluation.
+taken one s at a time. Every printed bound comes from a closed form
+for its model's hypothesis pair (_ThreeModePair, _TwoModePair, _CoherentPair),
+admitted by _closed_form_pair; power_overlap and chernoff_bound evaluate any
+two Gaussian states from their numeric Williamson data.
 Minimizing over s in (0, 1) gives the quantum Chernoff bound on the M-copy
 error probability, P_err <= q(s*)^M / 2; freezing s = 1/2 gives the
 Bhattacharyya variant. Everything is assembled in log space so that million-
@@ -23,8 +25,13 @@ import sys
 from dataclasses import dataclass, field
 
 from . import _NumpyOnFirstUse
-from .states import IlluminationScenario, illuminate, illumination_probe, illumination_states
-from .states import max_three_mode_correlation
+from .states import (
+    IlluminationScenario,
+    illuminate,
+    illumination_probe,
+    illumination_states,  # unused here; the benchmark's tracer wraps bounds.illumination_states
+    max_three_mode_correlation,
+)
 from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
 np = _NumpyOnFirstUse(globals())
@@ -213,6 +220,95 @@ class _TwoModePair(_Modes):
         log_value = sum(_pair_log(x, h, 1.0 - s) for x, h in self.pairs) - math.log1p(t)
         return OverlapResult(math.exp(log_value), log_value, prefactor_log, det_term_log, 0.0,
                              s, slope - d_log_det)
+
+
+class _ThreeModePair(_Modes):
+    """The three-mode pair, one s per call, reduced to two modes whose x and p blocks decouple.
+
+    A 50:50 beamsplitter on the idlers leaves the antisymmetric idler, x and p
+    variances S -+ c, uncoupled and the same under both hypotheses, so it
+    drops out of q. Its nu = b = sqrt((S - c)(S + c)) is at least 1 for every
+    c up to the det V = 1 maximum, so it is not checked either. A local
+    squeeze makes the symmetric idler diag(b, b). Absent is then diag(a, b);
+    present has x block [[a', cx], [cx, b]] and p block [[a', -cp], [-cp, b]],
+    cx^2 = 2c'^2 (S - c)/b and cp^2 = 2c'^2 (S + c)/b, c' = sqrt(kappa) c.
+    The brighter present mode comes first (diagonals x1 >= x2), so u = x1^2 -
+    x2^2 >= 0. With k = cx cp, g = x1 x2 (cx - cp)^2 and d = x1 - x2, the
+    discriminant of nu^2 is D = d^2 (d^2 + 4(x1 x2 - k)) + 4g, a sum of
+    nonnegative terms, and nu1^2 - x1^2 = 2(g - 2 x1 k d - k^2)/(sqrt(D) + u
+    + 2k), nu2^2 - x2^2 = -2(g + 2 x2 k d - k^2)/(u - 2k + sqrt(D)) (or (u -
+    2k - sqrt(D))/2 for u <= 2k): no nu is subtracted from its x, and each
+    mode's shift is h = (nu^2 - x^2)/(nu + x). All this is in units of a
+    power of 2 near x1, so no square overflows. The present symplectic has
+    columns n1 (1, e21) and n2 (e12, 1) in x and is their inverse transpose
+    in p, which is the x form with cx, cp read as -cp, -cx. With w = absent
+    variance at s + present at 1 - s, M0 = diag(w) and Delta = S Lambda S^T -
+    Lambda, each quadrature's det M / (w1 w2) is 1 + Z, Z = tr Y + det Y,
+    Y = M0^-1/2 Delta M0^-1/2. So log q is the two modes' _pair_log less half
+    of each quadrature's log1p(Z): terms of the size of h/a, never pieces of
+    size log a. Its slope takes d log det M = tr((1 + Y)^-1 M0^-1/2 dM
+    M0^-1/2). prefactor_log and det_term_log, which cancel, only scale the
+    search's rounding floor.
+    """
+
+    def __init__(self, a: float, signal: float, a1: float, c: float, c1: float):
+        b = math.sqrt(signal - c) * math.sqrt(signal + c)
+        first, second = ((a, a1), (b, b)) if a1 >= b else ((b, b), (a, a1))
+        scale = math.ldexp(1.0, math.frexp(max(a1, b))[1])  # exact divisions below
+        x1, x2 = first[1] / scale, second[1] / scale
+        cx = c1 / scale * math.sqrt(2.0 * (signal - c) / b)
+        cp = c1 / scale * math.sqrt(2.0 * (signal + c) / b)
+        k, d, g = cx * cp, x1 - x2, x1 * x2 * (cx - cp) * (cx - cp)
+        u = d * (x1 + x2)
+        root = math.sqrt(max(d * d * (d * d + 4.0 * (x1 * x2 - k)) + 4.0 * g, 0.0))
+        d1 = g - 2.0 * x1 * k * d - k * k
+        d1 = 2.0 * d1 / (root + u + 2.0 * k) if d1 else 0.0  # 0/0 only when uncorrelated
+        if u - 2.0 * k > 0.0:
+            d2 = -2.0 * (g + 2.0 * x2 * k * d - k * k) / (u - 2.0 * k + root)
+        else:
+            d2 = 0.5 * (u - 2.0 * k - root)
+        nu1 = x1 * math.sqrt(max(1.0 + d1 / x1 / x1, 0.0))  # no x^2 to underflow
+        nu2 = x2 * math.sqrt(max(1.0 + d2 / x2 / x2, 0.0))
+        h1, h2 = d1 / (nu1 + x1), d2 / (nu2 + x2)
+        super().__init__([first[0], second[0]], [nu1 * scale, nu2 * scale])
+        self.pairs = ((first[0], (first[1] - first[0]) + h1 * scale),
+                      (second[0], (second[1] - second[0]) + h2 * scale))
+        self.quadratures = [self._eigenvectors(x1, x2, h1, h2, u + root, *cs)
+                            for cs in ((cx, cp), (-cp, -cx))]
+        self.equal = a1 == a and c1 == 0.0  # equal states: 0 throughout
+
+    @staticmethod
+    def _eigenvectors(x1, x2, h1, h2, spread, cx, cp) -> tuple:
+        """e21, e12, n1^2 - 1 and n2^2 - 1 of one quadrature's present symplectic."""
+        if spread == 0.0:  # degenerate and uncorrelated: no rotation
+            return 0.0, 0.0, 0.0, 0.0
+        e21, e12 = 2.0 * (x1 * cx - x2 * cp) / spread, 2.0 * (x1 * cp - x2 * cx) / spread
+        n1 = (h1 + 2.0 * cp * e21 - x2 * e21 * e21) / (x1 - 2.0 * cp * e21 + x2 * e21 * e21)
+        n2 = (h2 + 2.0 * cp * e12 - x1 * e12 * e12) / (x2 - 2.0 * cp * e12 + x1 * e12 * e12)
+        return e21, e12, n1, n2
+
+    def __call__(self, s: float) -> OverlapResult:
+        if self.equal:
+            return OverlapResult(1.0, 0.0, 0.0, 0.0, 0.0, s, 0.0)
+        (p1, p2, m1, m2), (dp1, dp2, dm1, dm2), prefactor_log, slope = self.maps(s)
+        w1, w2 = p1 + m1, p2 + m2
+        log_det, d_log_det = 2.0 * (math.log(w1) + math.log(w2)), 0.0
+        log_value = sum(_pair_log(x, h, 1.0 - s) for x, h in self.pairs)
+        for e21, e12, n1, n2 in self.quadratures:
+            n1sq, n2sq = 1.0 + n1, 1.0 + n2
+            y11 = (m1 * n1 + m2 * n2sq * e12 * e12) / w1
+            y22 = (m1 * n1sq * e21 * e21 + m2 * n2) / w2
+            y12 = m1 * n1sq * e21 + m2 * n2sq * e12
+            z = y11 + y22 + (y11 * y22 - (y12 / w1) * (y12 / w2))
+            log_det += math.log1p(z)
+            log_value -= 0.5 * math.log1p(z)
+            da = dp1 + dm1 * n1sq + dm2 * n2sq * e12 * e12
+            dc = dp2 + dm1 * n1sq * e21 * e21 + dm2 * n2sq
+            db = dm1 * n1sq * e21 + dm2 * n2sq * e12
+            d_log_det += ((1.0 + y22) * da / w1 + (1.0 + y11) * dc / w2
+                          - 2.0 * (y12 / w1) * (db / w2)) / (1.0 + z)
+        return OverlapResult(math.exp(log_value), log_value, prefactor_log, -0.5 * log_det, 0.0,
+                             s, slope - 0.5 * d_log_det)
 
 
 class _CoherentPair(_Modes):
@@ -459,14 +555,18 @@ def find_crossover() -> CrossoverResult:
 
 
 def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
-    """The two-mode or coherent pair's evaluator, once its states are admitted.
+    """The model's closed-form pair evaluator, once its states are admitted.
 
     A scalar check certifies admission. Coherent's states are diag(a, ...)
     with a >= 1, so they fail only when a is not finite, with illuminate's
-    message. A two-mode pair the check cannot certify goes to illuminate,
-    whose refusals stand. Its absent state is diag(a, ...) too, and the
-    present x block [[a', c'], [c', b]] has a'b - c'^2 <= lambda_min (a' + b),
-    so a'b - c'^2 > 2^16 eps (a' + b)^2 puts its smallest eigenvalue far
+    message. An entangled pair the check cannot certify goes to illuminate,
+    whose refusals stand. Its absent state is diag(a, ...) too. A PD block's
+    largest eigenvalue is at most its trace T, and its smallest at least
+    det/T. The two-mode present x block [[a', c'], [c', b]] has a'b - c'^2;
+    the three-mode one, [[a', c', c'], [c', S, c], [c', c, S]], has the
+    eigenvalue S - c and a 2x2 block of det a'(S + c) - 2c'^2, and p has S + c
+    and a'(S - c) - 2c'^2. So each such det above 2^16 eps T^2 (and, for
+    three-mode, a and S - c above 2^16 eps T) puts the smallest eigenvalue far
     above eigh's backward error, a small multiple of eps |V|.
     """
     correlation = scenario.probe_correlation(model)  # illumination_probe's refusals first
@@ -477,29 +577,38 @@ def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
         if not math.isfinite(a):
             raise ValueError("covariance matrix has non-finite entries")
         return _CoherentPair(a, 2.0 * kappa * scenario.n_signal)
-    c1, total = math.sqrt(kappa) * correlation, a1 + b
-    det = a1 * b - c1 * c1  # inf once a'b overflows, however small the true det
-    certified = all(map(math.isfinite, (a, a1, b, correlation, c1, det)))
-    if not (certified and det > 2.0**16 * EPS * total * total):
+    c1 = math.sqrt(kappa) * correlation
+    if model == "three-mode":
+        total = a1 + 2.0 * b
+        dets = (min(a, b - correlation) * total, a1 * (b + correlation) - 2.0 * c1 * c1,
+                a1 * (b - correlation) - 2.0 * c1 * c1)
+    else:
+        total, dets = a1 + b, (a1 * b - c1 * c1,)  # inf once a'b overflows, however small
+    certified = all(map(math.isfinite, (a, a1, b, correlation, c1, total, *dets)))
+    if not (certified and min(dets) > 2.0**16 * EPS * total * total):
         illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
+    if model == "three-mode":
+        # The p block's det a'(S - c) - 2c'^2 sets how many digits the reduced
+        # pair keeps: its rounding error in log q reads below eps a'(S - c)/det
+        # on a grid up to n_s = 1e14, so this refuses past about 1.5e-8 of
+        # log q. Inside the box the ratio is below 4.
+        kept = 1.0 - 2.0 * (c1 / a1) * (c1 / (b - correlation))
+        if kept < 2.0**-26:
+            raise ValueError(f"n_signal {scenario.n_signal:g} puts the three-mode present state "
+                             f"within {kept:.3g} of singular, past what floats resolve")
+        return _ThreeModePair(a, b, a1, correlation, c1)
     return _TwoModePair(a, b, a1, c1)
 
 
 def illumination_bhattacharyya(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    if model == "three-mode":
-        return bhattacharyya_bound(*illumination_states(scenario, model), scenario.copies)
     return _bound_from_overlap(_closed_form_pair(scenario, model)(0.5), scenario.copies)
 
 
 def illumination_chernoff(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same states.
-
-    Only the three-mode pair goes through its states and chernoff_bound."""
-    if model == "three-mode":
-        return chernoff_bound(*illumination_states(scenario, model), scenario.copies)
+    """Chernoff bound; its `bhattacharyya` is the Bhattacharyya bound of the same pair."""
     pair = _closed_form_pair(scenario, model)
     return _chernoff_search(pair(0.5), lambda: pair, scenario.copies)

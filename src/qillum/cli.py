@@ -55,8 +55,8 @@ EXTRA_ORDER = ("qb2", "qb3", "qb_coherent", "chernoff3")
 # The probe behind each Bhattacharyya extra; chernoff3 is the three-mode Chernoff bound.
 EXTRA_MODELS = {"qb2": "two-mode", "qb3": "three-mode", "qb_coherent": "coherent"}
 STATE_TOKENS = ("initial3", "rho", "sigma")
-# Most sweep rows: 100 rows with every extra take about 36 ms in-process (2-CPU
-# x86_64, one BLAS thread), so the cap allows a run of about 40 s.
+# Most sweep rows: 100 rows with every extra take about 10 ms in-process (2-CPU
+# x86_64), so the cap allows a run of about 10 s.
 SWEEP_COUNT_CAP = 100_000
 
 

@@ -312,6 +312,31 @@ def test_crossover_location_and_residual():
     assert result.n_signal == pytest.approx(0.29535495854, abs=1e-9)
 
 
+@pytest.mark.parametrize("kappa", [1e-2, 1e-3])
+def test_finite_crossover_approaches_the_asymptote(kappa):
+    # The n_s where the finite three-mode and two-mode Bhattacharyya exponents
+    # cross, found by bisection on the printed log q, tends to the crossover
+    # of the exponent coefficients from below, about 1/n_b closer per decade
+    # of n_b: a check of _idler_exponent by code that shares nothing with it.
+    def three_mode_wins(ns: float, nb: float) -> bool:
+        scn = IlluminationScenario(ns, nb, kappa)
+        log_q = [illumination_bhattacharyya(scn, model).diagnostics["log_overlap"]
+                 for model in ("three-mode", "two-mode")]
+        return log_q[0] < log_q[1]
+
+    asymptote = find_crossover().n_signal
+    gaps = []
+    for nb in (1e2, 1e4, 1e6):
+        lo, hi = 0.25, 0.35
+        assert three_mode_wins(lo, nb) and not three_mode_wins(hi, nb)
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if three_mode_wins(mid, nb) else (lo, mid)
+        gaps.append(asymptote - 0.5 * (lo + hi))
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0, gaps
+    assert gaps[1] < 3e-6 and gaps[2] < 3e-8, gaps
+
+
 def test_measured_exponent_approaches_coefficient():
     # per-copy exponent tends to kappa * gamma / n_background from below-ish
     gaps = []
@@ -644,14 +669,15 @@ def test_slope_matches_50_digit_derivative():
 # the closed forms match _PairEngine. The coherent engine builds log q from a
 # solve whose terms add to about 3 |log q|: it reads up to 10.6 ulps of log q
 # off the 50-digit closed form, where the float closed form reads 3.4.
-CROSS_CHECK_ULPS = {"two-mode": 4, "coherent": 16}
+CROSS_CHECK_ULPS = {"three-mode": 4, "two-mode": 4, "coherent": 16}
 
 
-@pytest.mark.parametrize("model", ["two-mode", "coherent"])
+@pytest.mark.parametrize("model", ["three-mode", "two-mode", "coherent"])
 def test_closed_forms_match_the_engine(model):
-    # Two codes for every printed two-mode and coherent number: the closed
-    # forms from the scenario's parameters, the engine from two Williamson
-    # decompositions, at small n_b where the engine keeps its digits.
+    # Two codes for every printed number: the closed forms from the
+    # scenario's parameters, the engine from two Williamson decompositions,
+    # at small n_b where the engine keeps its digits. Three-mode reads within
+    # 1.4 ulps of the engine's pieces in log q and 1.0 of _slope_scale.
     ulps = CROSS_CHECK_ULPS[model] * EPS
     compared = 0
     for scn in box_scenarios(25, 120):
@@ -694,15 +720,17 @@ def test_scalar_admission_refuses_exactly_what_illuminate_refuses(monkeypatch):
     # goes to illuminate, so every refusal and its message stay as they were.
     scenarios = [
         (model, IlluminationScenario(ns, nb, kappa))
-        for model in ("two-mode", "coherent")
+        for model in ("three-mode", "two-mode", "coherent")
         for ns in EXTREMES
         for nb in EXTREMES
         for kappa in (0.0, 1e-16, 1e-4, 0.5, 0.99, 1.0)
     ]
     for ns, nb, kappa in itertools.product((1e-4, 1.0, 1e4, 1e8), (0.0, 1.0, 1e8), (0.5, 1.0)):
         for fraction in (0.0, 0.5, 0.999999, 1.0, 1.0 + 1e-7):
-            c = fraction * tmsv_correlation(ns)
-            scenarios.append(("two-mode", IlluminationScenario(ns, nb, kappa, correlation=c)))
+            for model, cmax in (("two-mode", tmsv_correlation(ns)),
+                                ("three-mode", max_three_mode_correlation(ns))):
+                scn = IlluminationScenario(ns, nb, kappa, correlation=fraction * cmax)
+                scenarios.append((model, scn))
     fallbacks = []
 
     def counted(*args):
@@ -719,9 +747,12 @@ def test_scalar_admission_refuses_exactly_what_illuminate_refuses(monkeypatch):
             assert _outcome(bounds._closed_form_pair, scn, model) == expected, (model, scn)
             refused += expected is not None
             unchecked += len(fallbacks) == gated
-    # Both branches are exercised: of 3588 pairs, 2683 never reach illuminate
+            if expected is None and model == "three-mode":  # finite, however far out of the box
+                ov = bounds._closed_form_pair(scn, model)(0.5)
+                assert math.isfinite(ov.log_value) and math.isfinite(ov.slope), scn
+    # Both branches are exercised: of 5442 pairs, 3421 never reach illuminate
     # (certified, refused by the correlation check first, or coherent with an
-    # infinite a), and 910 are refused.
+    # infinite a), and 1853 are refused.
     assert min(refused, unchecked, len(scenarios) - unchecked) >= 500
 
 
@@ -872,7 +903,7 @@ def test_stopped_search_within_rounding_of_full_zoom(monkeypatch):
 def test_chernoff_engine_calls(monkeypatch):
     calls = _count_search_calls(monkeypatch)
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
-    qc = illumination_chernoff(scn, "three-mode")
+    qc = bounds.chernoff_bound(*illumination_states(scn, "three-mode"), scn.copies)
     # one s per engine call after the start, within the cap
     assert list(map(type, calls["engine"])) == [float] * qc.diagnostics["search_calls"]
     assert qc.diagnostics["search_calls"] <= 2

@@ -180,15 +180,15 @@ def test_sweep_extras_canonical_order(tmp_path, capsys):
 
 
 def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
-    # qb3 is read off the Chernoff evaluation.
+    # qb3 is read off the Chernoff evaluation: one pair per row.
     built = []
-    original = bounds.illumination_states
+    original = bounds._closed_form_pair
 
-    def counting(scenario, model="three-mode"):
+    def counting(scenario, model):
         built.append(model)
         return original(scenario, model)
 
-    monkeypatch.setattr(bounds, "illumination_states", counting)
+    monkeypatch.setattr(bounds, "_closed_form_pair", counting)
     code, out, _ = run(
         capsys, "sweep", "--param", "nS", "--start", "0.001", "--stop", "0.1",
         "--count", "3", "--nb", "0.01", "--kappa", "0.1", "--copies", "1",
@@ -198,7 +198,7 @@ def test_sweep_three_mode_columns_share_one_evaluation(capsys, monkeypatch):
     assert built == ["three-mode"] * 3
     report = strict_json(out)
     assert report["diagnostics"] == {"rows": 3}
-    monkeypatch.setattr(bounds, "illumination_states", original)
+    monkeypatch.setattr(bounds, "_closed_form_pair", original)
     for row in report["rows"]:
         scn = IlluminationScenario(n_signal=row["n_s"], n_background=0.01, reflectivity=0.1)
         assert row["qb3"] == illumination_bhattacharyya(scn, "three-mode").value
@@ -667,32 +667,38 @@ with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stder
     assert main(["crossover", "--ns", "0.1"]) == 2
     assert main(["bounds", "--kappa", "2"]) == 2
     assert main(["bounds", "--ns", "x"]) == 2
-    # two-mode and coherent bounds are closed forms admitted by a scalar check
+    # every model's bounds are closed forms admitted by a scalar check
+    assert main(["bounds"]) == 0
     assert main(["bounds", "--model", "two-mode"]) == 0
     assert main(["bounds", "--model", "coherent"]) == 0
     for model, fmt, nb, ns, kappa in itertools.product(
-        ("two-mode", "coherent"), ("text", "json"), ("1e-2", "1e8"), ("1e-4", "1"), ("1e-4", "1")
+        ("three-mode", "two-mode", "coherent"), ("text", "json"), ("1e-2", "1e8"), ("1e-4", "1"),
+        ("1e-4", "1"),
     ):
         argv = ["bounds", "--model", model, "--format", fmt, "--nb", nb, "--ns", ns]
-        assert main([*argv, "--kappa", kappa]) == 0, argv
+        # the paper's three-mode probe leaves a present eigenvalue below one at
+        # the dim, fully reflecting corner, and the scalar path refuses it too
+        refused = (model, nb, kappa) == ("three-mode", "1e-2", "1")
+        assert main([*argv, "--kappa", kappa]) == (2 if refused else 0), argv
     # and a coherent return whose variance 2 n_b + 1 overflows is refused by it
     assert main(["bounds", "--model", "coherent", "--nb", "1.7e308"]) == 2
-    # so is a sweep's grid, and the Bhattacharyya extras of those two probes
+    # so is a sweep's grid, and every probe's Bhattacharyya and Chernoff extras
     assert main(["sweep"]) == 0
     assert main(["sweep", "--spacing", "linear"]) == 0
     assert main(["sweep", "--extras", "qb2,qb_coherent"]) == 0
+    assert main(["sweep", "--extras", "qb3,chernoff3"]) == 0
 print(out.getvalue().splitlines()[0])
 """
 
 MATRIX_RUNS_LOAD_NUMPY = """
 import contextlib, io, sys
-import qillum.bounds
+import qillum.states
 from qillum.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["bounds"]) == 0
+    assert main(["state-info"]) == 0
     # the stand-in has made way for numpy itself
-    assert qillum.bounds.np is sys.modules["numpy"]
-    assert "qillum.fock" not in sys.modules, "bounds imported the oracle"
+    assert qillum.states.np is sys.modules["numpy"]
+    assert "qillum.fock" not in sys.modules, "state-info imported the oracle"
     assert main(["oracle-check", "--ns", "0.1", "--nb", "0.3", "--cutoff", "15"]) == 0
     assert "qillum.fock" in sys.modules
 """
@@ -890,10 +896,13 @@ REFUSALS = [
      "cutoff must be at least 1"),
     (["oracle-check", "--cutoff", "0"], {}, "cutoff must be at least 1"),
     (["sweep", "--extras", "qbCoherent"], {}, f"unknown extras ['qbCoherent']; choose from {EXTRAS}"),
-    # a hypothesis pair is admitted as one stack; a refused pair names the
-    # first failing check, at the first state it flags
+    # a pair admitted by illuminate or the scalar check is refused at its
+    # first symplectic eigenvalue below one, absent first, from the closed form;
+    # the second is box draw box_scenarios(2, 60)[29]
     (["bounds", "--model", "three-mode", "--nb", "0.01", "--kappa", "0.99"], {},
      "symplectic eigenvalue 0.984870077232 below one"),
+    (["bounds", "--ns", "0.14963102869663833", "--nb", "0.03367607234027932", "--kappa",
+      "0.4097784296620206"], {}, "symplectic eigenvalue 0.950979573932 below one"),
     (["bounds", "--nb", "1e16"], {}, "covariance matrix is not positive definite"),
 ]
 

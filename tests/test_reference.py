@@ -7,6 +7,8 @@ program. From it come q(s) (Pirandola & Lloyd, PRA 78, 012331 (2008)) and
 the symplectic spectra that state-info and the entanglement checks print.
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import box_scenarios
 from qillum.bounds import _closed_form_pair, illumination_bhattacharyya, illumination_chernoff
+from qillum.cli import main
 from qillum.states import IlluminationScenario, illumination_states
 from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
 
@@ -94,9 +97,17 @@ def _log_scenarios(seed: int, count: int, ns: tuple, nb: tuple, kappa: tuple):
     return [IlluminationScenario(draw(*ns), draw(*nb), draw(*kappa)) for _ in range(count)]
 
 
+# The box's corners, n_b up to 1e8; none is refused.
+BOX_CORNERS = [IlluminationScenario(ns, nb, kappa)
+               for ns, nb, kappa in itertools.product((1e-4, 1.0), (1e-2, 1e4, 1e8), (1e-4, 0.5))]
+
+
 @pytest.mark.parametrize(
     "model,scenarios,tolerance,s_grid",
     [
+        # The Williamson engine that printed three-mode before its closed form
+        # was off by up to 0.83 relative on these draws.
+        ("three-mode", box_scenarios(708, 12) + BOX_CORNERS, 1e-10, ()),
         ("two-mode", box_scenarios(708, 12), 1e-13, ()),
         ("coherent", box_scenarios(708, 12), 1e-13, ()),
         # Below the box's n_b: a - 1 = 2 n_b is small, and log((a - 1)/(a + 1))
@@ -107,7 +118,7 @@ def _log_scenarios(seed: int, count: int, ns: tuple, nb: tuple, kappa: tuple):
         ("two-mode", _log_scenarios(710, 20, (1e-3, 0.4), (1e-3, 0.4), (1e-3, 0.5)), 1e-13,
          (0.05, 0.2, 0.35, 0.65, 0.8, 0.95)),
     ],
-    ids=["two-mode", "coherent", "coherent-dim", "two-mode-oracle"],
+    ids=["three-mode", "two-mode", "coherent", "coherent-dim", "two-mode-oracle"],
 )
 def test_printed_closed_forms_match_50_digit_reference(model, scenarios, tolerance, s_grid):
     # The closed forms print these models' log q from differences of size
@@ -126,6 +137,25 @@ def test_printed_closed_forms_match_50_digit_reference(model, scenarios, toleran
             reference = _reference_log_overlap(absent, present, s)
             worst = max(worst, abs(log_q - reference) / abs(reference))
     assert worst <= tolerance
+
+
+@pytest.mark.parametrize(
+    "argv,exponent",
+    [
+        (["--ns", "1e-4", "--nb", "1e8", "--kappa", "1e-4"], 9.86055e-17),
+        (["--kappa", "1e-16"], 8.676e-21),
+    ],
+    ids=["bright-corner", "kappa-1e-16"],
+)
+def test_three_mode_prints_its_reference_exponent(argv, exponent, capsys):
+    # The Williamson engine printed 7.1e-15 and 0 for these exponents: its
+    # pieces of size log n_b cancel to a residue of a few eps log n_b.
+    assert main(["bounds", *argv, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    scn = IlluminationScenario(row["n_signal"], row["n_background"], row["reflectivity"])
+    reference = -_reference_log_overlap(*illumination_states(scn, "three-mode"))
+    assert reference == pytest.approx(exponent, rel=1e-4, abs=0.0)
+    assert row["exponent_per_copy_qb"] == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
 def test_symplectic_spectra_keep_relative_precision():
