@@ -897,13 +897,13 @@ REFUSALS = [
     (["oracle-check", "--cutoff", "0"], {}, "cutoff must be at least 1"),
     (["sweep", "--extras", "qbCoherent"], {}, f"unknown extras ['qbCoherent']; choose from {EXTRAS}"),
     # a pair admitted by illuminate or the scalar check is refused at its
-    # first symplectic eigenvalue below one, absent first, from the closed form;
-    # the second is box draw box_scenarios(2, 60)[29]
+    # first symplectic eigenvalue below one, absent first, from the closed form
     (["bounds", "--model", "three-mode", "--nb", "0.01", "--kappa", "0.99"], {},
      "symplectic eigenvalue 0.984870077232 below one"),
+    (["bounds", "--nb", "1e16"], {}, "covariance matrix is not positive definite"),
+    # box draw box_scenarios(2, 60)[29], refused the same way
     (["bounds", "--ns", "0.14963102869663833", "--nb", "0.03367607234027932", "--kappa",
       "0.4097784296620206"], {}, "symplectic eigenvalue 0.950979573932 below one"),
-    (["bounds", "--nb", "1e16"], {}, "covariance matrix is not positive definite"),
 ]
 
 
