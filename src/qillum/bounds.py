@@ -58,9 +58,7 @@ class OverlapResult:
 def _as_state(obj) -> GaussianState:
     if isinstance(obj, GaussianState):
         return obj
-    if isinstance(obj, CovarianceMatrix):
-        return GaussianState(cov=obj)
-    return GaussianState(cov=CovarianceMatrix(np.asarray(obj, dtype=float)))
+    return GaussianState(cov=obj if isinstance(obj, CovarianceMatrix) else CovarianceMatrix(obj))
 
 
 class _Modes:
@@ -559,24 +557,27 @@ def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
 
     A scalar check certifies admission. Coherent's states are diag(a, ...)
     with a >= 1, so they fail only when a is not finite, with illuminate's
-    message. An entangled pair the check cannot certify goes to illuminate,
-    whose refusals stand. Its absent state is diag(a, ...) too. A PD block's
-    largest eigenvalue is at most its trace T, and its smallest at least
-    det/T. The two-mode present x block [[a', c'], [c', b]] has a'b - c'^2;
-    the three-mode one, [[a', c', c'], [c', S, c], [c', c, S]], has the
-    eigenvalue S - c and a 2x2 block of det a'(S + c) - 2c'^2, and p has S + c
-    and a'(S - c) - 2c'^2. So each such det above 2^16 eps T^2 (and, for
-    three-mode, a and S - c above 2^16 eps T) puts the smallest eigenvalue far
-    above eigh's backward error, a small multiple of eps |V|.
+    message, or when the photon term 2 kappa n_s overflows, naming n_signal.
+    An entangled pair the check cannot certify goes to illuminate, absent
+    state first, and its refusals stand. Its absent state is diag(a, ...) too.
+    A PD block's largest eigenvalue is at most its trace T, and its smallest
+    at least det/T. The two-mode present x block [[a', c'], [c', b]] has
+    a'b - c'^2; the three-mode one, [[a', c', c'], [c', S, c], [c', c, S]],
+    has the eigenvalue S - c and a 2x2 block of det a'(S + c) - 2c'^2, and p
+    has S + c and a'(S - c) - 2c'^2. So each such det above 2^16 eps T^2 (and,
+    for three-mode, a and S - c above 2^16 eps T) puts the smallest eigenvalue
+    far above eigh's backward error, a small multiple of eps |V|.
     """
     correlation = scenario.probe_correlation(model)  # illumination_probe's refusals first
     a, b, a1 = scenario.background_variance, scenario.signal_variance, scenario.return_variance
     kappa = scenario.reflectivity
     if model == "coherent":
-        # the mean 2 sqrt(kappa n_s) is finite for kappa <= 1, so only a can fail
         if not math.isfinite(a):
             raise ValueError("covariance matrix has non-finite entries")
-        return _CoherentPair(a, 2.0 * kappa * scenario.n_signal)
+        photons = 2.0 * kappa * scenario.n_signal
+        if not math.isfinite(photons):
+            raise ValueError(f"n_signal {scenario.n_signal:g} overflows the coherent displacement")
+        return _CoherentPair(a, photons)
     c1 = math.sqrt(kappa) * correlation
     if model == "three-mode":
         total = a1 + 2.0 * b
@@ -586,7 +587,9 @@ def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
         total, dets = a1 + b, (a1 * b - c1 * c1,)  # inf once a'b overflows, however small
     certified = all(map(math.isfinite, (a, a1, b, correlation, c1, total, *dets)))
     if not (certified and min(dets) > 2.0**16 * EPS * total * total):
-        illuminate(illumination_probe(scenario, model), scenario, [0, kappa])
+        probe = illumination_probe(scenario, model)
+        for k in (0.0, kappa):
+            illuminate(probe, scenario, k)
     if model == "three-mode":
         # The p block's det a'(S - c) - 2c'^2 sets how many digits the reduced
         # pair keeps: its rounding error in log q reads below eps a'(S - c)/det

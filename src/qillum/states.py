@@ -220,7 +220,7 @@ def illumination_probe(scenario: IlluminationScenario, model: str) -> Probe:
     return Probe(excess=symmetric_excess(scenario.n_signal, correlation, modes))
 
 
-def illuminate(probe: Probe, scenario: IlluminationScenario, reflectivity) -> GaussianState:
+def illuminate(probe: Probe, scenario: IlluminationScenario, reflectivity: float) -> GaussianState:
     """The probe after its mode 0 crossed the scenario's thermal-loss channel.
 
     A beamsplitter of reflectivity kappa mixes the signal with thermal light
@@ -231,26 +231,24 @@ def illuminate(probe: Probe, scenario: IlluminationScenario, reflectivity) -> Ga
     photon number scales by kappa, and the vacuum is added back elsewhere.
     Nothing divides by 1 - kappa, so kappa = 1 is exact, and kappa = 0 gives
     the target-absent state. The excess form keeps every entry equal, bit for
-    bit, to the covariances written out entry by entry. An array of k values
-    gives one stacked state, each entry equal to its scalar call.
+    bit, to the covariances written out entry by entry.
     """
-    kappa = np.asarray(reflectivity, dtype=float)
-    scale = np.ones(kappa.shape + probe.excess.shape[:1])
-    scale[..., :2] = np.sqrt(kappa)[..., None]
-    cov = probe.excess * scale[..., :, None] * scale[..., None, :] + np.eye(scale.shape[-1])
-    cov[..., 0, 0] = cov[..., 1, 1] = kappa * probe.excess[0, 0] + scenario.background_variance
-    mean = np.zeros(cov.shape[:-1])
-    mean[..., 0] = 2.0 * np.sqrt(kappa * probe.coherent_photons)
+    kappa = float(reflectivity)
+    scale = np.ones(len(probe.excess))
+    scale[:2] = np.sqrt(kappa)
+    cov = probe.excess * scale[:, None] * scale + np.eye(len(scale))
+    cov[0, 0] = cov[1, 1] = kappa * probe.excess[0, 0] + scenario.background_variance
+    mean = np.zeros(len(scale))
+    mean[0] = 2.0 * np.sqrt(kappa * probe.coherent_photons)
     return GaussianState(cov=CovarianceMatrix(cov), mean=mean)
 
 
 def illumination_states(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> tuple[GaussianState, GaussianState]:
-    """Target-absent and target-present states, built, admitted and decomposed as one stack."""
-    pair = illuminate(illumination_probe(scenario, model), scenario, [0, scenario.reflectivity])
-    pair.williamson  # decomposed as a stack first, so each indexed state carries its row
-    return pair[0], pair[1]
+    """Target-absent then target-present state; each decomposes on first use of `williamson`."""
+    probe = illumination_probe(scenario, model)
+    return illuminate(probe, scenario, 0.0), illuminate(probe, scenario, scenario.reflectivity)
 
 
 # Library and test API; commands call illuminate, as illumination_states does.
@@ -282,7 +280,7 @@ def two_mode_target_present_cov(scenario: IlluminationScenario) -> CovarianceMat
 def _block_sorted(symplectic: np.ndarray, nus: np.ndarray) -> WilliamsonDecomposition:
     """Permute 2x2 column blocks so the eigenvalue list is descending."""
     order = np.argsort(-nus, kind="stable")
-    cols = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    cols = (2 * order[:, None] + [0, 1]).ravel()
     return WilliamsonDecomposition(symplectic=symplectic[:, cols], nu=nus[order])
 
 

@@ -32,32 +32,16 @@ def symplectic_form(n: int) -> np.ndarray:
     return omega
 
 
-def _refuse(bad, message: str, value=None) -> None:
-    """Refuse a stack at the first entry r that bad flags; value[r] fills the message's {}."""
-    if np.count_nonzero(bad):
-        r = int(np.argmax(np.ravel(bad)))
-        raise ValueError(message.format(None if value is None else np.ravel(value)[r]))
-
-
-class _Stack:
-    """obj[i] is entry i of a checked stack: every attribute indexed, not checked again."""
-
-    def __getitem__(self, index):
-        row = object.__new__(type(self))
-        row.__dict__ = {name: value[index] for name, value in vars(self).items()}
-        return row
-
-
 @dataclass
-class CovarianceMatrix(_Stack):
-    """Validated real covariance matrix of an n-mode Gaussian state, or a (k, 2n, 2n) stack.
+class CovarianceMatrix:
+    """Validated real covariance matrix of an n-mode Gaussian state.
 
     A 2n x 2n matrix is admitted iff its entries are finite, it is symmetric
-    to 1e-12, and the smallest eigenvalue of np.linalg.eigh is > 0; a stack
-    takes one batched eigh. The symmetric square root built from that
-    eigensolve is kept as `root`, the V^(1/2) that williamson_decompose starts
-    from. Whether the matrix is a bona fide quantum state (symplectic spectrum
-    >= 1) is a separate question answered by is_physical.
+    to 1e-12, and the smallest eigenvalue of np.linalg.eigh is > 0. The
+    symmetric square root built from that eigensolve is kept as `root`, the
+    V^(1/2) that williamson_decompose starts from. Whether the matrix is a
+    bona fide quantum state (symplectic spectrum >= 1) is a separate question
+    answered by is_physical.
     """
 
     matrix: np.ndarray
@@ -65,28 +49,28 @@ class CovarianceMatrix(_Stack):
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        stack = m if m.ndim == 3 else m[None]
-        finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-        _refuse(~finite, "covariance matrix has non-finite entries")
-        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        if not np.isfinite(m).all():
+            raise ValueError("covariance matrix has non-finite entries")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance matrix must be square")
-        if m.shape[-1] % 2 != 0 or m.size == 0:
+        if m.shape[0] % 2 != 0 or m.size == 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
-        asymmetric = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
-        _refuse(asymmetric, "covariance matrix is not symmetric to 1e-12")
-        w, v = np.linalg.eigh(stack)
-        _refuse(w[:, 0] <= 0, "covariance matrix is not positive definite")
+        if np.abs(m - m.T).max() > SYMMETRY_TOL:
+            raise ValueError("covariance matrix is not symmetric to 1e-12")
+        w, v = np.linalg.eigh(m)
+        if w[0] <= 0:
+            raise ValueError("covariance matrix is not positive definite")
         self.matrix = m
-        self.root = ((v * np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)).reshape(m.shape)
+        self.root = (v * np.sqrt(w)) @ v.T
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[-1] // 2
+        return self.matrix.shape[0] // 2
 
 
 @dataclass
-class GaussianState(_Stack):
-    """Covariance matrix plus quadrature mean vector, or a stack of both.
+class GaussianState:
+    """Covariance matrix plus quadrature mean vector.
 
     A coherent amplitude alpha displaces the mean to (2 Re alpha, 2 Im alpha)
     in this convention.
@@ -96,7 +80,7 @@ class GaussianState(_Stack):
     mean: np.ndarray = None
 
     def __post_init__(self):
-        shape = self.cov.matrix.shape[:-1]
+        shape = self.cov.matrix.shape[:1]
         self.mean = np.zeros(shape) if self.mean is None else np.asarray(self.mean, dtype=float)
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("mean vector has non-finite entries")
@@ -114,8 +98,8 @@ class GaussianState(_Stack):
 
 
 @dataclass
-class WilliamsonDecomposition(_Stack):
-    """Symplectic S and eigenvalues nu with cov = S (direct sum nu_j I2) S^T, or stacks of both.
+class WilliamsonDecomposition:
+    """Symplectic S and eigenvalues nu with cov = S (direct sum nu_j I2) S^T.
 
     Checked: nu sorted descending, S symplectic and, given `matrix`, S and nu reconstructing it.
     """
@@ -127,28 +111,26 @@ class WilliamsonDecomposition(_Stack):
     def __post_init__(self, matrix):
         self.symplectic = np.asarray(self.symplectic, dtype=float)
         self.nu = np.asarray(self.nu, dtype=float)
-        n = self.nu.shape[-1]
-        if self.symplectic.shape != self.nu.shape[:-1] + (2 * n, 2 * n):
+        n = self.nu.size
+        if self.nu.shape != (n,) or self.symplectic.shape != (2 * n, 2 * n):
             raise ValueError("symplectic matrix shape does not match nu")
-        unsorted = (self.nu[..., 1:] > self.nu[..., :-1]).any(axis=-1)
-        _refuse(unsorted, "symplectic eigenvalues must be sorted descending")
+        if (self.nu[1:] > self.nu[:-1]).any():
+            raise ValueError("symplectic eigenvalues must be sorted descending")
         sym, omega = self.symplectic, symplectic_form(n)
-        err = np.abs(sym @ omega @ sym.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
-        message = "matrix is not symplectic (S Omega S^T residual {:.3e})"
-        _refuse(err > RECONSTRUCTION_TOL, message, err)
+        err = np.abs(sym @ omega @ sym.T - omega).max()
+        if err > RECONSTRUCTION_TOL:
+            raise ValueError(f"matrix is not symplectic (S Omega S^T residual {err:.3e})")
         if matrix is not None:
-            resid = np.abs(self.reconstruct() - matrix).max(axis=(-2, -1))
-            scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
-            message = "decomposition failed to reconstruct (residual {:.3e})"
-            _refuse(resid > RECONSTRUCTION_TOL * scale, message, resid)
+            resid = np.abs(self.reconstruct() - matrix).max()
+            if resid > RECONSTRUCTION_TOL * max(1.0, np.abs(matrix).max()):
+                raise ValueError(f"decomposition failed to reconstruct (residual {resid:.3e})")
 
     @property
     def n(self) -> int:
-        return self.nu.shape[-1]
+        return self.nu.size
 
     def reconstruct(self) -> np.ndarray:
-        d = np.repeat(self.nu, 2, axis=-1)[..., None, :]
-        return (self.symplectic * d) @ self.symplectic.swapaxes(-1, -2)
+        return (self.symplectic * np.repeat(self.nu, 2)) @ self.symplectic.T
 
 
 @dataclass(frozen=True)
@@ -189,7 +171,7 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
 
 
 def williamson_decompose(cov) -> WilliamsonDecomposition:
-    """Numeric Williamson decomposition of a matrix or a stack.
+    """Numeric Williamson decomposition of one covariance matrix.
 
     Algorithm: with R = cov^(1/2), the root kept when cov was admitted, the
     Hermitian i R Omega R has eigenvalues +-nu in pairs, nu the symplectic
@@ -199,9 +181,7 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     Blocks are sorted descending. Each block pair, and each group of
     degenerate eigenvalues, is fixed only up to a passive rotation, which is
     left as the eigensolver returns it and can differ between LAPACK builds;
-    each group's share S diag(nu) S^T, and so q(s), does not depend on it. A
-    (k, 2n, 2n) stack takes one batched eigh, and each of its entries equals
-    its own call bit for bit.
+    each group's share S diag(nu) S^T, and so q(s), does not depend on it.
 
     The eigensolve is backward stable, so nu carries an absolute error of
     about eps * max(nu): in a bright state the small eigenvalues lose relative
@@ -212,16 +192,15 @@ def williamson_decompose(cov) -> WilliamsonDecomposition:
     lam, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
 
     # The spectrum is symmetric about zero: -nu_j must pair with +nu_j.
-    stray = np.abs(lam[..., :n] + lam[..., : n - 1 : -1]).max(axis=-1)
-    unpaired = stray > 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=-1))
-    message = "could not pair the symplectic spectrum (residual {:.3e})"
-    _refuse(unpaired, message, stray)
+    stray = np.abs(lam[:n] + lam[: n - 1 : -1]).max()
+    if stray > 1e-8 * max(1.0, np.abs(lam).max()):
+        raise ValueError(f"could not pair the symplectic spectrum (residual {stray:.3e})")
 
     # eigh sorts ascending, so the +nu half read backwards is the descending sort.
-    nus = lam[..., n:][..., ::-1]
+    nus = lam[n:][::-1]
     # Columns (sqrt2 Re u, -sqrt2 Im u) are the float view of sqrt2 conj(u).
-    q = (u[..., n:][..., ::-1] * np.sqrt(2.0)).conj().view(float)
-    s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2, axis=-1)[..., None, :]
+    q = (u[:, n:][:, ::-1] * np.sqrt(2.0)).conj().view(float)
+    s = (root @ q) * np.repeat(1.0 / np.sqrt(nus), 2)
     return WilliamsonDecomposition(symplectic=s, nu=nus, matrix=m)
 
 

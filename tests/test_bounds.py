@@ -23,7 +23,6 @@ from qillum.bounds import (
 from qillum.states import (
     IlluminationScenario,
     illuminate,
-    illumination_probe,
     illumination_states,
     max_three_mode_correlation,
     target_absent_williamson,
@@ -197,9 +196,9 @@ def test_each_state_is_decomposed_once(monkeypatch):
     chernoff_bound(absent, present)  # the s = 1/2 start and the search's calls
     power_overlap(absent, present, 0.3)
     power_overlap(absent, present, 0.6)
-    # One decomposition of the (2, 6, 6) stack; each state holds its row.
-    assert len(calls) == 1 and calls[0].matrix.shape == (2, 6, 6)
-    assert np.array_equal(calls[0].matrix, [absent.cov.matrix, present.cov.matrix])
+    # One 6x6 decomposition per state, absent first; the search never repeats one.
+    assert [call.matrix.shape for call in calls] == [(6, 6), (6, 6)]
+    assert calls[0] is absent.cov and calls[1] is present.cov
 
 
 def test_exponent_coefficients_reference_values():
@@ -654,14 +653,13 @@ def test_slope_matches_50_digit_derivative():
         except ValueError:
             continue
         compared += 1
-        # The two-mode and coherent closed forms print these pairs: same reference, same bound.
-        closed = None if model == "three-mode" else bounds._closed_form_pair(scn, model)
+        # The closed forms print these pairs: same reference, same bound.
+        closed = bounds._closed_form_pair(scn, model)
         for ov in many:
             reference = _digits_slope(absent, present, ov.s, dec_a, dec_b)
             scale = _slope_scale(absent, present, ov.s, dec_a, dec_b)
             assert abs(ov.slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
-            if closed is not None:
-                assert abs(closed(ov.s).slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
+            assert abs(closed(ov.s).slope - reference) <= 4 * EPS * scale, (model, scn, ov.s)
     assert compared >= 3 * len(REFERENCE_GRID) - 6
 
 
@@ -710,8 +708,8 @@ def _outcome(build, scn, model):
 
 
 def _gated(scn, model):
-    # The reference: every pair through illuminate's numpy gate, then the evaluator.
-    illuminate(illumination_probe(scn, model), scn, [0, scn.reflectivity])
+    # The reference: both states through illuminate's numpy gate, absent first, then the evaluator.
+    illumination_states(scn, model)
     return bounds._closed_form_pair(scn, model)
 
 
@@ -747,12 +745,12 @@ def test_scalar_admission_refuses_exactly_what_illuminate_refuses(monkeypatch):
             assert _outcome(bounds._closed_form_pair, scn, model) == expected, (model, scn)
             refused += expected is not None
             unchecked += len(fallbacks) == gated
-            if expected is None and model == "three-mode":  # finite, however far out of the box
+            if expected is None:  # finite, however far out of the box
                 ov = bounds._closed_form_pair(scn, model)(0.5)
                 assert math.isfinite(ov.log_value) and math.isfinite(ov.slope), scn
     # Both branches are exercised: of 5442 pairs, 3421 never reach illuminate
     # (certified, refused by the correlation check first, or coherent with an
-    # infinite a), and 1853 are refused.
+    # infinite a or photon term), and 1868 are refused.
     assert min(refused, unchecked, len(scenarios) - unchecked) >= 500
 
 

@@ -904,6 +904,9 @@ REFUSALS = [
     # box draw box_scenarios(2, 60)[29], refused the same way
     (["bounds", "--ns", "0.14963102869663833", "--nb", "0.03367607234027932", "--kappa",
       "0.4097784296620206"], {}, "symplectic eigenvalue 0.950979573932 below one"),
+    # the coherent photon term 2 kappa n_s overflows, which would print an infinite exponent
+    (["bounds", "--model", "coherent", "--ns", "1.7e308", "--nb", "0", "--kappa", "0.99"], {},
+     "n_signal 1.7e+308 overflows the coherent displacement"),
 ]
 
 

@@ -413,8 +413,7 @@ def test_hypothesis_states_are_one_channel():
 
 
 def test_pair_rows_equal_their_single_builds():
-    # One (2, 2n, 2n) stack is built, admitted and decomposed; each state's
-    # row equals the state built and decomposed alone, bit for bit.
+    # Each state of the pair equals the state built and decomposed alone, bit for bit.
     for scn in box_scenarios(1718, 30):
         for model in MODELS:
             probe = illumination_probe(scn, model)

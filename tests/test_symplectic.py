@@ -95,78 +95,9 @@ _S0 = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
 NO_X_WEIGHT = (_S0 * [3.0, 3.0, 1.5, 1.5]) @ _S0.T
 
 
-def _pair_stacks():
-    """The (2, 2n, 2n) hypothesis-pair covariances of box draws, for every model."""
-    for scn in box_scenarios(1717, 30):
-        for model in ("three-mode", "two-mode", "coherent"):
-            probe = illumination_probe(scn, model)
-            yield illuminate(probe, scn, [0.0, scn.reflectivity]).cov.matrix
-    yield np.stack([np.diag([5.0, 5.0, 2.0, 2.0]), NO_X_WEIGHT])
-
-
-def test_stacked_rows_equal_their_single_calls():
-    for stack in _pair_stacks():
-        cov = CovarianceMatrix(stack)
-        dec = williamson_decompose(cov)
-        assert cov.root.shape == dec.symplectic.shape == stack.shape
-        for i, matrix in enumerate(stack):
-            single = CovarianceMatrix(matrix)
-            assert np.array_equal(cov[i].matrix, single.matrix)
-            assert np.array_equal(cov[i].root, single.root)
-            alone = williamson_decompose(single)
-            assert np.array_equal(dec[i].nu, alone.nu)
-            assert np.array_equal(dec[i].symplectic, alone.symplectic)
-            assert np.array_equal(williamson_decompose(cov[i]).symplectic, alone.symplectic)
-
-
-GOOD = np.diag([3.0, 3.0, 2.0, 2.0])
-NON_FINITE = np.diag([np.inf, 3.0, 2.0, 2.0])
-ASYMMETRIC = GOOD + np.triu(np.full((4, 4), 1e-6), 1)
-SINGULAR = np.diag([3.0, 3.0, 2.0, 0.0])
-
-
-@pytest.mark.parametrize(
-    "pair, flagged, refusal",
-    [((NON_FINITE, GOOD), 0, "non-finite"), ((GOOD, NON_FINITE), 1, "non-finite"),
-     ((SINGULAR, NON_FINITE), 1, "non-finite"), ((ASYMMETRIC, SINGULAR), 0, "not symmetric"),
-     ((SINGULAR, ASYMMETRIC), 1, "not symmetric"), ((GOOD, SINGULAR), 1, "not positive"),
-     ((GOOD, ASYMMETRIC), 1, "not symmetric")],
-    ids=["absent-non-finite", "present-non-finite", "singular-before-non-finite",
-         "asymmetric-before-singular", "singular-before-asymmetric", "present-singular",
-         "present-asymmetric"],
-)
-def test_stack_admission_refuses_like_its_matrices_in_turn(pair, flagged, refusal):
-    # Each check runs in turn over the whole stack, so the first check any
-    # matrix fails decides, at the first matrix it flags, even where an
-    # earlier matrix fails a later check; the message is that matrix's own.
-    with pytest.raises(ValueError) as single:
-        CovarianceMatrix(pair[flagged])
-    with pytest.raises(ValueError, match=refusal) as stacked:
-        CovarianceMatrix(np.stack(pair))
-    assert str(stacked.value) == str(single.value)
-
-
-def test_stack_decomposition_refuses_like_its_matrices_in_turn():
-    thermal = np.stack([GOOD, np.diag([5.0, 5.0, 1.5, 1.5])])
-    good = williamson_decompose(thermal)
-    doubled = good.symplectic.copy()
-    doubled[1] *= 2.0
-    cases = [
-        # entry 0 fails only to reconstruct, entry 1 is not symplectic: the
-        # symplectic check comes first, so entry 1 decides
-        (doubled, good.nu, thermal + [[[1e-3]], [[0.0]]], 1, "matrix is not symplectic"),
-        (doubled, good.nu, thermal, 1, "matrix is not symplectic"),
-        (good.symplectic, good.nu[:, ::-1], thermal, 0, "must be sorted descending"),
-    ]
-    for symplectic, nu, matrix, flagged, refusal in cases:
-        with pytest.raises(ValueError, match=refusal) as single:
-            WilliamsonDecomposition(symplectic[flagged], nu[flagged], matrix[flagged])
-        with pytest.raises(ValueError) as stacked:
-            WilliamsonDecomposition(symplectic, nu, matrix)
-        assert str(stacked.value) == str(single.value)
-
-
 def test_one_real_and_one_complex_eigh_per_pair(monkeypatch):
+    # Each state is admitted by one real eigh when built, absent first, and
+    # decomposed by one complex eigh when the bound first reads it.
     solved = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
@@ -174,7 +105,17 @@ def test_one_real_and_one_complex_eigh_per_pair(monkeypatch):
     for model in ("three-mode", "two-mode", "coherent"):
         solved.clear()
         chernoff_bound(*illumination_states(scn, model))
-        assert solved == [np.float64, np.complex128], model
+        assert solved == [np.float64] * 2 + [np.complex128] * 2, model
+
+
+def test_one_state_per_call():
+    scn = box_scenarios(5, 1)[0]
+    probe = illumination_probe(scn, "two-mode")
+    for kappa in ([0.0, scn.reflectivity], np.array([0.0, scn.reflectivity])):
+        with pytest.raises(TypeError):
+            illuminate(probe, scn, kappa)
+    with pytest.raises(ValueError, match="^covariance matrix must be square$"):
+        CovarianceMatrix(np.stack([np.eye(4), 2.0 * np.eye(4)]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -322,10 +263,24 @@ def test_spectrum_congruence_invariant(seed):
 
 
 def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        WilliamsonDecomposition(symplectic=np.eye(4), nu=np.array([1.0, 2.0]))  # ascending
-    with pytest.raises(ValueError):
-        WilliamsonDecomposition(symplectic=2 * np.eye(4), nu=np.array([2.0, 1.0]))
+    # Each refusal of one decomposition, with its message; the checks run in
+    # this order, so a doubled S that also misses the matrix is refused as
+    # not symplectic.
+    thermal = np.diag([3.0, 3.0, 2.0, 2.0])
+    good = williamson_decompose(thermal)
+    cases = [
+        (np.eye(4), [1.0], None, "symplectic matrix shape does not match nu"),
+        (np.eye(4), [1.0, 2.0], None, "symplectic eigenvalues must be sorted descending"),
+        (2 * np.eye(4), [2.0, 1.0], None, "matrix is not symplectic (S Omega S^T residual 3.000e+00)"),
+        (2 * good.symplectic, good.nu, thermal + 1e-3,
+         "matrix is not symplectic (S Omega S^T residual 3.000e+00)"),
+        (good.symplectic, good.nu, thermal + 1e-3,
+         "decomposition failed to reconstruct (residual 1.000e-03)"),
+    ]
+    for symplectic, nu, matrix, refusal in cases:
+        with pytest.raises(ValueError) as refused:
+            WilliamsonDecomposition(symplectic, np.array(nu), matrix)
+        assert str(refused.value) == refusal
 
 
 def test_tmsv_is_pure():
