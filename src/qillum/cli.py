@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .bounds import (
@@ -169,15 +169,33 @@ def _scenario(resolved: dict, **overrides) -> IlluminationScenario:
     return IlluminationScenario(**fields)
 
 
-def _finite(value):
-    """value with every non-finite float, however deeply nested, replaced by None."""
+def _json(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it, but every inf and nan as null.
+
+    Types are checked as json.dumps checks them, so a float subclass such as
+    numpy.float64 prints through float.__repr__, and any other type raises
+    json's TypeError. Keys must be str.
+    """
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {key: _finite(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_finite(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+        items = [f"{inner}{_quote(key)}: {_json(v, inner)}" for key, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
@@ -189,7 +207,7 @@ def _json_report(config: dict, rows: list, diagnostics: dict) -> str:
         "rows": rows,
         "diagnostics": diagnostics,
     }
-    return json.dumps(_finite(report), indent=2, allow_nan=False) + "\n"
+    return _json(report) + "\n"
 
 
 def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:

@@ -1094,6 +1094,30 @@ def test_json_writes_non_finite_values_as_null(argv, field, printed, capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["bounds", "--model", "three-mode"],
+        ["bounds", "--model", "two-mode"],
+        ["bounds", "--model", "coherent"],
+        ["sweep", "--count", "3", "--extras", "qb2,qb3,qb_coherent,chernoff3"],
+        ["crossover"],
+        ["state-info", "--state", "rho"],
+        ["state-info", "--state", "sigma"],
+        ["state-info", "--state", "initial3"],
+        ["oracle-check", "--ns", "0.1", "--nb", "0.3", "--kappa", "0.1", "--cutoff", "20"],
+        # n_s = 0: every row's ratio is null
+        ["sweep", "--param", "kappa", "--ns", "0", "--start", "0.1", "--stop", "0.2",
+         "--count", "2"],
+    ],
+)
+def test_json_report_is_json_dumps_indent_2(argv, capsys):
+    # The printed report is byte for byte what json.dumps(indent=2) prints for it.
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(strict_json(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["--model", "coherent", "--ns", "0"], ["--model", "two-mode", "--ns", "0", "--c", "0"]],
 )
 def test_zero_exponent_prints_without_sign(argv, capsys):
