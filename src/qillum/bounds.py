@@ -31,6 +31,7 @@ from .states import (
     illumination_probe,
     illumination_states,  # unused here; the benchmark's tracer wraps bounds.illumination_states
     max_three_mode_correlation,
+    three_mode_reduction,
 )
 from .symplectic import PHYSICAL_TOL, CovarianceMatrix, GaussianState
 
@@ -221,69 +222,26 @@ class _TwoModePair(_Modes):
 
 
 class _ThreeModePair(_Modes):
-    """The three-mode pair, one s per call, reduced to two modes whose x and p blocks decouple.
+    """The three-mode pair, one s per call, on the two modes of states.three_mode_reduction.
 
-    A 50:50 beamsplitter on the idlers leaves the antisymmetric idler, x and p
-    variances S -+ c, uncoupled and the same under both hypotheses, so it
-    drops out of q. Its nu = b = sqrt((S - c)(S + c)) is at least 1 for every
-    c up to the det V = 1 maximum, so it is not checked either. A local
-    squeeze makes the symmetric idler diag(b, b). Absent is then diag(a, b);
-    present has x block [[a', cx], [cx, b]] and p block [[a', -cp], [-cp, b]],
-    cx^2 = 2c'^2 (S - c)/b and cp^2 = 2c'^2 (S + c)/b, c' = sqrt(kappa) c.
-    The brighter present mode comes first (diagonals x1 >= x2), so u = x1^2 -
-    x2^2 >= 0. With k = cx cp, g = x1 x2 (cx - cp)^2 and d = x1 - x2, the
-    discriminant of nu^2 is D = d^2 (d^2 + 4(x1 x2 - k)) + 4g, a sum of
-    nonnegative terms, and nu1^2 - x1^2 = 2(g - 2 x1 k d - k^2)/(sqrt(D) + u
-    + 2k), nu2^2 - x2^2 = -2(g + 2 x2 k d - k^2)/(u - 2k + sqrt(D)) (or (u -
-    2k - sqrt(D))/2 for u <= 2k): no nu is subtracted from its x, and each
-    mode's shift is h = (nu^2 - x^2)/(nu + x). All this is in units of a
-    power of 2 near x1, so no square overflows. The present symplectic has
-    columns n1 (1, e21) and n2 (e12, 1) in x and is their inverse transpose
-    in p, which is the x form with cx, cp read as -cp, -cx. With w = absent
-    variance at s + present at 1 - s, M0 = diag(w) and Delta = S Lambda S^T -
-    Lambda, each quadrature's det M / (w1 w2) is 1 + Z, Z = tr Y + det Y,
-    Y = M0^-1/2 Delta M0^-1/2. So log q is the two modes' _pair_log less half
-    of each quadrature's log1p(Z): terms of the size of h/a, never pieces of
-    size log a. Its slope takes d log det M = tr((1 + Y)^-1 M0^-1/2 dM
-    M0^-1/2). prefactor_log and det_term_log, which cancel, only scale the
-    search's rounding floor.
+    With w = absent variance at s + present at 1 - s, M0 = diag(w) and
+    Delta = S Lambda S^T - Lambda, each quadrature's det M / (w1 w2) is 1 + Z,
+    Z = tr Y + det Y, Y = M0^-1/2 Delta M0^-1/2. So log q is the two modes'
+    _pair_log less half of each quadrature's log1p(Z): terms of the size of
+    h/a, never pieces of size log a. Its slope takes d log det M =
+    tr((1 + Y)^-1 M0^-1/2 dM M0^-1/2). prefactor_log and det_term_log, which
+    cancel, only scale the search's rounding floor. The reduction's idler nu
+    is at least 1 for every c up to the det V = 1 maximum, so it is not
+    checked.
     """
 
     def __init__(self, a: float, signal: float, a1: float, c: float, c1: float):
-        b = math.sqrt(signal - c) * math.sqrt(signal + c)
-        first, second = ((a, a1), (b, b)) if a1 >= b else ((b, b), (a, a1))
-        scale = math.ldexp(1.0, math.frexp(max(a1, b))[1])  # exact divisions below
-        x1, x2 = first[1] / scale, second[1] / scale
-        cx = c1 / scale * math.sqrt(2.0 * (signal - c) / b)
-        cp = c1 / scale * math.sqrt(2.0 * (signal + c) / b)
-        k, d, g = cx * cp, x1 - x2, x1 * x2 * (cx - cp) * (cx - cp)
-        u = d * (x1 + x2)
-        root = math.sqrt(max(d * d * (d * d + 4.0 * (x1 * x2 - k)) + 4.0 * g, 0.0))
-        d1 = g - 2.0 * x1 * k * d - k * k
-        d1 = 2.0 * d1 / (root + u + 2.0 * k) if d1 else 0.0  # 0/0 only when uncorrelated
-        if u - 2.0 * k > 0.0:
-            d2 = -2.0 * (g + 2.0 * x2 * k * d - k * k) / (u - 2.0 * k + root)
-        else:
-            d2 = 0.5 * (u - 2.0 * k - root)
-        nu1 = x1 * math.sqrt(max(1.0 + d1 / x1 / x1, 0.0))  # no x^2 to underflow
-        nu2 = x2 * math.sqrt(max(1.0 + d2 / x2 / x2, 0.0))
-        h1, h2 = d1 / (nu1 + x1), d2 / (nu2 + x2)
-        super().__init__([first[0], second[0]], [nu1 * scale, nu2 * scale])
-        self.pairs = ((first[0], (first[1] - first[0]) + h1 * scale),
-                      (second[0], (second[1] - second[0]) + h2 * scale))
-        self.quadratures = [self._eigenvectors(x1, x2, h1, h2, u + root, *cs)
-                            for cs in ((cx, cp), (-cp, -cx))]
+        _, (first, second), nus, (h1, h2), self.quadratures = three_mode_reduction(
+            a, signal, a1, c, c1)
+        super().__init__([first[0], second[0]], list(nus))
+        self.pairs = ((first[0], (first[1] - first[0]) + h1),
+                      (second[0], (second[1] - second[0]) + h2))
         self.equal = a1 == a and c1 == 0.0  # equal states: 0 throughout
-
-    @staticmethod
-    def _eigenvectors(x1, x2, h1, h2, spread, cx, cp) -> tuple:
-        """e21, e12, n1^2 - 1 and n2^2 - 1 of one quadrature's present symplectic."""
-        if spread == 0.0:  # degenerate and uncorrelated: no rotation
-            return 0.0, 0.0, 0.0, 0.0
-        e21, e12 = 2.0 * (x1 * cx - x2 * cp) / spread, 2.0 * (x1 * cp - x2 * cx) / spread
-        n1 = (h1 + 2.0 * cp * e21 - x2 * e21 * e21) / (x1 - 2.0 * cp * e21 + x2 * e21 * e21)
-        n2 = (h2 + 2.0 * cp * e12 - x1 * e12 * e12) / (x2 - 2.0 * cp * e12 + x1 * e12 * e12)
-        return e21, e12, n1, n2
 
     def __call__(self, s: float) -> OverlapResult:
         if self.equal:
@@ -362,7 +320,7 @@ class BoundResult:
             raise ValueError("optimal s must lie inside (0, 1)")
         if self.copies < 1:
             raise ValueError("copies must be positive")
-        expected = self.q_at_s**self.copies / 2.0
+        expected = 0.5 * math.exp(self.copies * self.diagnostics["log_overlap"])
         if abs(self.value - expected) > 1e-12 * max(expected, 1e-300):
             raise ValueError("bound value inconsistent with per-copy overlap")
 
@@ -379,7 +337,7 @@ def _bound_from_overlap(ov: OverlapResult, copies: int, **extra) -> BoundResult:
     }
     diagnostics.update(extra)
     return BoundResult(
-        value=ov.value**copies / 2.0,
+        value=0.5 * math.exp(copies * ov.log_value),  # q**copies would carry copies ulps of q
         q_at_s=ov.value,
         s_used=ov.s,
         copies=copies,

@@ -15,7 +15,7 @@ gives diagonal variance 2n + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _NumpyOnFirstUse
 from .symplectic import CovarianceMatrix, GaussianState, WilliamsonDecomposition
@@ -26,18 +26,6 @@ CORRELATION_SLACK = 1e-12
 MODELS = ("two-mode", "three-mode", "coherent")
 # Idlers kept at home by each entangled probe.
 IDLERS = {"three-mode": 2, "two-mode": 1}
-
-
-class AnalyticDomainError(ValueError):
-    """Closed-form factorization entries left their validity domain."""
-
-    def __init__(self, radicand: str, value: float):
-        self.radicand = radicand
-        self.value = value
-        super().__init__(
-            f"analytic factorization out of domain: radicand {radicand} = "
-            f"{value:.6e} is negative; use the numeric decomposition instead"
-        )
 
 
 @dataclass
@@ -277,231 +265,104 @@ def two_mode_target_present_cov(scenario: IlluminationScenario) -> CovarianceMat
     return illuminate(probe, scenario, scenario.reflectivity).cov
 
 
-def _block_sorted(symplectic: np.ndarray, nus: np.ndarray) -> WilliamsonDecomposition:
-    """Permute 2x2 column blocks so the eigenvalue list is descending."""
-    order = np.argsort(-nus, kind="stable")
-    cols = (2 * order[:, None] + [0, 1]).ravel()
-    return WilliamsonDecomposition(symplectic=symplectic[:, cols], nu=nus[order])
+def _eigenvectors(x1, x2, h1, h2, spread, cx, cp) -> tuple:
+    """e21, e12, n1^2 - 1 and n2^2 - 1 of one quadrature's present symplectic."""
+    if spread == 0.0:  # degenerate and uncorrelated: no rotation
+        return 0.0, 0.0, 0.0, 0.0
+    e21, e12 = 2.0 * (x1 * cx - x2 * cp) / spread, 2.0 * (x1 * cp - x2 * cx) / spread
+    n1 = (h1 + 2.0 * cp * e21 - x2 * e21 * e21) / (x1 - 2.0 * cp * e21 + x2 * e21 * e21)
+    n2 = (h2 + 2.0 * cp * e12 - x1 * e12 * e12) / (x2 - 2.0 * cp * e12 + x1 * e12 * e12)
+    return e21, e12, n1, n2
 
 
-def target_absent_williamson(scenario: IlluminationScenario) -> WilliamsonDecomposition:
-    """Closed-form decomposition of the target-absent covariance.
+def three_mode_reduction(a: float, signal: float, a1: float, c: float, c1: float) -> tuple:
+    """The three-mode pair reduced to two modes whose x and p blocks decouple.
 
-    The idler pair diagonalizes by a balanced two-mode squeezer built from
-    z = ((S-c)/(S+c))^(1/4); the return mode is already thermal. Valid for
-    c < S, which every admissible scenario satisfies with room to spare.
+    Absent return a, present a', probe S and c, c' = sqrt(kappa) c. A 50:50
+    beamsplitter on the idlers leaves the antisymmetric idler, x and p
+    variances S -+ c, uncoupled and the same under both hypotheses, so it
+    drops out of q. Its nu = b = sqrt((S - c)(S + c)) is at least 1 for every
+    c up to the det V = 1 maximum. A local squeeze makes the symmetric idler
+    diag(b, b). Absent is then diag(a, b); present has x block [[a', cx],
+    [cx, b]] and p block [[a', -cp], [-cp, b]], cx^2 = 2c'^2 (S - c)/b and
+    cp^2 = 2c'^2 (S + c)/b. The brighter present mode comes first (diagonals
+    x1 >= x2), so u = x1^2 - x2^2 >= 0. With k = cx cp, g = x1 x2 (cx - cp)^2
+    and d = x1 - x2, the discriminant of nu^2 is D = d^2 (d^2 + 4(x1 x2 - k))
+    + 4g, a sum of nonnegative terms, and nu1^2 - x1^2 = 2(g - 2 x1 k d -
+    k^2)/(sqrt(D) + u + 2k), nu2^2 - x2^2 = -2(g + 2 x2 k d - k^2)/(u - 2k +
+    sqrt(D)) (or (u - 2k - sqrt(D))/2 for u <= 2k): no nu is subtracted from
+    its x, and each mode's shift is h = (nu^2 - x^2)/(nu + x). All this is in
+    units of a power of 2 near x1, so no square overflows. The present
+    symplectic has columns n1 (1, e21) and n2 (e12, 1) in x and is their
+    inverse transpose in p, which is the x form with cx, cp read as -cp, -cx.
 
-    Library API only: no printed number uses it (every bound takes
-    williamson_decompose). Acceptance criterion 7 checks it against the
-    numeric decomposition.
+    Returns b, the two modes' (absent, present) diagonals brighter first,
+    their present nu and shifts h, and each quadrature's (e21, e12, n1^2 - 1,
+    n2^2 - 1), x then p.
     """
-    s = scenario.signal_variance
-    b = scenario.background_variance
-    c = scenario.probe_correlation("three-mode")
-    if c >= s:
-        raise AnalyticDomainError("(S - c)/(S + c)", (s - c) / (s + c))
-    z = ((s - c) / (s + c)) ** 0.25
-    inv = 1.0 / z
-    rt2 = math.sqrt(2.0)
-    z1 = np.diag([inv, z]) / rt2
-    z2 = np.diag([z, inv]) / rt2
-    sm = np.zeros((6, 6))
-    sm[0:2, 0:2] = np.eye(2)
-    sm[2:4, 2:4] = z1
-    sm[2:4, 4:6] = -z2
-    sm[4:6, 2:4] = z1
-    sm[4:6, 4:6] = z2
-    beta1 = math.sqrt(s * s - c * c)
-    return _block_sorted(sm, np.array([b, beta1, beta1]))
+    b = math.sqrt(signal - c) * math.sqrt(signal + c)
+    first, second = ((a, a1), (b, b)) if a1 >= b else ((b, b), (a, a1))
+    scale = math.ldexp(1.0, math.frexp(max(a1, b))[1])  # exact divisions below
+    x1, x2 = first[1] / scale, second[1] / scale
+    cx = c1 / scale * math.sqrt(2.0 * (signal - c) / b)
+    cp = c1 / scale * math.sqrt(2.0 * (signal + c) / b)
+    k, d, g = cx * cp, x1 - x2, x1 * x2 * (cx - cp) * (cx - cp)
+    u = d * (x1 + x2)
+    root = math.sqrt(max(d * d * (d * d + 4.0 * (x1 * x2 - k)) + 4.0 * g, 0.0))
+    d1 = g - 2.0 * x1 * k * d - k * k
+    d1 = 2.0 * d1 / (root + u + 2.0 * k) if d1 else 0.0  # 0/0 only when uncorrelated
+    if u - 2.0 * k > 0.0:
+        d2 = -2.0 * (g + 2.0 * x2 * k * d - k * k) / (u - 2.0 * k + root)
+    else:
+        d2 = 0.5 * (u - 2.0 * k - root)
+    nu1 = x1 * math.sqrt(max(1.0 + d1 / x1 / x1, 0.0))  # no x^2 to underflow
+    nu2 = x2 * math.sqrt(max(1.0 + d2 / x2 / x2, 0.0))
+    h1, h2 = d1 / (nu1 + x1), d2 / (nu2 + x2)
+    quadratures = [_eigenvectors(x1, x2, h1, h2, u + root, *cs) for cs in ((cx, cp), (-cp, -cx))]
+    return b, (first, second), (nu1 * scale, nu2 * scale), (h1 * scale, h2 * scale), quadratures
 
 
 @dataclass
 class PresentStateFactorization:
-    """Closed-form symplectic data for the target-present covariance.
-
-    Carries the three symplectic eigenvalues (beta1 for the decoupled idler
-    combination, beta_plus/beta_minus for the return-coupled pair), the
-    discriminant xi, the four mu auxiliaries, and the scalar block entries of
-    the assembled symplectic matrix. The mu pair identities are checked on
-    construction; the products mu2_plus * mu2_minus cancel catastrophically in
-    the naive form, so the builder uses conjugate expressions throughout.
-    Library API only; target_present_factorization says where it breaks down.
-    """
-
-    beta1: float
-    beta_plus: float
-    beta_minus: float
-    xi: float
-    mu1_plus: float
-    mu1_minus: float
-    mu2_plus: float
-    mu2_minus: float
-    blocks: dict
-    return_variance: float
-    signal_variance: float
-    correlation: float
-    reflectivity: float
-
-    def __post_init__(self):
-        res = self.identity_residuals()
-        for name in ("difference", "product"):
-            if abs(res[name]) > 1e-10:
-                raise ValueError(
-                    f"mu identity '{name}' violated (relative residual {res[name]:.3e})"
-                )
-
-    def identity_residuals(self) -> dict:
-        """Relative residuals of the four mu identities."""
-        a = self.return_variance
-        s = self.signal_variance
-        c = self.correlation
-        kap = self.reflectivity
-        target = 8.0 * kap * c * c * (a - s + c) * (a - s - c)
-        out = {
-            "difference": (self.mu2_plus - self.mu2_minus - 2.0 * self.xi)
-            / (2.0 * self.xi),
-        }
-        out["product"] = (
-            (self.mu2_plus * self.mu2_minus - target) / target if target != 0 else 0.0
-        )
-        rhs3 = 2.0 * (a - s - c) * (
-            a * self.mu2_plus - 4.0 * kap * c * c * (a - s + c)
-        )
-        rhs4 = -2.0 * (a - s + c) * (
-            a * self.mu2_minus - 4.0 * kap * c * c * (a - s - c)
-        )
-        out["cross_plus"] = (
-            (self.mu1_plus * self.mu2_plus - rhs3) / rhs3 if rhs3 != 0 else 0.0
-        )
-        out["cross_minus"] = (
-            (self.mu1_minus * self.mu2_minus - rhs4) / rhs4 if rhs4 != 0 else 0.0
-        )
-        return out
-
-    def williamson(self) -> WilliamsonDecomposition:
-        """Assemble the symplectic matrix and sort its blocks descending."""
-        bl = self.blocks
-        rt2 = math.sqrt(2.0)
-        z2 = np.diag([bl["z"], 1.0 / bl["z"]]) / rt2
-        x1 = np.diag([bl["x_plus"], bl["y_plus"]])
-        x2 = np.diag([bl["y_minus"], bl["x_minus"]])
-        y1 = np.diag([bl["u_plus"], bl["v_plus"]])
-        y2 = np.diag([bl["v_minus"], bl["u_minus"]])
-        sm = np.zeros((6, 6))
-        sm[0:2, 2:4] = x1
-        sm[0:2, 4:6] = x2
-        sm[2:4, 0:2] = z2
-        sm[2:4, 2:4] = y1
-        sm[2:4, 4:6] = y2
-        sm[4:6, 0:2] = -z2
-        sm[4:6, 2:4] = y1
-        sm[4:6, 4:6] = y2
-        return _block_sorted(sm, np.array([self.beta1, self.beta_plus, self.beta_minus]))
-
-
-def _radicand(name: str, value: float, scale: float) -> float:
-    if value < 0.0:
-        if value < -1e-10 * max(scale, 1.0):
-            raise AnalyticDomainError(name, value)
-        return 0.0
-    return value
-
-
-def target_present_factorization(
-    scenario: IlluminationScenario,
-) -> PresentStateFactorization:
-    """Closed-form Williamson data for the target-present covariance.
-
-    Valid when the background dominates the probe (A > S + c and friends);
-    outside that region the block entries turn complex and an
-    AnalyticDomainError names the first offending radicand. The numeric
-    decomposition has no such restriction.
+    """Williamson data of a three-mode hypothesis state, from its three_mode_reduction.
 
     Library API only: no printed number uses it, and acceptance criterion 7
-    checks it against williamson_decompose at n_b <= 200. It breaks down in
-    the bright background: beta_minus^2 = (common - xi) / 2 subtracts two
-    numbers of size A^2, so it carries an absolute error of about eps A^2.
-    At n_s = kappa = 0.01 the per-copy exponent built on it is 194 times too
-    large at n_b = 1e6 and 1.6e8 times at n_b = 1e7.
+    checks it against williamson_decompose. The reduction's arithmetic is the
+    one that prints every three-mode bound, so at n_s = kappa = 0.01 its nu
+    keep their relative digits up to n_b = 1e8, where the numeric
+    decomposition loses them to eps n_b.
     """
-    s = scenario.signal_variance
-    a = scenario.return_variance
-    kap = scenario.reflectivity
-    c = scenario.probe_correlation("three-mode")
 
-    if c >= s:
-        raise AnalyticDomainError("(S - c)/(S + c)", (s - c) / (s + c))
-    dmc = a - s - c
-    dpc = a - s + c
-    if dmc <= 0 or dpc <= 0:
-        raise AnalyticDomainError("A - S - c", dmc if dmc <= 0 else dpc)
+    scenario: IlluminationScenario
 
-    # Conjugate forms: p - xi cancels badly, t / (p + xi) does not.
-    p = a * a - s * s + c * c
-    t = 8.0 * kap * c * c * dpc * dmc
-    if p <= 0:
-        raise AnalyticDomainError("A^2 - S^2 + c^2", p)
-    xi = p * math.sqrt(_radicand("xi^2", 1.0 - t / (p * p), 1.0))
-    if xi == 0:
-        raise AnalyticDomainError("xi", 0.0)
-    mu2p = p + xi
-    mu2m = t / mu2p
-    mu1p = (xi - 2.0 * a * c) + ((a - s) ** 2 - c * c)
-    mu1m = (xi - 2.0 * a * c) - ((a - s) ** 2 - c * c)
+    def williamson(self) -> WilliamsonDecomposition:
+        """Undo the idler squeeze and beamsplitter on the reduced pair's symplectic, then sort."""
+        scn = self.scenario
+        s, a, a1 = scn.signal_variance, scn.background_variance, scn.return_variance
+        c = scn.probe_correlation("three-mode")
+        c1 = math.sqrt(scn.reflectivity) * c
+        b, _, nus, _, quadratures = three_mode_reduction(a, s, a1, c, c1)
+        sm = np.zeros((6, 6))
+        for q, (e21, e12, n1, n2) in enumerate(quadratures):
+            n1, n2 = math.sqrt(1.0 + n1), math.sqrt(1.0 + n2)
+            sm[q:4:2, q:4:2] = [[n1, n2 * e12], [n1 * e21, n2]]
+        if a1 < b:  # the symmetric idler came first
+            sm[:4] = sm[[2, 3, 0, 1]]
+        z = math.sqrt((s - c) / b)  # the symmetric idler's x squeeze
+        sm[2:4] *= [[1.0 / z], [z]]
+        sm[4:, 4:] = np.diag([z, math.sqrt((s + c) / b)])  # the antisymmetric idler
+        sm[2:] = math.sqrt(0.5) * (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) @ sm[2:])
+        nus = np.array([*nus, b])
+        order = np.argsort(-nus, kind="stable")
+        cols = (2 * order[:, None] + [0, 1]).ravel()
+        return WilliamsonDecomposition(symplectic=sm[:, cols], nu=nus[order])
 
-    common = a * a + s * s - (1.0 + 4.0 * kap) * c * c
-    scale = a * a + s * s
-    bp = math.sqrt(_radicand("beta_plus^2", 0.5 * (common + xi), scale))
-    bm = math.sqrt(_radicand("beta_minus^2", 0.5 * (common - xi), scale))
-    beta1 = math.sqrt(s * s - c * c)
-    if bp == 0 or bm == 0:
-        raise AnalyticDomainError("beta", 0.0)
-    if mu1p == 0 or mu1m == 0:
-        raise AnalyticDomainError("mu1", 0.0)
 
-    mu_scale = max(abs(mu1p), abs(mu1m), mu2p, 1.0) ** 2
-    xp = 0.5 * math.sqrt(_radicand("x_plus^2", mu1p * mu2p / (dmc * xi * bp), mu_scale))
-    xm = -0.5 * math.sqrt(
-        _radicand("x_minus^2", mu1m * mu2m / (dpc * xi * bm), mu_scale)
-    )
-    yp = math.sqrt(_radicand("y_plus^2", dmc * mu2p * bp / (mu1p * xi), mu_scale))
-    ym = math.sqrt(_radicand("y_minus^2", dpc * mu2m * bm / (mu1m * xi), mu_scale))
-    up = math.sqrt(
-        _radicand("u_plus^2", mu1p * mu2m / (8.0 * dpc * xi * bp), mu_scale)
-    )
-    um = math.sqrt(
-        _radicand("u_minus^2", mu1m * mu2p / (8.0 * dmc * xi * bm), mu_scale)
-    )
-    vp = -math.sqrt(
-        _radicand("v_plus^2", dpc * mu2m * bp / (2.0 * mu1p * xi), mu_scale)
-    )
-    vm = math.sqrt(
-        _radicand("v_minus^2", dmc * mu2p * bm / (2.0 * mu1m * xi), mu_scale)
-    )
-    z = ((s - c) / (s + c)) ** 0.25
+def target_present_factorization(scenario: IlluminationScenario) -> PresentStateFactorization:
+    """Closed-form Williamson data for the three-mode target-present covariance."""
+    return PresentStateFactorization(scenario)
 
-    return PresentStateFactorization(
-        beta1=beta1,
-        beta_plus=bp,
-        beta_minus=bm,
-        xi=xi,
-        mu1_plus=mu1p,
-        mu1_minus=mu1m,
-        mu2_plus=mu2p,
-        mu2_minus=mu2m,
-        blocks={
-            "x_plus": xp,
-            "x_minus": xm,
-            "y_plus": yp,
-            "y_minus": ym,
-            "u_plus": up,
-            "u_minus": um,
-            "v_plus": vp,
-            "v_minus": vm,
-            "z": z,
-        },
-        return_variance=a,
-        signal_variance=s,
-        correlation=c,
-        reflectivity=kap,
-    )
+
+def target_absent_williamson(scenario: IlluminationScenario) -> WilliamsonDecomposition:
+    """Closed-form decomposition of the three-mode target-absent covariance: kappa = 0."""
+    return PresentStateFactorization(replace(scenario, reflectivity=0.0)).williamson()

@@ -17,8 +17,20 @@ import pytest
 from conftest import box_scenarios
 from qillum.bounds import _closed_form_pair, illumination_bhattacharyya, illumination_chernoff
 from qillum.cli import main
-from qillum.states import IlluminationScenario, illumination_states
-from qillum.symplectic import Bipartition, partial_transpose, symplectic_eigenvalues
+from qillum.states import (
+    IlluminationScenario,
+    illumination_states,
+    target_absent_cov,
+    target_absent_williamson,
+    target_present_cov,
+    target_present_factorization,
+)
+from qillum.symplectic import (
+    Bipartition,
+    WilliamsonDecomposition,
+    partial_transpose,
+    symplectic_eigenvalues,
+)
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -140,6 +152,35 @@ def test_printed_closed_forms_match_50_digit_reference(model, scenarios, toleran
 
 
 @pytest.mark.parametrize(
+    "model,tolerance",
+    [("three-mode", 1e-12), ("two-mode", 1e-13), ("coherent", 1e-13)],
+    ids=["three-mode", "two-mode", "coherent"],
+)
+def test_printed_bound_values_match_50_digit_reference(model, tolerance, capsys):
+    # The printed bounds are 1/2 exp(copies log q). Formed as q**copies / 2,
+    # they carried about copies ulps of q: up to 2.4e-8 relative on these
+    # draws. The tolerances include the reference's own rounding of log q to
+    # a float, up to 8e-14 where the bound is near underflow.
+    worst, checked = 0.0, 0
+    for scn in box_scenarios(711, 60):
+        argv = ["bounds", "--model", model, "--ns", repr(scn.n_signal),
+                "--nb", repr(scn.n_background), "--kappa", repr(scn.reflectivity),
+                "--copies", str(scn.copies), "--format", "json"]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        absent, present = illumination_states(scn, model)
+        for name, s in (("bhattacharyya_bound", 0.5), ("chernoff_bound", row["optimal_s"])):
+            if row[name] == 0.0:  # underflowed; test_cli checks its log10 column
+                continue
+            log_q = _reference_log_overlap(absent, present, s)
+            with mpmath.workdps(DIGITS):
+                reference = float(mp.exp(scn.copies * mp.mpf(log_q)) / 2)
+            worst = max(worst, abs(row[name] - reference) / reference)
+            checked += 1
+    assert checked >= 100 and worst <= tolerance
+
+
+@pytest.mark.parametrize(
     "argv,exponent",
     [
         (["--ns", "1e-4", "--nb", "1e8", "--kappa", "1e-4"], 9.86055e-17),
@@ -175,3 +216,22 @@ def test_symplectic_spectra_keep_relative_precision():
                     error = np.abs(symplectic_eigenvalues(cov) - reference) / reference
                     worst = max(worst, float(error.max()))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("nb", [1e4, 1e6, 1e8])
+def test_three_mode_library_williamson_keeps_relative_digits(nb):
+    # The library's closed-form Williamson data come from the reduction that
+    # prints the three-mode bounds, so beside a bright return mode the nu
+    # near 1 keep their relative digits, and the assembled symplectic
+    # reconstructs the covariance.
+    scn = IlluminationScenario(n_signal=0.01, n_background=nb, reflectivity=0.01)
+    pairs = (
+        (target_absent_cov(scn), target_absent_williamson(scn)),
+        (target_present_cov(scn), target_present_factorization(scn).williamson()),
+    )
+    for cov, dec in pairs:
+        WilliamsonDecomposition(dec.symplectic, dec.nu, matrix=cov.matrix)
+        with mpmath.workdps(DIGITS):
+            nus, _ = _williamson(mp.matrix(cov.matrix.tolist()))
+            reference = np.array(sorted((float(nu) for nu in nus), reverse=True))
+        assert (np.abs(dec.nu - reference) / reference).max() <= 1e-13

@@ -13,7 +13,6 @@ from conftest import (
 )
 from qillum.states import (
     MODELS,
-    AnalyticDomainError,
     IlluminationScenario,
     illuminate,
     illumination_probe,
@@ -32,6 +31,7 @@ from qillum.states import (
 )
 from qillum.symplectic import (
     Bipartition,
+    WilliamsonDecomposition,
     log_negativity,
     symplectic_eigenvalues,
     williamson_decompose,
@@ -221,13 +221,12 @@ def test_absent_analytic_matches_numeric():
 
 def test_present_factorization_reference_point():
     scn = IlluminationScenario(n_signal=0.1, n_background=20.0, reflectivity=0.01)
-    fac = target_present_factorization(scn)
-    assert fac.beta_plus == pytest.approx(41.001906201922424, abs=1e-9)
-    assert fac.beta1 == pytest.approx(1.1144746709596267, abs=1e-12)
-    assert fac.beta_minus == pytest.approx(1.1143732555362937, abs=1e-12)
-    for name, value in fac.identity_residuals().items():
-        assert abs(value) < 1e-10, name
-    dec = fac.williamson()
+    dec = target_present_factorization(scn).williamson()
+    # descending: the return-coupled pair's larger nu, the antisymmetric
+    # idler's sqrt(S^2 - c^2), the return-coupled pair's smaller nu
+    assert dec.nu[0] == pytest.approx(41.001906201922424, abs=1e-9)
+    assert dec.nu[1] == pytest.approx(1.1144746709596267, abs=1e-12)
+    assert dec.nu[2] == pytest.approx(1.1143732555362937, abs=1e-12)
     cov = target_present_cov(scn)
     assert np.max(np.abs(dec.reconstruct() - cov.matrix)) < 1e-9 * np.max(
         np.abs(cov.matrix)
@@ -235,38 +234,19 @@ def test_present_factorization_reference_point():
     assert np.allclose(dec.nu, symplectic_eigenvalues(cov), atol=1e-9)
 
 
-def test_present_factorization_out_of_domain():
-    # bright signal, dim background: the return mode no longer dominates
-    scn = IlluminationScenario(n_signal=1.0, n_background=0.1, reflectivity=0.9)
-    with pytest.raises(AnalyticDomainError):
-        target_present_factorization(scn)
-    # the numeric decomposition, which every bound uses, has no domain
-    cov = target_present_cov(scn)
-    dec_b = williamson_decompose(cov)
-    assert np.max(np.abs(dec_b.reconstruct() - cov.matrix)) < 1e-9 * np.max(
-        np.abs(cov.matrix)
-    )
-
-
-def test_factorization_rejects_tampered_mu():
-    scn = IlluminationScenario(n_signal=0.1, n_background=20.0, reflectivity=0.01)
-    fac = target_present_factorization(scn)
-    with pytest.raises(ValueError):
-        target_present_factorization(scn).__class__(
-            beta1=fac.beta1,
-            beta_plus=fac.beta_plus,
-            beta_minus=fac.beta_minus,
-            xi=fac.xi,
-            mu1_plus=fac.mu1_plus,
-            mu1_minus=fac.mu1_minus,
-            mu2_plus=fac.mu2_plus * (1 + 1e-6),
-            mu2_minus=fac.mu2_minus,
-            blocks=fac.blocks,
-            return_variance=fac.return_variance,
-            signal_variance=fac.signal_variance,
-            correlation=fac.correlation,
-            reflectivity=fac.reflectivity,
+def test_present_factorization_holds_with_a_bright_signal():
+    # The return mode no longer dominates the probe. At n_b = 0.01 the
+    # symmetric idler is the brighter mode of the reduced pair, absent and
+    # present, so the assembly puts it first.
+    for ns, nb, kappa in ((1.0, 0.1, 0.9), (1.0, 0.01, 0.01)):
+        scn = IlluminationScenario(n_signal=ns, n_background=nb, reflectivity=kappa)
+        pairs = (
+            (target_absent_cov(scn), target_absent_williamson(scn)),
+            (target_present_cov(scn), target_present_factorization(scn).williamson()),
         )
+        for cov, dec in pairs:
+            WilliamsonDecomposition(dec.symplectic, dec.nu, matrix=cov.matrix)
+            assert np.allclose(dec.nu, symplectic_eigenvalues(cov), rtol=1e-13, atol=0.0)
 
 
 def test_tmsv_cov_purity():
