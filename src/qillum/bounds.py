@@ -301,53 +301,44 @@ def power_overlap(state_a, state_b, s: float) -> OverlapResult:
 
 @dataclass
 class BoundResult:
-    """Upper bound P_err <= value on the M-copy discrimination error.
+    """Upper bound P_err <= value = q(s)^copies / 2, read off the evaluation `overlap` of q.
 
     A Chernoff bound carries, as `bhattacharyya`, the Bhattacharyya bound read
-    off the s = 1/2 point of the same evaluation, so the two never disagree
-    about their order.
+    off the s = 1/2 point of the same search, so the two never disagree about
+    their order, and the search's `search_calls`, `bracket_width` and
+    `chernoff_gap` (_chernoff_search).
     """
 
-    value: float
-    q_at_s: float
-    s_used: float
+    overlap: OverlapResult
     copies: int
-    diagnostics: dict = field(default_factory=dict)
     bhattacharyya: BoundResult | None = field(default=None, repr=False)
+    search_calls: int | None = None
+    bracket_width: float | None = None
+    chernoff_gap: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.s_used < 1.0:
-            raise ValueError("optimal s must lie inside (0, 1)")
         if self.copies < 1:
             raise ValueError("copies must be positive")
-        expected = 0.5 * math.exp(self.copies * self.diagnostics["log_overlap"])
-        if abs(self.value - expected) > 1e-12 * max(expected, 1e-300):
-            raise ValueError("bound value inconsistent with per-copy overlap")
 
+    @property
+    def value(self) -> float:
+        """exp(copies log q) / 2: q**copies would carry copies ulps of q."""
+        return 0.5 * math.exp(self.copies * self.overlap.log_value)
 
-def _bound_from_overlap(ov: OverlapResult, copies: int, **extra) -> BoundResult:
-    diagnostics = {
-        "prefactor_log": ov.prefactor_log,
-        "det_term_log": ov.det_term_log,
-        "displacement_log": ov.displacement_log,
-        "log_overlap": ov.log_value,
+    @property
+    def log10_value(self) -> float:
+        """log10(q^M / 2) from log q, finite where `value` underflows to 0."""
+        return (self.copies * self.overlap.log_value - math.log(2.0)) / math.log(10.0)
+
+    @property
+    def exponent_per_copy(self) -> float:
         # 0.0 - x, not -x: a log q of +0.0 gives the exponent +0.0, not -0.0.
-        "exponent_per_copy": 0.0 - ov.log_value,
-        "exponent_total": 0.0 - copies * ov.log_value,
-    }
-    diagnostics.update(extra)
-    return BoundResult(
-        value=0.5 * math.exp(copies * ov.log_value),  # q**copies would carry copies ulps of q
-        q_at_s=ov.value,
-        s_used=ov.s,
-        copies=copies,
-        diagnostics=diagnostics,
-    )
+        return 0.0 - self.overlap.log_value
 
 
 def bhattacharyya_bound(state_a, state_b, copies: int = 1) -> BoundResult:
     """q(1/2)-based bound; always at least as large as the Chernoff bound."""
-    return _bound_from_overlap(power_overlap(state_a, state_b, 0.5), copies)
+    return BoundResult(power_overlap(state_a, state_b, 0.5), copies)
 
 
 def _tangent_floor(lo: OverlapResult | None, hi: OverlapResult | None) -> tuple[float, float]:
@@ -416,10 +407,8 @@ def _chernoff_search(half: OverlapResult, build, copies: int) -> BoundResult:
         previous, point = point, evaluate(s)
         calls += 1
 
-    diagnostics = {"search_calls": calls, "bracket_width": s_hi - s_lo, "chernoff_gap": gap}
-    result = _bound_from_overlap(best, copies, **diagnostics)
-    result.bhattacharyya = _bound_from_overlap(half, copies)
-    return result
+    return BoundResult(best, copies, BoundResult(half, copies), search_calls=calls,
+                       bracket_width=s_hi - s_lo, chernoff_gap=gap)
 
 
 def chernoff_bound(state_a, state_b, copies: int = 1) -> BoundResult:
@@ -564,7 +553,7 @@ def _closed_form_pair(scenario: IlluminationScenario, model: str) -> _Modes:
 def illumination_bhattacharyya(
     scenario: IlluminationScenario, model: str = "three-mode"
 ) -> BoundResult:
-    return _bound_from_overlap(_closed_form_pair(scenario, model)(0.5), scenario.copies)
+    return BoundResult(_closed_form_pair(scenario, model)(0.5), scenario.copies)
 
 
 def illumination_chernoff(

@@ -277,11 +277,6 @@ def _asymptotic_exponent(scenario: IlluminationScenario, model: str) -> float:
     return scenario.reflectivity * gamma / scenario.n_background
 
 
-def _log10_bound(bound) -> float:
-    # log10(q^M / 2) from log q, finite where the bound itself underflows to 0.
-    return (bound.copies * bound.diagnostics["log_overlap"] - math.log(2.0)) / math.log(10.0)
-
-
 # Each command takes the parsed arguments and the resolved configuration and
 # returns (config extras, rows, diagnostics, text renderer of the rows); _run
 # emits either the JSON report or the renderer's text.
@@ -301,11 +296,11 @@ def cmd_bounds(args, resolved: dict):
         "correlation": scenario.probe_correlation(model),
         "bhattacharyya_bound": qb.value,
         "chernoff_bound": qc.value,
-        "log10_bhattacharyya_bound": _log10_bound(qb),
-        "log10_chernoff_bound": _log10_bound(qc),
-        "optimal_s": qc.s_used,
-        "exponent_per_copy_qb": qb.diagnostics["exponent_per_copy"],
-        "exponent_per_copy_qc": qc.diagnostics["exponent_per_copy"],
+        "log10_bhattacharyya_bound": qb.log10_value,
+        "log10_chernoff_bound": qc.log10_value,
+        "optimal_s": qc.overlap.s,
+        "exponent_per_copy_qb": qb.exponent_per_copy,
+        "exponent_per_copy_qc": qc.exponent_per_copy,
         "asymptotic_exponent_per_copy": _asymptotic_exponent(scenario, model),
     }
     return {}, [row], {}, _render_bounds
@@ -390,20 +385,17 @@ def _render_ratio_svg(args, rows: list, crossover_ns: float) -> str:
     if args.spacing == "log":
         k0 = math.ceil(u0 - 1e-9)
         k1 = math.floor(u1 + 1e-9)
-        ticks = [(10.0**k, f"{10.0 ** k:g}") for k in range(k0, k1 + 1)]
+        # A sweep inside one decade has no power of ten to mark: mark its ends.
+        ticks = [10.0**k for k in range(k0, k1 + 1)] or [args.start, args.stop]
     else:
-        ticks = [
-            (args.start + i * (args.stop - args.start) / 4.0, "")
-            for i in range(5)
-        ]
-        ticks = [(v, f"{v:g}") for v, _ in ticks]
-    for value, label in ticks:
+        ticks = [args.start + i * (args.stop - args.start) / 4.0 for i in range(5)]
+    for value in ticks:
         x = px(xu(value))
         parts.append(
             f'<line x1="{x:.2f}" y1="{bottom:.2f}" x2="{x:.2f}" y2="{bottom + 6:.2f}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{bottom + 22:.2f}" font-size="14" text-anchor="middle">{label}</text>'
+            f'<text x="{x:.2f}" y="{bottom + 22:.2f}" font-size="14" text-anchor="middle">{value:g}</text>'
         )
     for i in range(5):
         y = y0 + i * (y1 - y0) / 4.0

@@ -109,12 +109,8 @@ def test_criterion_04_two_mode_exponent_asymptotics():
 
 def test_criterion_05_factor_four_classical_gap():
     scn = IlluminationScenario(n_signal=0.01, n_background=1e4, reflectivity=0.01)
-    two_mode = illumination_bhattacharyya(scn, "two-mode").diagnostics[
-        "exponent_per_copy"
-    ]
-    coherent = illumination_bhattacharyya(scn, "coherent").diagnostics[
-        "exponent_per_copy"
-    ]
+    two_mode = illumination_bhattacharyya(scn, "two-mode").exponent_per_copy
+    coherent = illumination_bhattacharyya(scn, "coherent").exponent_per_copy
     ratio = two_mode / coherent
     assert 3.2 <= ratio <= 4.0
     # regression pin; per-copy exponents here are ~1e-9, so the achievable

@@ -118,16 +118,25 @@ def test_bound_value_identity_and_copy_scaling():
         n_signal=0.05, n_background=30.0, reflectivity=0.1, copies=1000
     )
     result = illumination_bhattacharyya(scn, "two-mode")
-    assert result.value == 0.5 * math.exp(1000 * result.diagnostics["log_overlap"])
+    assert result.value == 0.5 * math.exp(1000 * result.overlap.log_value)
     single = illumination_bhattacharyya(
         IlluminationScenario(n_signal=0.05, n_background=30.0, reflectivity=0.1),
         "two-mode",
     )
-    assert result.q_at_s == pytest.approx(single.q_at_s, rel=1e-14)
+    assert result.overlap.value == pytest.approx(single.overlap.value, rel=1e-14)
     assert result.value < single.value
-    assert result.diagnostics["exponent_total"] == pytest.approx(
-        1000 * single.diagnostics["exponent_per_copy"], rel=1e-12
+    assert result.copies * result.exponent_per_copy == pytest.approx(
+        1000 * single.exponent_per_copy, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("bound", [bhattacharyya_bound, chernoff_bound])
+def test_bounds_refuse_nonpositive_copies(bound):
+    a = CovarianceMatrix(np.diag([1.2, 1.2]))
+    b = CovarianceMatrix(np.diag([8.0, 8.0]))
+    for copies in (0, -1):
+        with pytest.raises(ValueError, match="copies must be positive"):
+            bound(a, b, copies=copies)
 
 
 def test_chernoff_never_exceeds_bhattacharyya():
@@ -136,7 +145,7 @@ def test_chernoff_never_exceeds_bhattacharyya():
         qc = illumination_chernoff(scn, model)
         qb = illumination_bhattacharyya(scn, model)
         assert qc.value <= qb.value * (1 + 1e-12)
-        assert 0.0 < qc.s_used < 1.0
+        assert 0.0 < qc.overlap.s < 1.0
 
 
 def test_chernoff_start_holds_exact_half():
@@ -159,7 +168,7 @@ def test_chernoff_finds_asymmetric_optimum():
     qc = chernoff_bound(a, b)
     qb = bhattacharyya_bound(a, b)
     assert qc.value < qb.value * (1 - 1e-6)
-    assert abs(qc.s_used - 0.5) > 0.01
+    assert abs(qc.overlap.s - 0.5) > 0.01
 
 
 def test_blind_target_gives_coin_toss():
@@ -320,7 +329,7 @@ def test_finite_crossover_approaches_the_asymptote(kappa):
     # of n_b: a check of _idler_exponent by code that shares nothing with it.
     def three_mode_wins(ns: float, nb: float) -> bool:
         scn = IlluminationScenario(ns, nb, kappa)
-        log_q = [illumination_bhattacharyya(scn, model).diagnostics["log_overlap"]
+        log_q = [illumination_bhattacharyya(scn, model).overlap.log_value
                  for model in ("three-mode", "two-mode")]
         return log_q[0] < log_q[1]
 
@@ -344,9 +353,7 @@ def test_measured_exponent_approaches_coefficient():
         scn = IlluminationScenario(
             n_signal=0.05, n_background=nb, reflectivity=0.02
         )
-        measured = illumination_bhattacharyya(scn, "three-mode").diagnostics[
-            "exponent_per_copy"
-        ]
+        measured = illumination_bhattacharyya(scn, "three-mode").exponent_per_copy
         ideal = 0.02 * error_exponent_three_mode(0.05) / nb
         gaps.append(abs(measured / ideal - 1.0))
     assert gaps[0] < 0.05 and gaps[1] < gaps[0]
@@ -356,8 +363,8 @@ def test_coherent_benchmark_exponent():
     scn = IlluminationScenario(n_signal=0.01, n_background=100.0, reflectivity=0.01)
     result = illumination_bhattacharyya(scn, "coherent")
     ideal = 0.01 * 0.01 / (4 * 100.0)
-    assert result.diagnostics["exponent_per_copy"] == pytest.approx(ideal, rel=5e-3)
-    assert result.s_used == 0.5
+    assert result.exponent_per_copy == pytest.approx(ideal, rel=5e-3)
+    assert result.overlap.s == 0.5
 
 
 def test_unknown_model_rejected():
@@ -635,11 +642,11 @@ def test_displaced_overlap_matches_scalar_reference(seed):
         assert abs(ov.log_value - log_q) <= 1e-14 * scale
 
 
-def _piece_floor(*diagnostics) -> float:
+def _piece_floor(*overlaps) -> float:
     """ROUNDING_ULPS ulps of the largest |prefactor_log| + |det_term_log| + |displacement_log|."""
     return bounds.ROUNDING_ULPS * EPS * max(
-        abs(d["prefactor_log"]) + abs(d["det_term_log"]) + abs(d["displacement_log"])
-        for d in diagnostics
+        abs(ov.prefactor_log) + abs(ov.det_term_log) + abs(ov.displacement_log)
+        for ov in overlaps
     )
 
 
@@ -813,20 +820,20 @@ def test_chernoff_search_no_worse_than_golden_section():
 
         reference = _reference_chernoff_log(logq)
         qc = chernoff_bound(absent, present)
-        scale = 1.0 + abs(qc.diagnostics["prefactor_log"]) + abs(qc.diagnostics["det_term_log"])
-        assert qc.diagnostics["log_overlap"] <= reference + 1e-15 * scale, (model, scn)
-        assert qc.diagnostics["search_calls"] <= bounds.MAX_CALLS
+        scale = 1.0 + abs(qc.overlap.prefactor_log) + abs(qc.overlap.det_term_log)
+        assert qc.overlap.log_value <= reference + 1e-15 * scale, (model, scn)
+        assert qc.search_calls <= bounds.MAX_CALLS
 
 
 def test_chernoff_carries_bhattacharyya_of_the_same_evaluation():
     for model, scn, absent, present, dec_a, dec_b in _model_pairs(box_scenarios(99, 9)):
         qc = illumination_chernoff(scn, model)
         qb = illumination_bhattacharyya(scn, model)
-        assert qc.bhattacharyya.s_used == 0.5
+        assert qc.bhattacharyya.overlap.s == 0.5
         assert qc.bhattacharyya.value == qb.value
-        assert qc.bhattacharyya.diagnostics["log_overlap"] == qb.diagnostics["log_overlap"]
+        assert qc.bhattacharyya.overlap.log_value == qb.overlap.log_value
         assert qc.value <= qb.value
-        assert qc.diagnostics["log_overlap"] <= qb.diagnostics["log_overlap"]
+        assert qc.overlap.log_value <= qb.overlap.log_value
 
 
 def _full_zoom(a, b) -> float:
@@ -893,17 +900,17 @@ def test_stopped_search_within_rounding_of_full_zoom(monkeypatch):
         calls["engine"].clear()
         qc = chernoff_bound(absent, present)
         assert calls["overlap"] == [0.5]
-        assert list(map(type, calls["engine"])) == [float] * qc.diagnostics["search_calls"]
-        floor = _piece_floor(qc.diagnostics, qc.bhattacharyya.diagnostics)
-        stopped = qc.diagnostics["log_overlap"]
+        assert list(map(type, calls["engine"])) == [float] * qc.search_calls
+        floor = _piece_floor(qc.overlap, qc.bhattacharyya.overlap)
+        stopped = qc.overlap.log_value
         assert abs(stopped - full) <= floor, (model, scn, (stopped - full) / floor)
-        assert stopped - qc.diagnostics["chernoff_gap"] - floor <= full, (model, scn)
+        assert stopped - qc.chernoff_gap - floor <= full, (model, scn)
         assert qc.value <= qc.bhattacharyya.value, (model, scn)
-        assert stopped <= qc.bhattacharyya.diagnostics["log_overlap"], (model, scn)
+        assert stopped <= qc.bhattacharyya.overlap.log_value, (model, scn)
         # the certificate ends every search, never a cap
-        assert qc.diagnostics["bracket_width"] > bounds.S_TOL, (model, scn)
-        assert qc.diagnostics["search_calls"] < bounds.MAX_CALLS, (model, scn)
-        search_calls.append(qc.diagnostics["search_calls"])  # the start not counted
+        assert qc.bracket_width > bounds.S_TOL, (model, scn)
+        assert qc.search_calls < bounds.MAX_CALLS, (model, scn)
+        search_calls.append(qc.search_calls)  # the start not counted
     assert len(search_calls) >= 500
     assert np.mean(search_calls) <= 1.0 and max(search_calls) <= 8
 
@@ -913,8 +920,8 @@ def test_chernoff_engine_calls(monkeypatch):
     scn = IlluminationScenario(n_signal=0.05, n_background=300.0, reflectivity=0.02)
     qc = bounds.chernoff_bound(*illumination_states(scn, "three-mode"), scn.copies)
     # one s per engine call after the start, within the cap
-    assert list(map(type, calls["engine"])) == [float] * qc.diagnostics["search_calls"]
-    assert qc.diagnostics["search_calls"] <= 2
+    assert list(map(type, calls["engine"])) == [float] * qc.search_calls
+    assert qc.search_calls <= 2
     # the s = 1/2 start, which the result carries as its Bhattacharyya bound
     assert calls["overlap"] == [0.5]
 
@@ -974,8 +981,8 @@ def test_chernoff_returns_minimum_over_every_evaluated_point(monkeypatch):
         cov = CovarianceMatrix(np.diag([3.0, 3.0]))
         qc = chernoff_bound(cov, cov, 10)
         assert len(points) >= 2
-        assert qc.diagnostics["log_overlap"] == min(evaluated) == evaluated[dip_call]
-        assert qc.s_used == points[dip_call]
+        assert qc.overlap.log_value == min(evaluated) == evaluated[dip_call]
+        assert qc.overlap.s == points[dip_call]
         assert qc.value <= qc.bhattacharyya.value
         _check_points(points, slopes)
 
@@ -993,15 +1000,14 @@ def test_flat_log_q_stops_at_the_start(monkeypatch):
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     assert points == [0.5]
-    assert qc.diagnostics["search_calls"] == 0
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert 0.0 < qc.diagnostics["chernoff_gap"] <= bounds.ROUNDING_ULPS * EPS * 40.0
+    assert qc.search_calls == 0
+    assert qc.overlap.log_value == min(evaluated)
+    assert 0.0 < qc.chernoff_gap <= bounds.ROUNDING_ULPS * EPS * 40.0
     _check_points(points, slopes)
 
 
 def _stopped_at_the_floor(qc, floor) -> bool:
-    d = qc.diagnostics
-    return d["bracket_width"] <= bounds.S_TOL or d["chernoff_gap"] <= floor
+    return qc.bracket_width <= bounds.S_TOL or qc.chernoff_gap <= floor
 
 
 def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
@@ -1015,10 +1021,10 @@ def test_steep_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 1e-3
-    assert 1 <= qc.diagnostics["search_calls"] <= 3
-    assert len(points) == qc.diagnostics["search_calls"] + 1
-    assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
-    assert abs(qc.s_used - 0.3) <= bounds.S_TOL
+    assert 1 <= qc.search_calls <= 3
+    assert len(points) == qc.search_calls + 1
+    assert qc.overlap.log_value <= -1e-3 + floor
+    assert abs(qc.overlap.s - 0.3) <= bounds.S_TOL
     _check_points(points, slopes)
 
 
@@ -1034,11 +1040,11 @@ def test_kinked_log_q_zooms_to_the_bracket_tolerance(monkeypatch):
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 1e-3
-    assert qc.diagnostics["search_calls"] <= bounds.MAX_CALLS
+    assert qc.search_calls <= bounds.MAX_CALLS
     assert _stopped_at_the_floor(qc, floor)
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
-    assert abs(qc.s_used - 0.3) <= bounds.S_TOL
+    assert qc.overlap.log_value == min(evaluated)
+    assert qc.overlap.log_value <= -1e-3 + floor
+    assert abs(qc.overlap.s - 0.3) <= bounds.S_TOL
     _check_points(points, slopes)
 
 
@@ -1053,10 +1059,10 @@ def test_exact_parabola_certifies_in_one_call(monkeypatch):
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 0.09
-    assert qc.diagnostics["search_calls"] == 1
-    assert qc.diagnostics["chernoff_gap"] <= floor
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert abs(qc.s_used - 0.3) <= 1e-8
+    assert qc.search_calls == 1
+    assert qc.chernoff_gap <= floor
+    assert qc.overlap.log_value == min(evaluated)
+    assert abs(qc.overlap.s - 0.3) <= 1e-8
     _check_points(points, slopes)
 
 
@@ -1076,10 +1082,10 @@ def test_quartic_log_q_stops_within_the_round_cap(monkeypatch, centre, curvature
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 1e-3
-    assert qc.diagnostics["search_calls"] <= 16
-    assert len(points) == qc.diagnostics["search_calls"] + 1
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert qc.diagnostics["log_overlap"] <= -1e-3 + floor
+    assert qc.search_calls <= 16
+    assert len(points) == qc.search_calls + 1
+    assert qc.overlap.log_value == min(evaluated)
+    assert qc.overlap.log_value <= -1e-3 + floor
     assert _stopped_at_the_floor(qc, floor)
     _check_points(points, slopes)
 
@@ -1103,9 +1109,9 @@ def test_asymmetric_quartic_is_not_certified_early(monkeypatch):
     qc = chernoff_bound(cov, cov)
     floor = bounds.ROUNDING_ULPS * EPS * 0.0125
     assert log_q(0.5, 0) + 0.0125 > 1e3 * floor
-    assert qc.diagnostics["search_calls"] <= 8
-    assert qc.diagnostics["log_overlap"] == min(evaluated)
-    assert qc.diagnostics["log_overlap"] <= -0.0125 + floor
+    assert qc.search_calls <= 8
+    assert qc.overlap.log_value == min(evaluated)
+    assert qc.overlap.log_value <= -0.0125 + floor
     assert _stopped_at_the_floor(qc, floor)
     _check_points(points, slopes)
 
@@ -1120,10 +1126,10 @@ def test_search_stops_at_the_call_cap(monkeypatch):
     points, slopes, evaluated = _synthetic_engine(monkeypatch, log_q, lambda x: -1.0)
     cov = CovarianceMatrix(np.diag([3.0, 3.0]))
     qc = chernoff_bound(cov, cov)
-    assert qc.diagnostics["search_calls"] == bounds.MAX_CALLS
+    assert qc.search_calls == bounds.MAX_CALLS
     assert len(points) == bounds.MAX_CALLS + 1
-    assert qc.diagnostics["bracket_width"] > bounds.S_TOL
-    assert qc.s_used == 0.5
+    assert qc.bracket_width > bounds.S_TOL
+    assert qc.overlap.s == 0.5
     _check_points(points, slopes)
 
 
@@ -1143,9 +1149,9 @@ def test_equal_hypotheses_give_exactly_one_half(scn, model):
     assert np.array_equal(absent.mean, present.mean)
     qc = chernoff_bound(absent, present, 10**6)
     for bound in (qc, qc.bhattacharyya):
-        assert bound.value == 0.5 and bound.q_at_s == 1.0 and bound.s_used == 0.5
-        assert bound.diagnostics["exponent_per_copy"] == 0.0
-        assert bound.diagnostics["log_overlap"] == 0.0
+        assert bound.value == 0.5 and bound.overlap.value == 1.0 and bound.overlap.s == 0.5
+        assert bound.exponent_per_copy == 0.0
+        assert bound.overlap.log_value == 0.0
     for s in (1e-6, 0.3, 0.5, 0.9):
         ov = power_overlap(absent, present, s)
         assert (ov.value, ov.log_value, ov.prefactor_log, ov.det_term_log) == (1.0, 0.0, 0.0, 0.0)

@@ -795,7 +795,7 @@ def test_bounds_outputs_match_recorded_values(model, fmt, ext, capsys):
     assert (code, err) == (0, "")
     assert NUMBER.split(out) == NUMBER.split(golden)
     for before, got, want in zip(NUMBER.split(golden), NUMBER.findall(out), NUMBER.findall(golden)):
-        rel_tol = 1e-3 if before.rstrip('": ').endswith("optimal_s") else 1e-6
+        rel_tol = 1e-3 if before.rstrip('": ').endswith("optimal_s") else 1e-10
         assert math.isclose(float(got), float(want), rel_tol=rel_tol), (before, got, want)
         if fmt == "text":
             assert re.sub(r"\d", "0", got) == re.sub(r"\d", "0", want)
@@ -844,6 +844,20 @@ def test_sweep_plot_matches_recorded_bytes(tmp_path, capsys):
     plot = tmp_path / "ratio.svg"
     assert run(capsys, "sweep", "--count", "5", "--plot", str(plot))[0] == 0
     assert plot.read_bytes() == (GOLDEN / "sweep5.svg").read_bytes()
+
+
+def test_sweep_plot_marks_the_ends_of_a_sweep_inside_one_decade(tmp_path, capsys):
+    # 0.2 to 0.5 holds no power of ten to mark, so the x axis is marked and
+    # labelled at the sweep's ends, the frame's left and right edges.
+    plot = tmp_path / "ratio.svg"
+    argv = ["--start", "0.2", "--stop", "0.5", "--count", "5", "--plot", str(plot)]
+    assert run(capsys, "sweep", *argv)[0] == 0
+    svg = plot.read_text(encoding="utf-8")
+    ticks = re.findall(r'<line x1="([\d.]+)" y1="545.00" x2="\1" y2="551.00"', svg)
+    labels = re.findall(r'<text x="([\d.]+)" y="567.00" font-size="14" '
+                        r'text-anchor="middle">([^<]*)</text>', svg)
+    assert ticks == ["70.00", "775.00"]
+    assert labels == [("70.00", "0.2"), ("775.00", "0.5")]
 
 
 @pytest.mark.parametrize(

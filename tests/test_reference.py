@@ -93,10 +93,10 @@ def test_bhattacharyya_overlap_matches_50_digit_reference(model):
     for scn in box_scenarios(707, 12):
         absent, present = illumination_states(scn, model)
         for bound in (illumination_bhattacharyya(scn, model), illumination_chernoff(scn, model)):
-            reference = _reference_log_overlap(absent, present, bound.s_used)
-            diagnostics = bound.diagnostics
-            scale = 1.0 + abs(diagnostics["prefactor_log"]) + abs(diagnostics["det_term_log"])
-            assert abs(diagnostics["log_overlap"] - reference) <= 1e-14 * scale, (scn, bound.s_used)
+            reference = _reference_log_overlap(absent, present, bound.overlap.s)
+            ov = bound.overlap
+            scale = 1.0 + abs(ov.prefactor_log) + abs(ov.det_term_log)
+            assert abs(ov.log_value - reference) <= 1e-14 * scale, (scn, ov.s)
 
 
 def _log_scenarios(seed: int, count: int, ns: tuple, nb: tuple, kappa: tuple):
@@ -143,7 +143,7 @@ def test_printed_closed_forms_match_50_digit_reference(model, scenarios, toleran
         absent, present = illumination_states(scn, model)
         qc = illumination_chernoff(scn, model)
         pair = _closed_form_pair(scn, model)
-        points = [(b.s_used, b.diagnostics["log_overlap"]) for b in (qc.bhattacharyya, qc)]
+        points = [(b.overlap.s, b.overlap.log_value) for b in (qc.bhattacharyya, qc)]
         points += [(s, pair(s).log_value) for s in s_grid]
         for s, log_q in points:
             reference = _reference_log_overlap(absent, present, s)
